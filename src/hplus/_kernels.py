@@ -5,6 +5,14 @@ variable ``HPLUS_NO_NUMBA`` is unset (or "0").  Both paths accumulate in the
 same order, so each is deterministic run-to-run; across backends results
 agree to floating-point rounding (instruction selection may differ in the
 last ulp).  ``scripts/bench_kernels.py`` compares their speed.
+
+Dirichlet products of sparse operands run on supports, (1-based index,
+value) pairs, in numpy on either backend: ``convolve_support`` forms the
+nnz_a * nnz_b products directly instead of walking output slots.
+``dirichlet_convolve`` takes that path when nnz_a * nnz_b <= out_len and
+the strided dense loop otherwise.  Both paths add the terms of each output
+coefficient in ascending divisor of the sparser operand, so the support
+path gives the numpy loop's bits.
 """
 
 from __future__ import annotations
@@ -68,16 +76,65 @@ else:
     _convolve_numba = None
 
 
+def support(a: np.ndarray, out_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero terms of a[:out_len] as (ascending 1-based indices, values)."""
+    idx = np.flatnonzero(a[:out_len])
+    return idx + 1, a[idx]
+
+
+def from_support(idx: np.ndarray, vals: np.ndarray, out_len: int) -> np.ndarray:
+    """Coefficient array of length out_len holding vals at the 1-based idx."""
+    c = np.zeros(out_len, dtype=np.complex128)
+    c[idx - 1] = vals
+    return c
+
+
+def convolve_support(
+    ia: np.ndarray, va: np.ndarray, ib: np.ndarray, vb: np.ndarray, out_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated Dirichlet convolution of two supports, returned as a support.
+
+    Each operand is a pair of ascending 1-based indices (all <= out_len) and
+    nonzero values.  The sparser operand is the outer axis of the index
+    products; products landing above out_len are dropped and equal indices
+    merged with ``np.bincount``, which adds them in ascending index of the
+    outer operand.  Coefficients that cancel to zero are dropped.
+    """
+    if len(ib) < len(ia):
+        ia, va, ib, vb = ib, vb, ia, va
+    if len(ia) == 0:
+        return ia, va
+    # row i keeps the prefix ib[:tops[i]] of the inner indices; the values
+    # are one scalar-times-slice product per row, as in the dense loop,
+    # because numpy's complex multiply rounds differently on some broadcast
+    # layouts
+    tops = np.searchsorted(ib, out_len // ia, side="right")
+    idx = np.concatenate([d * ib[:top] for d, top in zip(ia, tops)])
+    vals = np.concatenate([v * vb[:top] for v, top in zip(va, tops)])
+    n, inv = np.unique(idx, return_inverse=True)
+    c = np.empty(len(n), dtype=np.complex128)
+    c.real = np.bincount(inv, weights=vals.real, minlength=len(n))
+    c.imag = np.bincount(inv, weights=vals.imag, minlength=len(n))
+    nz = c != 0
+    return n[nz], c[nz]
+
+
 def dirichlet_convolve(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
     """Truncated Dirichlet convolution of coefficient arrays a and b.
 
-    Iterates over the sparser operand (the product is commutative), so
-    powers of a sparse polynomial stay cheap even at large truncations.
+    With nnz_a * nnz_b <= out_len (nonzeros counted below out_len) the
+    product runs on the supports (``convolve_support``); otherwise a strided
+    loop over the nonzeros of the sparser operand adds each of them times
+    the other operand into every slot it reaches.  The product is
+    commutative; the support path gives the numpy loop's bits.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
     na = int(np.count_nonzero(a[:out_len]))
     nb = int(np.count_nonzero(b[:out_len]))
+    if na * nb <= out_len:
+        terms = convolve_support(*support(a, out_len), *support(b, out_len), out_len)
+        return from_support(*terms, out_len)
     if nb < na:
         a, b = b, a
     if HAVE_NUMBA:

@@ -306,13 +306,3 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
         prime_bound_ok=bound_ok,
         notes="z_1=z_2=1/2; z_n = 1/(sqrt(n ln n) lnln n) for n >= 3",
     )
-
-
-def write_estimate_table(rows, path: str) -> None:
-    """CSV with columns k, p, samples, estimate, std_err, exact_value_if_p2."""
-    lines = ["k,p,samples,estimate,std_err,exact_value_if_p2"]
-    for k, p, samples, est, se, exact in rows:
-        tail = "" if exact is None else repr(float(exact))
-        lines.append(f"{k},{p},{samples},{float(est)!r},{float(se)!r},{tail}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -63,12 +63,25 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '4', '1,2,3', or '1..8'."""
+    """Accept '4', '1,2,3', or '1..8'; a list that selects nothing is an error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"integer list {text!r} selects no values")
+    return values
+
+
+def _out_truncation(args, d: DirichletSeries) -> int:
+    """--truncation when given (it must be >= 1), else the input's truncation."""
+    if args.truncation is None:
+        return d.truncation
+    if args.truncation < 1:
+        raise ValueError(f"--truncation must be >= 1, got {args.truncation}")
+    return args.truncation
 
 
 def _parse_complex(text: str) -> complex:
@@ -102,7 +115,7 @@ def _cmd_norms(args) -> int:
     p = args.p
     if p < 2 or p % 2 != 0:
         raise ValueError(f"--p must be an even integer >= 2 for exact norms, got {p}")
-    out_trunc = args.truncation or d.truncation
+    out_trunc = _out_truncation(args, d)
     rows = []
     for k in ks:
         if p == 2:
@@ -122,7 +135,7 @@ def _cmd_compose(args) -> int:
     d = load_series(args.infile)
     with open(args.symbol) as f:
         phi = operators.symbol_from_json(json.load(f))
-    out_trunc = args.truncation or d.truncation
+    out_trunc = _out_truncation(args, d)
     result = operators.compose_general(d, phi, out_trunc, n_cutoff=args.cutoff)
     doc = series_to_json(result.series)
     doc["exact"] = result.exact
@@ -236,6 +249,14 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
 
 
 def _exp_bohr_parseval(args, outdir: str) -> dict:
+    # exponents are drawn from {0..3}^n_vars: at most 4^n_vars distinct terms,
+    # and terms <= 4^n_vars  <=>  (terms - 1).bit_length() <= 2 n_vars
+    if args.n_vars < 1:
+        raise ValueError(f"--n-vars must be >= 1, got {args.n_vars}")
+    if args.terms < 1 or (args.terms - 1).bit_length() > 2 * args.n_vars:
+        raise ValueError(
+            f"--terms must lie in 1..4^{args.n_vars} (distinct exponents), got {args.terms}"
+        )
     rng = np.random.default_rng(args.seed)
     table = bohr.sieve_for_n_primes(args.n_vars)
     rows = []

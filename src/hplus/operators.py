@@ -12,7 +12,6 @@ such in the report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -485,9 +484,3 @@ def classification_to_json(report: ClassificationReport) -> dict:
         },
         "notes": report.notes,
     }
-
-
-def save_json(obj: dict, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")

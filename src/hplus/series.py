@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,7 +200,11 @@ def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
 
     power(d, 0) is the convolution unit 1^{-s}.  Coefficients are exact up to
     the output truncation whenever support(d)^k fits below it; otherwise they
-    are the truncated prefix of the formal power.
+    are the truncated prefix of the formal power.  The k - 1 products run on
+    supports while nnz_a * nnz_b <= out_truncation, and the dense array is
+    built once at the end; from the first product that breaks the rule on,
+    they run densely.  Either way the coefficients equal, bit for bit, those
+    of k - 1 successive ``multiply`` calls.
     """
     if k < 0:
         raise ValueError(f"power exponent must be >= 0, got {k}")
@@ -208,11 +212,37 @@ def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
         raise ValueError(f"out_truncation must be >= 1, got {out_truncation}")
     if k == 0:
         return DirichletSeries.monomial(1, 1.0, out_truncation)
-    base = with_truncation(d, out_truncation)
-    result = base
-    for _ in range(k - 1):
-        result = multiply(base, result)
-    return result
+    if k == 1:
+        return with_truncation(d, out_truncation)
+    idx, vals = _power_terms(*_kernels.support(d.coeffs, out_truncation), k, out_truncation)
+    if idx is not None:
+        vals = _kernels.from_support(idx, vals, out_truncation)
+    return DirichletSeries(vals)
+
+
+def _power_terms(
+    ia: np.ndarray, va: np.ndarray, k: int, out_len: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """k-th convolution power (k >= 1) of the support (ia, va) at out_len.
+
+    Returns (indices, values), the ascending 1-based support of the power
+    and its coefficients, while every product satisfies nnz_a * nnz_b <=
+    out_len; from the first one that does not, the rest run on dense arrays
+    and the result is (None, coefficient array).  A product that overflows
+    raises ValueError, as ``multiply`` does.
+    """
+    ib, vb = ia, va
+    while k > 1 and len(ia) * len(ib) <= out_len:
+        ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
+        k -= 1
+    if k > 1:
+        base = _kernels.from_support(ia, va, out_len)
+        ib, vb = None, _kernels.from_support(ib, vb, out_len)
+        for _ in range(k - 1):
+            vb = _kernels.dirichlet_convolve(base, vb, out_len)
+    if not np.all(np.isfinite(vb.view(np.float64))):
+        raise ValueError("coefficients must be finite")
+    return ib, vb
 
 
 def evaluate(d: DirichletSeries, s: complex) -> complex:
@@ -225,13 +255,25 @@ def evaluate(d: DirichletSeries, s: complex) -> complex:
 # seminorms
 # ---------------------------------------------------------------------------
 
+def _weighted_square_sum(idx: np.ndarray | None, vals: np.ndarray, k: int) -> float:
+    """sum |v_i|^2 idx_i^{-2/k} over (1-based index, value) pairs.
+
+    ``idx`` None stands for the full range 1..len(vals), which is never
+    materialised as a gathered copy.
+    """
+    if idx is None:
+        n = np.arange(1, len(vals) + 1, dtype=np.float64)
+    else:
+        n = idx.astype(np.float64)
+    w = n ** (-2.0 / k)
+    return np.sum((vals.real**2 + vals.imag**2) * w)
+
+
 def seminorm_2(d: DirichletSeries, k: int) -> float:
     """The Hilbert seminorm (sum |a_n|^2 n^{-2/k})^{1/2}."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = np.arange(1, d.truncation + 1, dtype=np.float64)
-    w = n ** (-2.0 / k)
-    return float(np.sqrt(np.sum((d.coeffs.real**2 + d.coeffs.imag**2) * w)))
+    return float(np.sqrt(_weighted_square_sum(None, d.coeffs, k)))
 
 
 def seminorm_even(
@@ -242,7 +284,9 @@ def seminorm_even(
     ||D||_{2q,k} = || translate(D, 1/k)^q ||_{H^2}^{1/q}, with the power
     computed at ``out_truncation``.  The value is exact when the support of
     the q-th power fits below the truncation (support(D)^q <= out_truncation);
-    otherwise it is a certified lower bound and ``exact`` is False.
+    otherwise it is a certified lower bound and ``exact`` is False.  The
+    H^2 norm is summed over the power's support while it stays sparse (see
+    ``power``), so no array of out_truncation slots is built for a sparse D.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -251,8 +295,8 @@ def seminorm_even(
     if q == 1:
         return SeminormValue(seminorm_2(d, k), True)
     shifted = translate(d, 1.0 / k)
-    p = power(shifted, q, out_truncation)
-    l2 = np.sum(p.coeffs.real**2 + p.coeffs.imag**2)
+    _, vals = _power_terms(*_kernels.support(shifted.coeffs, out_truncation), q, out_truncation)
+    l2 = np.sum(vals.real**2 + vals.imag**2)
     value = float(l2 ** (0.5 / q))
     exact = d.support_max() ** q <= out_truncation
     return SeminormValue(value, exact)
@@ -374,12 +418,3 @@ def save_series(d: DirichletSeries, path: str) -> None:
 def load_series(path: str) -> DirichletSeries:
     with open(path) as f:
         return series_from_json(json.load(f))
-
-
-def write_seminorm_table(rows: Sequence[tuple], path: str) -> None:
-    """CSV with columns k, p, value, exact for a batch of seminorm evaluations."""
-    lines = ["k,p,value,exact"]
-    for k, p, value, exact in rows:
-        lines.append(f"{k},{p},{float(value)!r},{str(bool(exact)).lower()}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

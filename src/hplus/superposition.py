@@ -17,12 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._kernels import support
 from .errors import InexactPower
 from .numtheory import PrimeTable, chebyshev_theta, prime_pi, sieve
 from .series import (
     DirichletSeries,
+    _power_terms,
+    _weighted_square_sum,
     multiply,
-    power,
     seminorm_2,
     seminorm_comparison_constant,
     with_truncation,
@@ -286,19 +288,22 @@ def power_norm_chain_check(p_series: DirichletSeries, m: int, k: int) -> ChainCh
 
     The power is computed at P's own truncation, which must contain the full
     support of P^k (support(P)^k <= truncation), else InexactPower is raised.
+    Both norms are summed over supports (see ``power``), so a polynomial
+    padded to a large truncation costs what its nonzero terms cost.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    sup = p_series.support_max()
     n_trunc = p_series.truncation
+    idx, vals = support(p_series.coeffs, n_trunc)
+    sup = int(idx[-1]) if len(idx) else 0
     if sup**k > n_trunc:
         raise InexactPower(
             f"support {sup}^{k} exceeds working truncation {n_trunc}; power inexact"
         )
-    lhs = seminorm_2(power(p_series, k, n_trunc), m)
+    lhs = math.sqrt(_weighted_square_sum(*_power_terms(idx, vals, k, n_trunc), m))
     c_m = seminorm_comparison_constant(m, 1, 2)
     j_cut, prod = _chain_constant_parts(m, k)
-    base = seminorm_2(p_series, 4 * m)
+    base = math.sqrt(_weighted_square_sum(idx, vals, 4 * m))
     rhs = c_m * prod**k * base**k
     return ChainCheck(
         lhs=lhs,

@@ -130,3 +130,15 @@ def dict_compose(coeffs: dict[int, complex], c0: int, varphi: dict[int, complex]
             if idx <= m_out:
                 out[idx] += scale * v
     return dict(out)
+
+
+def dirichlet_convolve_quadratic(a, b, out_len: int) -> list[complex]:
+    """c_n = sum_{d | n} a_d b_{n/d} for n <= out_len, by trial of every d <= n."""
+    out = []
+    for n in range(1, out_len + 1):
+        total = 0j
+        for d in range(1, n + 1):
+            if n % d == 0 and d <= len(a) and n // d <= len(b):
+                total += complex(a[d - 1]) * complex(b[n // d - 1])
+        out.append(total)
+    return out

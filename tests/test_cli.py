@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hplus
 from hplus import __version__
 from hplus.cli import main
 from hplus.operators import Symbol, character_to_json, symbol_to_json
@@ -44,6 +48,53 @@ def test_norms_stdout_and_odd_p_rejected(series_file, capsys):
     assert main(["norms", "--in", str(path), "--k", "2", "--p", "2"]) == 0
     assert "k,p,value,exact" in capsys.readouterr().out
     assert main(["norms", "--in", str(path), "--k", "2", "--p", "3"]) == 2
+
+
+@pytest.mark.parametrize("truncation", ["0", "-3"])
+def test_norms_and_compose_reject_truncation_below_one(series_file, tmp_path, truncation):
+    d, path = series_file
+    out = tmp_path / "out.csv"
+    argv = ["norms", "--in", str(path), "--p", "4", "--truncation", truncation, "--out", str(out)]
+    assert main(argv) == 2
+    sym_path = tmp_path / "symbol.json"
+    phi = Symbol(1, DirichletSeries(np.array([0.2 + 0.1j, 0.05], dtype=np.complex128)))
+    sym_path.write_text(json.dumps(symbol_to_json(phi)))
+    argv = ["compose", "--in", str(path), "--symbol", str(sym_path),
+            "--truncation", truncation, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
+    d, path = series_file
+    out = tmp_path / "norms.csv"
+    assert main(["norms", "--in", str(path), "--k", "3..1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--n-vars", "0"], ["--n-vars", "1", "--terms", "5"], ["--terms", "0"]]
+)
+def test_bohr_parseval_rejects_unreachable_term_counts(tmp_path, flags):
+    # the exponent draw has 4^n_vars distinct values: these would never finish
+    out_dir = tmp_path / "bp"
+    src = os.path.dirname(os.path.dirname(hplus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hplus.cli", "experiment", "bohr-parseval",
+         "--out-dir", str(out_dir), *flags],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_bohr_parseval_accepts_every_distinct_exponent(tmp_path):
+    out_dir = tmp_path / "bp"
+    argv = ["experiment", "bohr-parseval", "--out-dir", str(out_dir), "--n-vars", "1",
+            "--terms", "4", "--trials", "1", "--samples", "64"]
+    assert main(argv) == 0
+    assert (out_dir / "estimates.csv").exists()
 
 
 def test_compose_roundtrips_series_json(series_file, tmp_path):

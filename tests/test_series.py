@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hplus import _kernels
 from hplus.errors import UndefinedAbscissa
 from hplus.numtheory import divisor_power_table
 from hplus.series import (
@@ -25,6 +26,9 @@ from hplus.series import (
     translate,
     with_truncation,
 )
+from hplus.superposition import power_norm_chain_check
+
+from oracles import dirichlet_convolve_quadratic
 
 coeff_arrays = st.lists(
     st.tuples(
@@ -161,6 +165,117 @@ def test_power_pads_beyond_input_truncation():
     d = series([0, 1])  # 2^{-s}
     p = power(d, 3, 10)
     assert p == DirichletSeries.monomial(8, 1, 10)
+
+
+def _sparse_series(rng, support, nnz, truncation=None):
+    coeffs = np.zeros(support, dtype=np.complex128)
+    idx = rng.choice(support, size=nnz, replace=False)
+    coeffs[idx] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    return with_truncation(series(coeffs), truncation or support)
+
+
+def _power_by_multiply(d, k, out_truncation):
+    """power's definition: k - 1 successive dense products with d."""
+    if k == 0:
+        return DirichletSeries.monomial(1, 1.0, out_truncation)
+    base = with_truncation(d, out_truncation)
+    result = base
+    for _ in range(k - 1):
+        result = DirichletSeries(
+            _kernels._convolve_numpy(*_sparser_first(base.coeffs, result.coeffs), out_truncation)
+        )
+    return result
+
+
+def _sparser_first(a, b):
+    return (b, a) if np.count_nonzero(b) < np.count_nonzero(a) else (a, b)
+
+
+def _same_bits(x, y):
+    return len(x) == len(y) and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_power_on_supports_bit_identical(rng, monkeypatch, k):
+    paths = []
+    for name in ("convolve_support", "_convolve_numpy"):
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *a, _real=real, _name=name: paths.append(_name) or _real(*a)
+        )
+    dense_12 = series(rng.normal(size=12) + 1j * rng.normal(size=12))
+    cases = [  # (series, out_truncation, paths taken by the k - 1 = 3 products)
+        (_sparse_series(rng, 30, 30), 30**4, {"convolve_support"}),
+        # 12 * 12 <= 144, but the square has more than 12 terms: dense partway
+        (dense_12, 144, {"convolve_support", "_convolve_numpy"}),
+        (_sparse_series(rng, 200, 200), 200, {"_convolve_numpy"}),
+        # support cut by the truncation
+        (_sparse_series(rng, 50, 9, truncation=400), 300, {"convolve_support"}),
+        (DirichletSeries.zero(20), 400, {"convolve_support"}),
+    ]
+    # single terms: 1 x 1 products, where numpy's broadcast multiply can round
+    # differently from the dense loop's scalar-times-slice
+    cases += [(_sparse_series(rng, 3, 1), 81, {"convolve_support"}) for _ in range(5)]
+    for d, out_truncation, want_paths in cases:
+        paths.clear()
+        got = power(d, k, out_truncation)
+        assert set(paths) == (want_paths if k == 4 else set())
+        want = _power_by_multiply(d, k, out_truncation)
+        assert _same_bits(got.coeffs, want.coeffs)
+
+
+def test_power_of_sparse_polynomial_matches_quadratic_oracle(rng):
+    d = _sparse_series(rng, 12, 5)
+    got = power(d, 3, 150)
+    square = dirichlet_convolve_quadratic(d.coeffs, d.coeffs, 150)
+    want = dirichlet_convolve_quadratic(d.coeffs, square, 150)
+    assert np.allclose(got.coeffs, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_power_overflow_raises_on_both_paths():
+    sparse = series([1e200, 1e200])  # 2 * 2 <= 4: support path
+    dense = series(np.full(30, 1e200))  # 30 * 30 > 30: dense loop
+    for d, out_truncation in ((sparse, 4), (dense, 30)):
+        with pytest.raises(ValueError, match="finite"):
+            power(d, 2, out_truncation)
+        with pytest.raises(ValueError, match="finite"):
+            seminorm_even(d, 2, 1, out_truncation)
+    with pytest.raises(ValueError, match="finite"):
+        power_norm_chain_check(with_truncation(sparse, 4), 1, 2)
+
+
+def _rel(x, y):
+    return abs(x - y) / abs(y)
+
+
+def test_seminorm_even_on_supports_matches_dense(rng):
+    for support, nnz, q, out_truncation in (
+        (30, 30, 4, 30**4),
+        (30, 10, 2, 900),
+        (100, 100, 2, 10_000),
+        (40, 40, 3, 2000),  # support^q > truncation: a lower bound, not exact
+        (60, 60, 2, 1000),  # too dense for the first product: dense from the start
+    ):
+        d = _sparse_series(rng, support, nnz)
+        for k in (1, 3, 8):
+            got = seminorm_even(d, q, k, out_truncation)
+            p = _power_by_multiply(translate(d, 1.0 / k), q, out_truncation).coeffs
+            want = float(np.sum(p.real**2 + p.imag**2) ** (0.5 / q))
+            assert _rel(got.value, want) <= 1e-15
+            assert got.exact == (d.support_max() ** q <= out_truncation)
+
+
+def test_power_norm_chain_check_on_supports_matches_dense(rng):
+    for nnz, m, k in ((30, 1, 4), (30, 2, 3), (10, 1, 2), (30, 1, 1)):
+        p_poly = _sparse_series(rng, 30, nnz, truncation=30**k)
+        chk = power_norm_chain_check(p_poly, m, k)
+        lhs = seminorm_2(_power_by_multiply(p_poly, k, p_poly.truncation), m)
+        base = seminorm_2(p_poly, 4 * m)
+        rhs = chk.c_m * chk.prime_product**k * base**k
+        assert _rel(chk.lhs, lhs) <= 1e-15
+        assert _rel(chk.base_norm, base) <= 1e-15
+        assert _rel(chk.rhs, rhs) <= 1e-15
 
 
 # -- evaluation --------------------------------------------------------------------
