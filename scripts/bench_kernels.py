@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks, and the
-dense convolution loop against the support path on a sparse power.
+"""Time the numpy kernels, best of 3, and the dense kernel against the
+support path on a sparse power.
 
-Run after installing the package (the numba path needs a warm-up call to
-compile, excluded from the timings):
-
-    python scripts/bench_kernels.py
+    PYTHONPATH=src python scripts/bench_kernels.py
 """
 
 import time
@@ -26,64 +23,32 @@ def _time(fn, *args, repeat=3):
 
 
 def main():
-    print(f"numba available: {_kernels.HAVE_NUMBA} (active backend: {_kernels.BACKEND})")
     rng = np.random.default_rng(0)
-
     rows = []
 
+    for exp in (4, 5, 6):
+        n = 10**exp
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rows.append((f"dirichlet_convolve (dense, N=1e{exp})",
+                     _time(_kernels.dirichlet_convolve, a, b, n)))
+
     n = 100_000
-    a = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex128)
-    b = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex128)
-    if _kernels.HAVE_NUMBA:
-        _kernels._convolve_numba(a, b, n)  # warm-up / compile
-        rows.append(("dirichlet_convolve (dense, N=1e5)",
-                     _time(_kernels._convolve_numpy, a, b, n),
-                     _time(_kernels._convolve_numba, a, b, n)))
-    else:
-        rows.append(("dirichlet_convolve (dense, N=1e5)",
-                     _time(_kernels._convolve_numpy, a, b, n), None))
-
-    t = np.ones(n, dtype=np.uint64)
-    if _kernels.HAVE_NUMBA:
-        _kernels._divisor_sum_u64_numba(t)
-        rows.append(("divisor_sum_u64 (N=1e5)",
-                     _time(_kernels._divisor_sum_u64_numpy, t),
-                     _time(_kernels._divisor_sum_u64_numba, t)))
-    else:
-        rows.append(("divisor_sum_u64 (N=1e5)",
-                     _time(_kernels._divisor_sum_u64_numpy, t), None))
-
-    limit = 2_000_000
-    if _kernels.HAVE_NUMBA:
-        _kernels._spf_sieve_numba(limit)
-        rows.append(("spf sieve (limit=2e6)",
-                     _time(_kernels._spf_sieve_numpy, limit),
-                     _time(_kernels._spf_sieve_numba, limit)))
-    else:
-        rows.append(("spf sieve (limit=2e6)",
-                     _time(_kernels._spf_sieve_numpy, limit), None))
-
+    rows.append(("divisor_sum_u64 (N=1e5)",
+                 _time(_kernels.divisor_sum_u64, np.ones(n, dtype=np.uint64))))
+    rows.append(("spf sieve (limit=2e6)", _time(_kernels.sieve_spf, 2_000_000)))
     spf, primes = _kernels.sieve_spf(n)
     vals = np.zeros(n + 1, dtype=np.complex128)
     vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
-    if _kernels.HAVE_NUMBA:
-        _kernels._mult_extend_numba(spf, vals, n)
-        rows.append(("mult_extend (N=1e5)",
-                     _time(_kernels._mult_extend_numpy, spf, vals, n),
-                     _time(_kernels._mult_extend_numba, spf, vals, n)))
-    else:
-        rows.append(("mult_extend (N=1e5)",
-                     _time(_kernels._mult_extend_numpy, spf, vals, n), None))
+    rows.append(("mult_extend (N=1e5)", _time(_kernels.mult_extend, spf, vals, n)))
 
-    print(f"{'kernel':<38} {'numpy [s]':>12} {'numba [s]':>12} {'speedup':>9}")
-    for name, t_np, t_nb in rows:
-        if t_nb is None:
-            print(f"{name:<38} {t_np:>12.4f} {'n/a':>12} {'n/a':>9}")
-        else:
-            print(f"{name:<38} {t_np:>12.4f} {t_nb:>12.4f} {t_np / t_nb:>8.1f}x")
+    print(f"{'kernel':<38} {'best of 3 [s]':>14}")
+    for name, seconds in rows:
+        print(f"{name:<38} {seconds:>14.4f}")
 
-    # P^4 for a 30-term P at 30^4 slots: three dense passes against the
-    # support path that power() takes (nnz_a * nnz_b <= out_len throughout)
+    # P^4 for a 30-term P at 30^4 slots: three passes of the dense kernel
+    # against the support path that power() takes (nnz_a * nnz_b <= out_len
+    # throughout)
     out_len = 30**4
     poly = DirichletSeries(rng.normal(size=30) + 1j * rng.normal(size=30))
     base = np.zeros(out_len, dtype=np.complex128)

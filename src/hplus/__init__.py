@@ -8,7 +8,7 @@ behind them.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, HAVE_NUMBA
+from ._kernels import BACKEND
 from .bohr import (
     LiftResult,
     MultiPoly,
@@ -21,6 +21,7 @@ from .bohr import (
     weighted_h2_norm,
 )
 from .errors import (
+    BeyondDeskScale,
     HplusError,
     InexactPower,
     MissingCutoff,

@@ -1,79 +1,71 @@
-"""Hot numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
+"""Hot numeric kernels, in numpy.
 
-The numba path is used when numba imports successfully and the environment
-variable ``HPLUS_NO_NUMBA`` is unset (or "0").  Both paths accumulate in the
-same order, so each is deterministic run-to-run; across backends results
-agree to floating-point rounding (instruction selection may differ in the
-last ulp).  ``scripts/bench_kernels.py`` compares their speed.
+Dense Dirichlet products and divisor sums use the Dirichlet hyperbola split
+(Apostol, *Introduction to Analytic Number Theory*, Thm 3.17): every term
+a_d b_m of c_n with n = dm <= N has d <= D or d > D for D = isqrt(N).  Loop 1
+adds each nonzero a_d with d <= D times b into the slots d, 2d, ... as one
+strided slice; loop 2 adds, for each nonzero b_m with m <= N // (D + 1),
+the run a_{D+1}, a_{D+2}, ... times b_m into the slots (D+1)m, (D+2)m, ....
+That is at most about 2 sqrt(N) slice steps instead of one per nonzero a_d.
+Loop 2 walks m in descending order, so every slot still receives its terms
+in ascending d, the order of the plain strided loop over the nonzero a_d:
+for finite operands the coefficients are that loop's bits (the zero a_d
+that loop 2 also multiplies add exact zeros).  When the nonzero a_d above D
+are no more than the rows loop 2 would walk, the split moves to D = N and
+loop 2 is empty, which keeps a very sparse operand as cheap as that plain
+loop.
 
 Dirichlet products of sparse operands run on supports, (1-based index,
-value) pairs, in numpy on either backend: ``convolve_support`` forms the
-nnz_a * nnz_b products directly instead of walking output slots.
-``dirichlet_convolve`` takes that path when nnz_a * nnz_b <= out_len and
-the strided dense loop otherwise.  Both paths add the terms of each output
-coefficient in ascending divisor of the sparser operand, so the support
-path gives the numpy loop's bits.
+value) pairs: ``convolve_support`` forms the nnz_a * nnz_b products directly
+instead of walking output slots.  ``dirichlet_convolve`` takes that path
+when nnz_a * nnz_b <= out_len and the split loops otherwise.  Both paths add
+the terms of each output coefficient in ascending divisor of the sparser
+operand, so they give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("HPLUS_NO_NUMBA", "").strip()
-NUMBA_REQUESTED = _env in ("", "0")
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        njit = None
-        HAVE_NUMBA = False
-else:
-    njit = None
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet convolution: c[n-1] = sum_{d | n} a[d-1] * b[n/d - 1]
 # ---------------------------------------------------------------------------
 
+def _hyperbola_split(a: np.ndarray, b: np.ndarray, out_len: int) -> int:
+    """Split point D of a * b truncated at out_len.
+
+    Loop 1 takes the nonzero a_d with d <= D, loop 2 the nonzero b_m with
+    m <= out_len // (D + 1).  D = isqrt(out_len), unless the nonzero a_d
+    above it are no more than those b_m; then D = out_len and loop 2 is empty.
+    """
+    split = math.isqrt(out_len)
+    if np.count_nonzero(a[split:out_len]) <= np.count_nonzero(b[: out_len // (split + 1)]):
+        return out_len
+    return split
+
+
 def _convolve_numpy(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
     c = np.zeros(out_len, dtype=np.complex128)
     lb = len(b)
-    for i in np.flatnonzero(a[:out_len]):
+    split = _hyperbola_split(a, b, out_len)
+    for i in np.flatnonzero(a[:split]):
         d = i + 1
         top = min(lb, out_len // d)
         if top:
             c[d - 1 : d * top : d] += a[i] * b[:top]
+    # descending m: each slot gets its d > split terms in ascending d; a_d
+    # stays the left factor as in loop 1, because numpy's complex multiply
+    # can round x * y and y * x differently
+    for j in np.flatnonzero(b[: out_len // (split + 1)])[::-1]:
+        m = j + 1
+        hi = min(len(a), out_len // m)
+        c[(split + 1) * m - 1 : hi * m : m] += a[split:hi] * b[j]
     return c
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _convolve_numba(a, b, out_len):  # pragma: no cover - jitted
-        c = np.zeros(out_len, dtype=np.complex128)
-        la = min(len(a), out_len)
-        lb = len(b)
-        for i in range(la):
-            av = a[i]
-            if av == 0:
-                continue
-            d = i + 1
-            top = min(lb, out_len // d)
-            for m in range(1, top + 1):
-                c[d * m - 1] += av * b[m - 1]
-        return c
-
-else:
-    _convolve_numba = None
 
 
 def support(a: np.ndarray, out_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,10 +115,10 @@ def dirichlet_convolve(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray
     """Truncated Dirichlet convolution of coefficient arrays a and b.
 
     With nnz_a * nnz_b <= out_len (nonzeros counted below out_len) the
-    product runs on the supports (``convolve_support``); otherwise a strided
-    loop over the nonzeros of the sparser operand adds each of them times
-    the other operand into every slot it reaches.  The product is
-    commutative; the support path gives the numpy loop's bits.
+    product runs on the supports (``convolve_support``); otherwise the two
+    loops of the hyperbola split run with the sparser operand as a.  The
+    product is commutative; both paths give the bits of the strided loop
+    over the nonzeros of the sparser operand.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
@@ -137,8 +129,6 @@ def dirichlet_convolve(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray
         return from_support(*terms, out_len)
     if nb < na:
         a, b = b, a
-    if HAVE_NUMBA:
-        return _convolve_numba(a, b, out_len)
     return _convolve_numpy(a, b, out_len)
 
 
@@ -150,48 +140,31 @@ def _divisor_sum_u64_numpy(t: np.ndarray) -> tuple[np.ndarray, bool]:
     n = len(t)
     out = np.zeros(n, dtype=np.uint64)
     overflow = False
-    for d in range(1, n + 1):
-        v = t[d - 1]
-        if v == 0:
-            continue
-        sl = out[d - 1 :: d]
+    # the hyperbola split of t * (all-ones vector); uint64 addition wraps,
+    # and adding x >= 0 wrapped a slot iff the slot ends below x
+    split = _hyperbola_split(t, np.broadcast_to(np.uint64(1), (n,)), n)
+    for i in np.flatnonzero(t[:split]):
+        v = t[i]
+        sl = out[i :: i + 1]
         sl += v
-        # uint64 wraparound: adding v to x >= 0 wrapped iff result < v
         if np.any(sl < v):
             overflow = True
+    for m in range(n // (split + 1), 0, -1):
+        add = t[split : n // m]
+        sl = out[(split + 1) * m - 1 : (n // m) * m : m]
+        sl += add
+        if np.any(sl < add):
+            overflow = True
     return out, overflow
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _divisor_sum_u64_numba(t):  # pragma: no cover - jitted
-        n = len(t)
-        out = np.zeros(n, dtype=np.uint64)
-        overflow = False
-        for d in range(1, n + 1):
-            v = t[d - 1]
-            if v == 0:
-                continue
-            for m in range(d - 1, n, d):
-                out[m] += v
-                if out[m] < v:
-                    overflow = True
-        return out, overflow
-
-else:
-    _divisor_sum_u64_numba = None
 
 
 def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
     """One Dirichlet-convolution step against the all-ones vector, uint64 exact.
 
-    Returns (table, overflowed).
+    Returns (table, overflowed).  The table is exact modulo 2^64, and the
+    flag is set iff some entry's true sum reached 2^64.
     """
     t = np.ascontiguousarray(t, dtype=np.uint64)
-    if HAVE_NUMBA:
-        out, overflow = _divisor_sum_u64_numba(t)
-        return out, bool(overflow)
     return _divisor_sum_u64_numpy(t)
 
 
@@ -199,7 +172,10 @@ def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
 # Smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
 
-def _spf_sieve_numpy(limit: int) -> tuple[np.ndarray, np.ndarray]:
+def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-prime-factor table and ascending prime list up to limit."""
+    if limit >= 2**31:
+        raise ValueError(f"sieve limit {limit} exceeds int32 range")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -211,72 +187,9 @@ def _spf_sieve_numpy(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return spf, primes
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _spf_sieve_numba(limit):  # pragma: no cover - jitted
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        spf[1] = 1
-        # pi(x) < 1.26 x / ln x for x >= 17
-        cap = 32 + int(1.26 * limit / math.log(limit + 2.0))
-        primes = np.zeros(cap, dtype=np.int64)
-        cnt = 0
-        for i in range(2, limit + 1):
-            if spf[i] == 0:
-                spf[i] = i
-                primes[cnt] = i
-                cnt += 1
-            for j in range(cnt):
-                p = primes[j]
-                if p > spf[i] or i * p > limit:
-                    break
-                spf[i * p] = np.int32(p)
-        return spf, primes[:cnt]
-
-else:
-    _spf_sieve_numba = None
-
-
-def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-prime-factor table and ascending prime list up to limit."""
-    if limit >= 2**31:
-        raise ValueError(f"sieve limit {limit} exceeds int32 range")
-    if HAVE_NUMBA:
-        return _spf_sieve_numba(limit)
-    return _spf_sieve_numpy(limit)
-
-
 # ---------------------------------------------------------------------------
 # Completely multiplicative extension from values at the primes
 # ---------------------------------------------------------------------------
-
-def _mult_extend_numpy(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarray:
-    out = np.empty(n_max + 1, dtype=np.complex128)
-    out[0] = 0.0
-    if n_max >= 1:
-        out[1] = 1.0
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        out[n] = out[n // p] * prime_vals[p]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _mult_extend_numba(spf, prime_vals, n_max):  # pragma: no cover - jitted
-        out = np.empty(n_max + 1, dtype=np.complex128)
-        out[0] = 0.0
-        if n_max >= 1:
-            out[1] = 1.0
-        for n in range(2, n_max + 1):
-            p = spf[n]
-            out[n] = out[n // p] * prime_vals[p]
-        return out
-
-else:
-    _mult_extend_numba = None
-
 
 def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarray:
     """Extend f(p) given at primes to f(n) = prod f(p)^{alpha_p} for n <= n_max.
@@ -285,6 +198,11 @@ def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarr
     out[1] = 1; out[0] is a zero placeholder.
     """
     prime_vals = np.ascontiguousarray(prime_vals, dtype=np.complex128)
-    if HAVE_NUMBA:
-        return _mult_extend_numba(spf, prime_vals, n_max)
-    return _mult_extend_numpy(spf, prime_vals, n_max)
+    out = np.empty(n_max + 1, dtype=np.complex128)
+    out[0] = 0.0
+    if n_max >= 1:
+        out[1] = 1.0
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        out[n] = out[n // p] * prime_vals[p]
+    return out

@@ -3,9 +3,11 @@
 Subcommands: norms, compose, superpose, spectrum, vertical-limit,
 experiment <name>.  One JSON format is shared with the library modules.
 Outputs are deterministic for a fixed (config, seed) pair and written
-atomically (temp file, then rename).  Exit codes: 0 success, 2 usage or
-parse error, 3 domain error (spectrum point, support overflow, missing
-coverage), surfaced verbatim.
+atomically (temp file, then rename); an experiment runs in a temporary
+directory whose files are moved into --out-dir only when it succeeds.
+Exit codes: 0 success, 2 usage or parse error, 3 domain error (spectrum
+point, support overflow, missing coverage, beyond desk scale), surfaced
+verbatim.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -342,12 +346,8 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
         target = None if witness.targets is None else float(witness.targets[i])
         witness_rows.append((int(k), float(witness.values[i]), target))
 
-    tmp = os.path.join(outdir, "growth.csv")
-    superposition.write_growth_table(growth_rows, tmp + ".part")
-    os.replace(tmp + ".part", tmp)
-    tmp = os.path.join(outdir, "witness.csv")
-    superposition.write_growth_table(witness_rows, tmp + ".part")
-    os.replace(tmp + ".part", tmp)
+    superposition.write_growth_table(growth_rows, os.path.join(outdir, "growth.csv"))
+    superposition.write_growth_table(witness_rows, os.path.join(outdir, "witness.csv"))
 
     params = {
         "truncation": truncation,
@@ -383,17 +383,14 @@ def _exp_noncomposition(args, outdir: str) -> dict:
         penalty_log=lambda k: math.lgamma(k + 1),
         penalty_tag="1/k!",
     )
-    tmp = os.path.join(outdir, "exponent.csv")
     superposition.write_growth_table(
-        [(int(k), float(v), 0.0) for k, v in zip(main.ks, main.values)], tmp + ".part"
+        [(int(k), float(v), 0.0) for k, v in zip(main.ks, main.values)],
+        os.path.join(outdir, "exponent.csv"),
     )
-    os.replace(tmp + ".part", tmp)
-    tmp = os.path.join(outdir, "factorial.csv")
     superposition.write_growth_table(
         [(int(k), float(v), 0.0) for k, v in zip(factorial.ks, factorial.values)],
-        tmp + ".part",
+        os.path.join(outdir, "factorial.csv"),
     )
-    os.replace(tmp + ".part", tmp)
     params = {
         "C": args.cc,
         "C_prime": args.cprime,
@@ -424,9 +421,7 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
             series_doc = series_to_json(result)
         rows = [(diag.k_from, diag.tail_seminorm, 1e-12) for diag in diags]
         name = f"tails_m{m}.csv"
-        tmp = os.path.join(outdir, name)
-        superposition.write_growth_table(rows, tmp + ".part")
-        os.replace(tmp + ".part", tmp)
+        superposition.write_growth_table(rows, os.path.join(outdir, name))
         outputs.append(name)
     _atomic_write_json(os.path.join(outdir, "superposed.json"), series_doc)
     outputs.append("superposed.json")
@@ -440,8 +435,15 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
 
 
 def _cmd_experiment(args) -> int:
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
+    """Run one experiment in a temporary directory, then move its files into --out-dir.
+
+    The temporary directory sits inside --out-dir when that exists and next
+    to it otherwise.  A run that fails deletes it: it leaves no file and
+    creates no --out-dir.  The manifest is moved last.
+    """
+    outdir = os.path.abspath(args.out_dir)
+    where = outdir if os.path.isdir(outdir) else os.path.dirname(outdir)
+    os.makedirs(where, exist_ok=True)
     runners = {
         "inequality-suite": _exp_inequality_suite,
         "bohr-parseval": _exp_bohr_parseval,
@@ -450,8 +452,15 @@ def _cmd_experiment(args) -> int:
         "noncomposition": _exp_noncomposition,
         "superpose-exp": _exp_superpose_exp,
     }
-    manifest = runners[args.name](args, outdir)
-    _atomic_write_json(os.path.join(outdir, "manifest.json"), manifest)
+    staging = tempfile.mkdtemp(prefix=".hplus-experiment-", dir=where)
+    try:
+        manifest = runners[args.name](args, staging)
+        _atomic_write_json(os.path.join(staging, "manifest.json"), manifest)
+        os.makedirs(outdir, exist_ok=True)
+        for name in sorted(os.listdir(staging), key=lambda n: n == "manifest.json"):
+            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

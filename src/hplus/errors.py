@@ -39,3 +39,7 @@ class UndefinedAbscissa(HplusError):
 
 class InexactPower(HplusError):
     """A convolution power would lose support beyond the working truncation."""
+
+
+class BeyondDeskScale(HplusError, ValueError):
+    """A constant needs a prime table beyond desk scale (primes up to 1e8)."""

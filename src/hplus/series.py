@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import UndefinedAbscissa
+from .errors import BeyondDeskScale, UndefinedAbscissa
 from .numtheory import sieve
 
 
@@ -318,7 +318,7 @@ def seminorm_comparison_constant(k: int, p: float, q: float) -> float:
     if bound < 2:
         return 1.0
     if bound > 1e8:
-        raise ValueError(
+        raise BeyondDeskScale(
             f"comparison constant for k={k}, p={p}, q={q} needs primes up to "
             f"{bound:.2e}; beyond desk scale"
         )

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import support
-from .errors import InexactPower
+from .errors import BeyondDeskScale, InexactPower
 from .numtheory import PrimeTable, chebyshev_theta, prime_pi, sieve
 from .series import (
     DirichletSeries,
@@ -180,12 +180,17 @@ def superpose_entire(
     || sum_{K'<k<=K} a_k D^k ||_{2,m_check}, plus (when the tag admits it)
     the explicit log-space majorant assembled from the power-norm chain
     constant: log|a_k| + k log(prod_k * ||D||_{2,4m}) + log C_m, summed over
-    the tail in log space.
+    the tail in log space.  When that constant for k = K needs primes beyond
+    desk scale, BeyondDeskScale is raised before any power is formed.
     """
     if big_k < 1:
         raise ValueError(f"K must be >= 1, got {big_k}")
     if m_check < 1:
         raise ValueError(f"m_check must be >= 1, got {m_check}")
+    c_m = seminorm_comparison_constant(m_check, 1, 2)
+    base_norm = seminorm_2(d, 4 * m_check)
+    if ec.log_abs is not None and base_norm > 0:
+        _chain_bound(m_check, big_k)  # the majorant needs the constant for every k <= K
     n_trunc = d.truncation
     powers = [DirichletSeries.monomial(1, 1.0, n_trunc)]
     base = with_truncation(d, n_trunc)
@@ -198,8 +203,6 @@ def superpose_entire(
         if coeffs[k] != 0:
             total = total + coeffs[k] * powers[k]
 
-    c_m = seminorm_comparison_constant(m_check, 1, 2)
-    base_norm = seminorm_2(d, 4 * m_check)
     diagnostics = []
     tail = DirichletSeries.zero(n_trunc)
     tails: list[DirichletSeries] = [tail]
@@ -251,6 +254,21 @@ def composition_criterion(d: DirichletSeries, m: int, k_max: int) -> GrowthRepor
     return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=norms, roots=roots)
 
 
+def _chain_bound(m: int, k: int) -> float:
+    """sqrt(2/k)^(-4m): the primes in the chain constant for (m, k) lie below it.
+
+    Raises BeyondDeskScale when that is above 1e8.  It grows with k, so the
+    bound for the largest k decides whether a whole ladder fits.
+    """
+    bound = math.sqrt(2.0 / k) ** (-4.0 * m)
+    if bound > 1e8:
+        raise BeyondDeskScale(
+            f"chain constant for m={m}, k={k} needs primes up to {bound:.2e}; "
+            "beyond desk scale"
+        )
+    return bound
+
+
 def _chain_constant_parts(m: int, k: int) -> tuple[int, float]:
     """Cut index and prime product for the power-norm chain constant.
 
@@ -261,13 +279,7 @@ def _chain_constant_parts(m: int, k: int) -> tuple[int, float]:
     threshold = math.sqrt(2.0 / k)
     if threshold >= 1.0:
         return 0, 1.0
-    bound = threshold ** (-4.0 * m)
-    if bound > 1e8:
-        raise ValueError(
-            f"chain constant for m={m}, k={k} needs primes up to {bound:.2e}; "
-            "beyond desk scale"
-        )
-    table = sieve(max(2, math.ceil(bound) + 1))
+    table = sieve(max(2, math.ceil(_chain_bound(m, k)) + 1))
     count = 0
     prod = 1.0
     for pj in table.primes:

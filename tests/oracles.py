@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's kernels: trial division instead of
 sieves, dict arithmetic instead of array convolution, recursive counting
-instead of table transforms.
+instead of table transforms.  The strided loops at the end are the dense
+kernels as they were before the hyperbola split, kept as the bit-for-bit
+reference for the split kernels.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import lru_cache
+
+import numpy as np
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -142,3 +146,36 @@ def dirichlet_convolve_quadratic(a, b, out_len: int) -> list[complex]:
                 total += complex(a[d - 1]) * complex(b[n // d - 1])
         out.append(total)
     return out
+
+
+def dirichlet_convolve_loop(a, b, out_len: int):
+    """The plain strided loop over the nonzero a_d, in ascending d.
+
+    Each nonzero a_d adds a_d * b into the slots d, 2d, ... <= out_len: one
+    numpy slice step per nonzero, the order the split kernels must reproduce
+    bit for bit.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    c = np.zeros(out_len, dtype=np.complex128)
+    for i in np.flatnonzero(a[:out_len]):
+        d = i + 1
+        top = min(len(b), out_len // d)
+        if top:
+            c[d - 1 : d * top : d] += a[i] * b[:top]
+    return c
+
+
+def divisor_sum_loop(t):
+    """uint64 table out[n-1] = sum_{d | n} t[d-1], one slice step per nonzero t_d.
+
+    Returns (table, overflowed); a slot wrapped iff it ends below the addend.
+    """
+    t = np.asarray(t, dtype=np.uint64)
+    out = np.zeros(len(t), dtype=np.uint64)
+    overflow = False
+    for i in np.flatnonzero(t):
+        sl = out[i :: i + 1]
+        sl += t[i]
+        overflow |= bool(np.any(sl < t[i]))
+    return out, overflow

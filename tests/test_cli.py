@@ -72,21 +72,44 @@ def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
     assert not out.exists()
 
 
+def _run_cli(*argv):
+    """hplus.cli in a subprocess with a timeout, so a regression cannot hang the suite."""
+    src = os.path.dirname(os.path.dirname(hplus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hplus.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 @pytest.mark.parametrize(
     "flags", [["--n-vars", "0"], ["--n-vars", "1", "--terms", "5"], ["--terms", "0"]]
 )
 def test_bohr_parseval_rejects_unreachable_term_counts(tmp_path, flags):
     # the exponent draw has 4^n_vars distinct values: these would never finish
     out_dir = tmp_path / "bp"
-    src = os.path.dirname(os.path.dirname(hplus.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hplus.cli", "experiment", "bohr-parseval",
-         "--out-dir", str(out_dir), *flags],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = _run_cli("experiment", "bohr-parseval", "--out-dir", str(out_dir), *flags)
     assert proc.returncode == 2, proc.stderr
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert not out_dir.exists()
+    assert not any(tmp_path.iterdir())  # no staging directory left either
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_experiment_beyond_desk_scale_is_domain_error(tmp_path, existing):
+    # the m = 4 tail majorant needs primes up to 20^8: exit 3 once m = 1 and
+    # m = 2 have run, with none of their files left behind
+    out_dir = tmp_path / "se"
+    if existing:
+        out_dir.mkdir()
+        (out_dir / "keep.txt").write_text("kept\n")
+    proc = _run_cli("experiment", "superpose-exp", "--kmax", "40", "--out-dir", str(out_dir))
+    assert proc.returncode == 3, proc.stderr
+    assert "beyond desk scale" in proc.stderr
+    if existing:
+        assert [p.name for p in tmp_path.iterdir()] == ["se"]
+        assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+    else:
+        assert not any(tmp_path.iterdir())
 
 
 def test_bohr_parseval_accepts_every_distinct_exponent(tmp_path):
@@ -95,6 +118,9 @@ def test_bohr_parseval_accepts_every_distinct_exponent(tmp_path):
             "--terms", "4", "--trials", "1", "--samples", "64"]
     assert main(argv) == 0
     assert (out_dir / "estimates.csv").exists()
+    # the staging directory next to the new --out-dir is gone
+    assert [p.name for p in tmp_path.iterdir()] == ["bp"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["estimates.csv", "manifest.json"]
 
 
 def test_compose_roundtrips_series_json(series_file, tmp_path):
@@ -219,6 +245,10 @@ def test_experiment_inequality_suite_small(tmp_path):
         "--count", "6", "--support", "20", "--seed", "7",
     ])
     assert rc == 0
+    # staged inside the existing --out-dir, and that staging directory is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "algebra.csv", "manifest.json", "power_chain.csv", "seminorm_chain.csv"
+    ]
     for name in ("seminorm_chain.csv", "algebra.csv", "power_chain.csv"):
         body = (tmp_path / name).read_text()
         assert "false" not in body.split("\n", 1)[1]

@@ -3,9 +3,13 @@ import pytest
 
 from hplus import _kernels
 
-from oracles import dirichlet_convolve_quadratic, smallest_factor, trial_division_primes
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
+from oracles import (
+    dirichlet_convolve_loop,
+    dirichlet_convolve_quadratic,
+    divisor_sum_loop,
+    smallest_factor,
+    trial_division_primes,
+)
 
 
 def test_convolve_matches_quadratic_definition(rng):
@@ -29,18 +33,6 @@ def test_convolve_output_shorter_and_longer(rng):
     assert np.allclose(short, long[:5])
 
 
-@needs_numba
-def test_convolve_backends_agree(rng):
-    for n, density in ((257, 1.0), (1000, 0.05)):
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        mask = rng.uniform(size=n) < density
-        a = np.where(mask, a, 0)
-        got_np = _kernels._convolve_numpy(a, b, n)
-        got_nb = _kernels._convolve_numba(a, b, n)
-        assert np.allclose(got_np, got_nb, rtol=1e-12, atol=1e-12)
-
-
 def test_convolve_deterministic(rng):
     a = rng.normal(size=500) + 1j * rng.normal(size=500)
     b = rng.normal(size=500) + 1j * rng.normal(size=500)
@@ -61,7 +53,7 @@ def _dense_loop(a, b, out_len):
     """The strided dense loop, iterating over the sparser operand."""
     if np.count_nonzero(b[:out_len]) < np.count_nonzero(a[:out_len]):
         a, b = b, a
-    return _kernels._convolve_numpy(a, b, out_len)
+    return dirichlet_convolve_loop(a, b, out_len)
 
 
 def _count_support_calls(monkeypatch):
@@ -140,6 +132,66 @@ def test_convolve_support_operand_order(rng):
             assert np.allclose(v1, v2, rtol=1e-13, atol=1e-13)
 
 
+def _dense_operand(rng, length):
+    return rng.normal(size=length) + 1j * rng.normal(size=length)
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
+@pytest.mark.parametrize("root", [2, 3, 7, 10, 31])
+def test_split_kernels_bit_identical_at_square_boundaries(rng, root):
+    # out_len = D^2 - 1, D^2, D(D+1) - 1, D^2 + D: isqrt and the row count of
+    # loop 2, out_len // (isqrt + 1), each change at one of these
+    for out_len in (root * root - 1, root * root, root * (root + 1) - 1, root * root + root):
+        a, b = _dense_operand(rng, out_len), _dense_operand(rng, out_len)
+        for x, y in ((a, b), (b, a)):
+            got = _kernels._convolve_numpy(x, y, out_len)
+            assert _same_bits(got, dirichlet_convolve_loop(x, y, out_len))
+        t = rng.integers(0, 2**62, size=out_len, dtype=np.uint64)
+        got, flag = _kernels.divisor_sum_u64(t)
+        want, want_flag = divisor_sum_loop(t)
+        assert np.array_equal(got, want) and flag == want_flag
+
+
+def test_split_convolve_operands_shorter_than_split_and_longer_than_output(rng):
+    out_len = 400  # split at D = 20
+    for la, lb in ((7, 400), (400, 7), (19, 1000), (1000, 19), (1000, 1000), (5, 3)):
+        a, b = _dense_operand(rng, la), _dense_operand(rng, lb)
+        got = _kernels._convolve_numpy(a, b, out_len)
+        assert _same_bits(got, dirichlet_convolve_loop(a, b, out_len))
+        want = dirichlet_convolve_quadratic(a, b, out_len)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert _same_bits(_kernels.dirichlet_convolve(a, b, out_len), _dense_loop(a, b, out_len))
+
+
+@pytest.mark.parametrize("indices", [[49, 122, 300, 399], [1, 4, 16, 18]])
+def test_split_rule_keeps_the_plain_loop_for_a_very_sparse_operand(rng, monkeypatch, indices):
+    # four nonzeros only above sqrt(400) = 20, or only below it, times a dense
+    # operand: 4 * 400 > out_len, so the dense kernel runs, and the four
+    # nonzeros above D are no more than the 19 rows loop 2 would walk
+    out_len = 400
+    a = np.zeros(out_len, dtype=np.complex128)
+    a[indices] = _dense_operand(rng, len(indices))
+    b = _dense_operand(rng, out_len)
+    assert _kernels._hyperbola_split(a, b, out_len) == out_len
+    calls = _count_support_calls(monkeypatch)
+    for x, y in ((a, b), (b, a)):
+        got = _kernels.dirichlet_convolve(x, y, out_len)
+        assert _same_bits(got, dirichlet_convolve_loop(a, b, out_len))
+    assert not calls
+
+
+def test_split_rule_takes_the_split_for_a_half_dense_operand(rng):
+    out_len = 900  # D = 30, loop 2 walks the nonzero b_m with m <= 29
+    a = _sparse_operand(rng, out_len, 450, out_len)
+    b = _dense_operand(rng, out_len)
+    assert _kernels._hyperbola_split(a, b, out_len) == 30
+    got = _kernels.dirichlet_convolve(a, b, out_len)
+    assert _same_bits(got, dirichlet_convolve_loop(a, b, out_len))
+
+
 def test_divisor_sum_counts_divisors():
     ones = np.ones(30, dtype=np.uint64)
     out, overflow = _kernels.divisor_sum_u64(ones)
@@ -154,13 +206,35 @@ def test_divisor_sum_overflow_detected():
     assert overflow  # 2^63 + 2^63 wraps at n = 2
 
 
-@needs_numba
-def test_divisor_sum_backends_identical():
-    t = np.arange(1, 5000, dtype=np.uint64)
-    np_out, np_flag = _kernels._divisor_sum_u64_numpy(t)
-    nb_out, nb_flag = _kernels._divisor_sum_u64_numba(t)
-    assert np.array_equal(np_out, nb_out)
-    assert np_flag == nb_flag
+def test_divisor_sum_wraps_only_in_a_loop_two_slot():
+    # n = 10: d = 5 and d = 10 lie above the split D = 3, so their terms reach
+    # slot 10 from loop 2 (rows m = 2 and m = 1); only that slot wraps
+    t = np.ones(10, dtype=np.uint64)
+    t[4], t[9] = 2**63, 2**63 - 2
+    assert _kernels._hyperbola_split(t, np.ones(10, dtype=np.uint64), 10) == 3
+    out, overflow = _kernels.divisor_sum_u64(t)
+    assert overflow
+    assert out[9] == 0 and out[4] == 2**63 + 1
+    want, want_flag = divisor_sum_loop(t)
+    assert np.array_equal(out, want) and want_flag
+    t[9] -= 1
+    out, overflow = _kernels.divisor_sum_u64(t)
+    assert not overflow and out[9] == 2**64 - 1
+
+
+def test_divisor_sum_matches_the_loop_on_random_tables(rng):
+    for i in range(60):
+        n = int(rng.integers(1, 3000))
+        if i % 3 == 0:  # dense, no wrap
+            t = rng.integers(0, 2**40, size=n, dtype=np.uint64)
+        elif i % 3 == 1:  # dense, wraps from n = 6, the first with four divisors
+            t = rng.integers(2**62, 2**63, size=n, dtype=np.uint64)
+        else:  # sparse: the plain loop
+            t = np.where(rng.uniform(size=n) < 0.01, rng.integers(0, 2**63, size=n), 0)
+            t = t.astype(np.uint64)
+        out, overflow = _kernels.divisor_sum_u64(t)
+        want, want_flag = divisor_sum_loop(t)
+        assert np.array_equal(out, want) and overflow == want_flag
 
 
 def test_sieve_matches_trial_division():
@@ -168,14 +242,6 @@ def test_sieve_matches_trial_division():
     assert list(primes) == trial_division_primes(500)
     for n in range(2, 501):
         assert spf[n] == smallest_factor(n)
-
-
-@needs_numba
-def test_sieve_backends_identical():
-    np_spf, np_primes = _kernels._spf_sieve_numpy(10_000)
-    nb_spf, nb_primes = _kernels._spf_sieve_numba(10_000)
-    assert np.array_equal(np_spf, nb_spf)
-    assert np.array_equal(np_primes, nb_primes)
 
 
 def test_mult_extend_is_completely_multiplicative(rng):
@@ -188,15 +254,3 @@ def test_mult_extend_is_completely_multiplicative(rng):
     for m, n in ((2, 3), (4, 9), (6, 35), (8, 125), (30, 49)):
         assert out[m * n] == pytest.approx(out[m] * out[n], rel=1e-12)
     assert out[8] == pytest.approx(out[2] ** 3, rel=1e-12)
-
-
-@needs_numba
-def test_mult_extend_backends_identical(rng):
-    n_max = 3000
-    spf, primes = _kernels.sieve_spf(n_max)
-    vals = np.zeros(n_max + 1, dtype=np.complex128)
-    vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
-    assert np.array_equal(
-        _kernels._mult_extend_numpy(spf, vals, n_max),
-        _kernels._mult_extend_numba(spf, vals, n_max),
-    )

@@ -28,7 +28,7 @@ from hplus.series import (
 )
 from hplus.superposition import power_norm_chain_check
 
-from oracles import dirichlet_convolve_quadratic
+from oracles import dirichlet_convolve_loop, dirichlet_convolve_quadratic
 
 coeff_arrays = st.lists(
     st.tuples(
@@ -182,7 +182,7 @@ def _power_by_multiply(d, k, out_truncation):
     result = base
     for _ in range(k - 1):
         result = DirichletSeries(
-            _kernels._convolve_numpy(*_sparser_first(base.coeffs, result.coeffs), out_truncation)
+            dirichlet_convolve_loop(*_sparser_first(base.coeffs, result.coeffs), out_truncation)
         )
     return result
 
