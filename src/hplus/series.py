@@ -255,25 +255,38 @@ def evaluate(d: DirichletSeries, s: complex) -> complex:
 # seminorms
 # ---------------------------------------------------------------------------
 
-def _weighted_square_sum(idx: np.ndarray | None, vals: np.ndarray, k: int) -> float:
-    """sum |v_i|^2 idx_i^{-2/k} over (1-based index, value) pairs.
+def _weighted_l2_norm(idx: np.ndarray | None, vals: np.ndarray, k: int) -> float:
+    """(sum |v_i|^2 idx_i^{-2/k})^{1/2} over (1-based index, value) pairs.
 
     ``idx`` None stands for the full range 1..len(vals), which is never
-    materialised as a gathered copy.
+    materialised as a gathered copy.  When the plain sum of squares
+    underflows into the subnormal range or overflows, the terms are
+    rescaled by their largest modulus first, as in ``math.hypot``.
     """
     if idx is None:
         n = np.arange(1, len(vals) + 1, dtype=np.float64)
     else:
         n = idx.astype(np.float64)
-    w = n ** (-2.0 / k)
-    return np.sum((vals.real**2 + vals.imag**2) * w)
+    square_sum = float(np.sum((vals.real**2 + vals.imag**2) * n ** (-2.0 / k)))
+    if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
+        return math.sqrt(square_sum)
+    terms = np.abs(vals) * n ** (-1.0 / k)
+    scale = float(terms.max()) if len(terms) else 0.0
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * math.sqrt(float(np.sum((terms / scale) ** 2)))
+
+
+# Below this sum, squares lost to the subnormal range could move the norm by
+# more than ~1e-30 relative, so the norm is taken on rescaled terms instead.
+_SAFE_SQUARE_SUM_MIN = 2.0**-900
 
 
 def seminorm_2(d: DirichletSeries, k: int) -> float:
     """The Hilbert seminorm (sum |a_n|^2 n^{-2/k})^{1/2}."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return float(np.sqrt(_weighted_square_sum(None, d.coeffs, k)))
+    return _weighted_l2_norm(None, d.coeffs, k)
 
 
 def seminorm_even(

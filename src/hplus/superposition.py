@@ -23,7 +23,7 @@ from .numtheory import PrimeTable, chebyshev_theta, prime_pi, sieve
 from .series import (
     DirichletSeries,
     _power_terms,
-    _weighted_square_sum,
+    _weighted_l2_norm,
     multiply,
     seminorm_2,
     seminorm_comparison_constant,
@@ -312,10 +312,10 @@ def power_norm_chain_check(p_series: DirichletSeries, m: int, k: int) -> ChainCh
         raise InexactPower(
             f"support {sup}^{k} exceeds working truncation {n_trunc}; power inexact"
         )
-    lhs = math.sqrt(_weighted_square_sum(*_power_terms(idx, vals, k, n_trunc), m))
+    lhs = _weighted_l2_norm(*_power_terms(idx, vals, k, n_trunc), m)
     c_m = seminorm_comparison_constant(m, 1, 2)
     j_cut, prod = _chain_constant_parts(m, k)
-    base = math.sqrt(_weighted_square_sum(idx, vals, 4 * m))
+    base = _weighted_l2_norm(idx, vals, 4 * m)
     rhs = c_m * prod**k * base**k
     return ChainCheck(
         lhs=lhs,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hplus import _kernels
@@ -304,6 +304,13 @@ def test_seminorm2_zero():
     assert seminorm_2(DirichletSeries.zero(4), 2) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-161, 1e-200, 1e160, 1e300])
+def test_seminorm2_rescales_squares_out_of_range(scale):
+    d = DirichletSeries(np.array([3.0 * scale, 4j * scale]))
+    expected = scale * math.sqrt(9 + 16 / 4)
+    assert seminorm_2(d, 1) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
 def test_seminorm2_ones_three_terms():
     d = DirichletSeries.ones(3)
     assert seminorm_2(d, 1) == pytest.approx(math.sqrt(1 + 0.25 + 1 / 9), rel=1e-14)
@@ -376,6 +383,7 @@ def test_seminorm_monotone_in_k(coeffs, k):
 
 
 @given(coeff_arrays, st.integers(1, 4))
+@example(np.array([1.260876e-161j]), 1)
 def test_seminorm_triangle(coeffs, k):
     d = DirichletSeries(coeffs)
     e = DirichletSeries(coeffs[::-1].copy())
