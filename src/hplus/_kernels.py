@@ -21,6 +21,13 @@ instead of walking output slots.  ``dirichlet_convolve`` takes that path
 when nnz_a * nnz_b <= out_len and the split loops otherwise.  Both paths add
 the terms of each output coefficient in ascending divisor of the sparser
 operand, so they give the same bits.
+
+``sieve_primes`` finds the primes alone, with one byte per odd number; the
+int32 smallest-prime-factor table of ``sieve_spf`` is built only for the
+callers that factor (``PrimeTable.spf`` sieves it on first read).
+``mult_extend`` fills a completely multiplicative function one dyadic block
+[2^j, 2^{j+1}) at a time, as out[n] = out[n // spf(n)] * f(spf(n)) with every
+n // spf(n) < 2^j, in vectorized steps of at most ``_EXTEND_BLOCK`` slots.
 """
 
 from __future__ import annotations
@@ -169,8 +176,22 @@ def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Smallest-prime-factor sieve
+# Sieves
 # ---------------------------------------------------------------------------
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """Ascending primes up to limit >= 2, from a boolean sieve of the odd numbers.
+
+    Slot i stands for 2i + 1, so the sieve takes (limit + 1) // 2 bytes.
+    """
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False  # 1
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate([[2], 2 * np.flatnonzero(odd) + 1]).astype(np.int64, copy=False)
+
 
 def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-prime-factor table and ascending prime list up to limit."""
@@ -191,18 +212,35 @@ def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
 # Completely multiplicative extension from values at the primes
 # ---------------------------------------------------------------------------
 
+# Slots per vectorized step of mult_extend: its temporaries take about 50
+# bytes a slot, so this bounds them to a few MB.
+_EXTEND_BLOCK = 1 << 16
+
+
 def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarray:
     """Extend f(p) given at primes to f(n) = prod f(p)^{alpha_p} for n <= n_max.
 
     prime_vals is indexed by integer value (prime_vals[p] for prime p).
-    out[1] = 1; out[0] is a zero placeholder.
+    out[1] = 1; out[0] is a zero placeholder.  out[n] = out[n // p] * f(p)
+    with p = spf[n], filled one dyadic block [2^j, 2^{j+1}) at a time: every
+    n // p in the block is below 2^j, so it is filled already.  The complex
+    product is spelled out on the real and imaginary parts, which gives the
+    bits of numpy's scalar product in a per-n loop.
     """
     prime_vals = np.ascontiguousarray(prime_vals, dtype=np.complex128)
     out = np.empty(n_max + 1, dtype=np.complex128)
     out[0] = 0.0
     if n_max >= 1:
         out[1] = 1.0
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        out[n] = out[n // p] * prime_vals[p]
+    lo = 2
+    while lo <= n_max:
+        block_end = min(2 * lo, n_max + 1)
+        for start in range(lo, block_end, _EXTEND_BLOCK):
+            stop = min(start + _EXTEND_BLOCK, block_end)
+            p = spf[start:stop]
+            a = out[np.arange(start, stop) // p]
+            b = prime_vals[p]
+            out.real[start:stop] = a.real * b.real - a.imag * b.imag
+            out.imag[start:stop] = a.real * b.imag + a.imag * b.real
+        lo = block_end
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import TableTooSmall
-from .numtheory import MultiIndex, PrimeTable, factorize, sieve
+from .numtheory import MultiIndex, PrimeTable, sieve
 from .series import DirichletSeries
 
 MC_PRNG_NAME = "philox"  # counter-based; partitioned streams stay reproducible
@@ -142,27 +142,56 @@ class NonextensionTable:
     notes: str = field(default="")
 
 
+def _divide_out(n: np.ndarray, primes: np.ndarray, expo: np.ndarray | None = None) -> np.ndarray:
+    """What is left of each n after dividing out every power of the given primes.
+
+    When ``expo`` is given, expo[i, j] is incremented once per division of
+    n[i] by primes[j], which leaves it holding the exponent of primes[j].
+    """
+    rest = n.copy()
+    for j, p in enumerate(primes):
+        rows = np.flatnonzero(rest % p == 0)
+        while len(rows):
+            rest[rows] //= p
+            if expo is not None:
+                expo[rows, j] += 1
+            rows = rows[rest[rows] % p == 0]
+    return rest
+
+
 def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
     """Bohr lift of the series restricted to indices smooth over the first n_vars primes.
 
     Coefficients at non-smooth indices are dropped, counted, and their
     squared mass reported, so callers get an explicit accounting of the
-    restriction.
+    restriction.  Smoothness and exponents come from dividing the first
+    n_vars primes out of the whole support at once; terms are inserted in
+    ascending index.
     """
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    terms: dict[MultiIndex, complex] = {}
-    dropped = 0
+    idx = np.flatnonzero(d.coeffs)
+    n = idx + 1
+    beyond = np.searchsorted(n, table.limit, side="right")
+    if beyond < len(n):
+        raise TableTooSmall(f"n = {int(n[beyond])} exceeds sieve limit {table.limit}")
+    primes = table.primes[:n_vars]
+    kept = _divide_out(n, primes) == 1
+    smooth = n[kept]
+    # exponents only for the kept indices, and only over primes up to the
+    # largest of them: one int8 row per term of the result
+    if len(smooth):
+        primes = primes[: np.searchsorted(primes, smooth[-1], side="right")]
+    expo = np.zeros((len(smooth), len(primes)), dtype=np.int8)
+    _divide_out(smooth, primes, expo)
+    terms = {
+        MultiIndex(tuple(alpha)): c
+        for alpha, c in zip(expo.tolist(), d.coeffs[idx[kept]].tolist())
+    }
     dropped_sq = 0.0
-    for i in np.flatnonzero(d.coeffs):
-        n = int(i) + 1
-        alpha = factorize(n, table)
-        if len(alpha) <= n_vars:
-            terms[alpha] = complex(d.coeffs[i])
-        else:
-            dropped += 1
-            dropped_sq += abs(d.coeffs[i]) ** 2
-    return LiftResult(MultiPoly(n_vars, terms), dropped, dropped_sq)
+    for c in d.coeffs[idx[~kept]]:
+        dropped_sq += abs(c) ** 2
+    return LiftResult(MultiPoly(n_vars, terms), len(n) - len(smooth), dropped_sq)
 
 
 def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):

@@ -1,8 +1,9 @@
 """Prime sieve, factorization, divisor functions d_k, and exact prime counts.
 
 Everything here is exact and sieve-backed: no analytic approximations of
-pi(x) are used anywhere.  Tables are immutable after construction and safe
-to share across threads.
+pi(x) are used anywhere.  Tables are immutable after construction (the
+smallest-prime-factor table is sieved on first read, always to the same
+values) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -23,19 +25,24 @@ _CACHE_MAGIC = "hplus-sieve-v1"
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sieve output up to ``limit``: ascending primes and smallest prime factors.
+    """Sieve output up to ``limit``: the ascending primes.
 
-    ``spf[n]`` is the smallest prime factor of n for 2 <= n <= limit
-    (``spf[0]`` and ``spf[1]`` are padding).
+    ``spf[n]``, the smallest prime factor of n for 2 <= n <= limit
+    (``spf[0]`` and ``spf[1]`` are padding), is sieved on first access and
+    kept; only factorization and multiplicative extension read it.
     """
 
     limit: int
     primes: np.ndarray  # int64, ascending
-    spf: np.ndarray  # int32, length limit + 1
 
     def __post_init__(self):
         self.primes.flags.writeable = False
-        self.spf.flags.writeable = False
+
+    @cached_property
+    def spf(self) -> np.ndarray:
+        spf, _ = _kernels.sieve_spf(self.limit)  # int32, length limit + 1
+        spf.flags.writeable = False
+        return spf
 
     @cached_property
     def _cum_log_primes(self) -> np.ndarray:
@@ -56,10 +63,10 @@ class MultiIndex:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(map(int, self.exponents))
         while exps and exps[-1] == 0:
             exps = exps[:-1]
-        if any(e < 0 for e in exps):
+        if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
@@ -76,8 +83,8 @@ class MultiIndex:
                 f"index uses {len(self.exponents)} primes, table has {len(table.primes)}"
             )
         n = 1
-        for j, e in enumerate(self.exponents):
-            n *= int(table.primes[j]) ** e
+        for j in compress(range(len(self.exponents)), self.exponents):
+            n *= int(table.primes[j]) ** self.exponents[j]
         return n
 
 
@@ -90,29 +97,30 @@ def _try_load_cache(path: str, limit: int) -> PrimeTable | None:
         with np.load(path) as data:
             if str(data["magic"]) != _CACHE_MAGIC or int(data["limit"]) != limit:
                 return None
-            spf = data["spf"].astype(np.int32)
             primes = data["primes"].astype(np.int64)
-        if len(spf) != limit + 1 or len(primes) == 0:
-            return None
         # spot checks; a corrupt file falls through to recomputation
-        if spf[2] != 2 or primes[0] != 2 or primes[-1] > limit:
+        if len(primes) == 0 or primes[0] != 2 or primes[-1] > limit:
             return None
         if not np.all(np.diff(primes) > 0):
             return None
-        return PrimeTable(limit=limit, primes=primes, spf=spf)
+        return PrimeTable(limit=limit, primes=primes)
     except Exception:
         return None
 
 
 def sieve(limit: int, cache_dir: str | None = None) -> PrimeTable:
-    """Smallest-prime-factor sieve up to ``limit`` (inclusive).
+    """The primes up to ``limit`` (inclusive), from an odd-only boolean sieve.
 
-    If ``cache_dir`` is given (or the HPLUS_CACHE_DIR environment variable is
-    set) the result is persisted as an .npz keyed by the limit; a corrupt or
-    mismatched cache file is ignored and the table recomputed.
+    The smallest-prime-factor table ``spf`` is only sieved when read.  If
+    ``cache_dir`` is given (or the HPLUS_CACHE_DIR environment variable is
+    set) the primes are persisted as an .npz keyed by the limit; a corrupt
+    or mismatched cache file is ignored and the table recomputed.  Cache
+    files that also hold an ``spf`` array load as well; it is not read.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    if limit >= 2**31:
+        raise ValueError(f"sieve limit {limit} exceeds the int32 range of spf")
     limit = int(limit)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV) or None
 
@@ -121,8 +129,8 @@ def sieve(limit: int, cache_dir: str | None = None) -> PrimeTable:
         if cached is not None:
             return cached
 
-    spf, primes = _kernels.sieve_spf(limit)
-    table = PrimeTable(limit=limit, primes=primes, spf=spf)
+    primes = _kernels.sieve_primes(limit)
+    table = PrimeTable(limit=limit, primes=primes)
 
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -130,7 +138,7 @@ def sieve(limit: int, cache_dir: str | None = None) -> PrimeTable:
         tmp = path + f".tmp-{os.getpid()}"
         try:
             with open(tmp, "wb") as f:
-                np.savez(f, magic=_CACHE_MAGIC, limit=limit, spf=spf, primes=primes)
+                np.savez(f, magic=_CACHE_MAGIC, limit=limit, primes=primes)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

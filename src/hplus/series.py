@@ -267,14 +267,23 @@ def _weighted_l2_norm(idx: np.ndarray | None, vals: np.ndarray, k: int) -> float
         n = np.arange(1, len(vals) + 1, dtype=np.float64)
     else:
         n = idx.astype(np.float64)
-    square_sum = float(np.sum((vals.real**2 + vals.imag**2) * n ** (-2.0 / k)))
+    with np.errstate(over="ignore", under="ignore"):
+        square_sum = float(np.sum((vals.real**2 + vals.imag**2) * n ** (-2.0 / k)))
     if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
         return math.sqrt(square_sum)
-    terms = np.abs(vals) * n ** (-1.0 / k)
+    scale, norm = _rescaled_l2_norm(np.abs(vals) * n ** (-1.0 / k))
+    return scale * norm
+
+
+def _rescaled_l2_norm(terms: np.ndarray) -> tuple[float, float]:
+    """(scale, r) with ||terms||_2 = scale * r, scale the largest of the terms.
+
+    The terms are non-negative; r is 1 when scale is 0 or not finite.
+    """
     scale = float(terms.max()) if len(terms) else 0.0
     if scale == 0.0 or not math.isfinite(scale):
-        return scale
-    return scale * math.sqrt(float(np.sum((terms / scale) ** 2)))
+        return scale, 1.0
+    return scale, math.sqrt(float(np.sum((terms / scale) ** 2)))
 
 
 # Below this sum, squares lost to the subnormal range could move the norm by
@@ -309,8 +318,14 @@ def seminorm_even(
         return SeminormValue(seminorm_2(d, k), True)
     shifted = translate(d, 1.0 / k)
     _, vals = _power_terms(*_kernels.support(shifted.coeffs, out_truncation), q, out_truncation)
-    l2 = np.sum(vals.real**2 + vals.imag**2)
-    value = float(l2 ** (0.5 / q))
+    with np.errstate(over="ignore", under="ignore"):
+        l2 = np.sum(vals.real**2 + vals.imag**2)
+    if _SAFE_SQUARE_SUM_MIN <= l2 < math.inf:
+        value = float(l2 ** (0.5 / q))
+    else:
+        # the H^2 norm rescaled as in _weighted_l2_norm, rooted factor by factor
+        scale, norm = _rescaled_l2_norm(np.abs(vals))
+        value = scale ** (1.0 / q) * norm ** (1.0 / q)
     exact = d.support_max() ** q <= out_truncation
     return SeminormValue(value, exact)
 

@@ -3,8 +3,10 @@
 These deliberately avoid the library's kernels: trial division instead of
 sieves, dict arithmetic instead of array convolution, recursive counting
 instead of table transforms.  The strided loops at the end are the dense
-kernels as they were before the hyperbola split, kept as the bit-for-bit
-reference for the split kernels.
+kernels as they were before the hyperbola split, and the per-index loops
+after them are multiplicative extension and the Bohr lift as they were
+before they were vectorized; each is kept as the bit-for-bit reference for
+its replacement.
 """
 
 from __future__ import annotations
@@ -179,3 +181,38 @@ def divisor_sum_loop(t):
         sl += t[i]
         overflow |= bool(np.any(sl < t[i]))
     return out, overflow
+
+
+def mult_extend_loop(spf, prime_vals, n_max: int) -> np.ndarray:
+    """out[n] = out[n // p] * f(p) with p = spf[n], one numpy scalar product per n."""
+    prime_vals = np.ascontiguousarray(prime_vals, dtype=np.complex128)
+    out = np.empty(n_max + 1, dtype=np.complex128)
+    out[0] = 0.0
+    if n_max >= 1:
+        out[1] = 1.0
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        out[n] = out[n // p] * prime_vals[p]
+    return out
+
+
+def lift_by_factorize(d, n_vars: int, table):
+    """Bohr lift by factoring each nonzero index in ascending order.
+
+    Returns a ``LiftResult``; dropped mass is accumulated in index order.
+    """
+    # imported here: the benchmark's checks load this module without hplus
+    from hplus.bohr import LiftResult, MultiPoly
+    from hplus.numtheory import factorize
+
+    terms = {}
+    dropped = 0
+    dropped_sq = 0.0
+    for i in np.flatnonzero(d.coeffs):
+        alpha = factorize(int(i) + 1, table)
+        if len(alpha) <= n_vars:
+            terms[alpha] = complex(d.coeffs[i])
+        else:
+            dropped += 1
+            dropped_sq += abs(d.coeffs[i]) ** 2
+    return LiftResult(MultiPoly(n_vars, terms), dropped, dropped_sq)

@@ -16,6 +16,8 @@ from hplus.errors import TableTooSmall
 from hplus.numtheory import MultiIndex, sieve
 from hplus.series import DirichletSeries, evaluate, seminorm_2
 
+from oracles import lift_by_factorize
+
 
 def parseval_value(poly: MultiPoly, k: int, table) -> float:
     primes = table.primes[: poly.n_vars].astype(float)
@@ -67,6 +69,47 @@ def test_lift_substitution_identity(table_200, rng):
         )
     )
     assert res.poly.evaluate(z) == pytest.approx(evaluate(restricted, s), rel=1e-12)
+
+
+def assert_same_lift(got, want):
+    assert got.poly.n_vars == want.poly.n_vars
+    assert list(got.poly.terms.items()) == list(want.poly.terms.items())  # insertion order too
+    assert got.dropped_count == want.dropped_count
+    assert got.dropped_sq_mass.hex() == want.dropped_sq_mass.hex()
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 5, 12, 500])
+@pytest.mark.parametrize("seed", range(4))
+def test_lift_matches_factorize_oracle(table_3k, n_vars, seed):
+    rng = np.random.default_rng(seed)
+    truncation = int(rng.integers(10, 3000))
+    coeffs = np.zeros(truncation, dtype=np.complex128)
+    idx = rng.choice(truncation, size=min(truncation, 300), replace=False)
+    mags = 10.0 ** rng.uniform(-150, 150, size=len(idx))
+    coeffs[idx] = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(idx)))
+    d = DirichletSeries(coeffs)
+    assert_same_lift(lift(d, n_vars, table_3k), lift_by_factorize(d, n_vars, table_3k))
+
+
+def test_lift_matches_factorize_oracle_on_ones_and_zero(table_3k):
+    for d in (DirichletSeries.ones(3000), DirichletSeries.zero(50), DirichletSeries.monomial(1, 2.0, 5)):
+        for n_vars in (1, 8, 430):
+            assert_same_lift(lift(d, n_vars, table_3k), lift_by_factorize(d, n_vars, table_3k))
+
+
+def test_lift_table_too_small_matches_oracle(table_200):
+    coeffs = np.zeros(400, dtype=np.complex128)
+    coeffs[[5, 260, 350]] = 1.0  # n = 6, 261, 351: the first index past the table is 261
+    d = DirichletSeries(coeffs.copy())
+    with pytest.raises(TableTooSmall) as got:
+        lift(d, 3, table_200)
+    with pytest.raises(TableTooSmall) as want:
+        lift_by_factorize(d, 3, table_200)
+    assert str(got.value) == str(want.value)
+    # zeros beyond the table do not count
+    coeffs[[260, 350]] = 0.0
+    d = DirichletSeries(coeffs)
+    assert_same_lift(lift(d, 3, table_200), lift_by_factorize(d, 3, table_200))
 
 
 def test_lift_is_linear(table_200, rng):

@@ -7,6 +7,7 @@ from oracles import (
     dirichlet_convolve_loop,
     dirichlet_convolve_quadratic,
     divisor_sum_loop,
+    mult_extend_loop,
     smallest_factor,
     trial_division_primes,
 )
@@ -242,6 +243,33 @@ def test_sieve_matches_trial_division():
     assert list(primes) == trial_division_primes(500)
     for n in range(2, 501):
         assert spf[n] == smallest_factor(n)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 9, 25, 26, 500, 10_001])
+def test_sieve_primes_matches_trial_division(limit):
+    primes = _kernels.sieve_primes(limit)
+    assert primes.dtype == np.int64
+    assert primes.tolist() == trial_division_primes(limit)
+
+
+@pytest.mark.parametrize(
+    "n_max", [0, 1, 2, 3, 15, 16, 17, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 2**18 + 1]
+)
+@pytest.mark.parametrize("kind", ["weights", "signed", "unimodular"])
+def test_mult_extend_bits_match_loop(n_max, kind):
+    # blocks [2^j, 2^{j+1}) end at 2^k - 1; from 2^17 on they are filled in
+    # several vectorized steps of _EXTEND_BLOCK slots
+    rng = np.random.default_rng(n_max)
+    spf, primes = _kernels.sieve_spf(max(n_max, 2))
+    vals = np.zeros(len(spf), dtype=np.complex128)
+    if kind == "weights":  # as in weighted_h2_norm
+        vals[primes] = primes.astype(np.float64) ** (-2.0 / 3)
+    elif kind == "signed":
+        vals[primes] = rng.normal(size=len(primes))
+    else:  # a character, as in vertical_limit
+        vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
+    out = _kernels.mult_extend(spf, vals, n_max)
+    assert out.tobytes() == mult_extend_loop(spf, vals, n_max).tobytes()
 
 
 def test_mult_extend_is_completely_multiplicative(rng):

@@ -337,6 +337,16 @@ def test_seminorm_even_binomial_limit():
     assert got.value**4 == pytest.approx(6.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-80, 1e100, 1e150])
+def test_seminorm_even_rescales_squares_out_of_range(scale):
+    # translate(D, 1)^2 has coefficients 9c^2, 12j c^2, -4c^2 at n = 1, 2, 4
+    # with c = scale: 1e-200 .. 1e300, whose squares leave the normal range
+    d = DirichletSeries(np.array([3.0 * scale, 4j * scale]))
+    got = seminorm_even(d, 2, 1, 4)
+    assert got.exact
+    assert got.value == pytest.approx(scale * 241**0.25, rel=1e-14, abs=0)
+
+
 def test_seminorm_even_flags_support_overflow():
     d = DirichletSeries.monomial(5, 1.0, 5)
     tight = seminorm_even(d, 2, 1, 16)  # support of the square is 25 > 16
