@@ -21,6 +21,7 @@ from .series import DirichletSeries
 
 MC_PRNG_NAME = "philox"  # counter-based; partitioned streams stay reproducible
 _MC_CHUNK = 1 << 14
+_MC_BLOCK = 1 << 10  # samples per sub-block: the (terms x block) arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -195,20 +196,51 @@ def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
 
 
 def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
-    """Per-term coefficient, radius factor prod p_j^{-alpha_j/k}, exponent matrix."""
+    """Per-term coefficient, radius factor prod p_j^{-alpha_j/k}, integer exponent matrix.
+
+    Terms come in lexicographic order of their exponents; ``rho_estimate``
+    sums them in that order.
+    """
     if len(table.primes) < f.n_vars:
         raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
     primes = table.primes[: f.n_vars].astype(np.float64)
     radii = primes ** (-1.0 / k)
     n_terms = len(f.terms)
     coefs = np.empty(n_terms, dtype=np.complex128)
-    expo = np.zeros((n_terms, f.n_vars), dtype=np.float64)
+    expo = np.zeros((n_terms, f.n_vars), dtype=np.int64)
     for t, (alpha, c) in enumerate(sorted(f.terms.items(), key=lambda kv: kv[0].exponents)):
         coefs[t] = c
-        for j, e in enumerate(alpha.exponents):
-            expo[t, j] = e
+        expo[t, : len(alpha)] = alpha.exponents
     rad_factors = np.prod(radii[None, :] ** expo, axis=1)
     return coefs, rad_factors, expo
+
+
+def _power_table_plan(expo: np.ndarray):
+    """Layout of a table of powers w_j^e, and the rows whose product is each monomial.
+
+    Row 0 of the table is 1.  Level e >= 1 holds w_j^e for every variable
+    whose largest exponent is at least e, in order of decreasing largest
+    exponent, so each level is a prefix of level 1 times a prefix of the
+    level before.  Returns the variables of level 1 (``used``), the (first
+    row, size) of each level, a (terms, factors) matrix of row indices and
+    the permutation ``lex``.  Each term is the product of its rows, one per
+    variable it holds in ascending variable order, padded with row 0; the
+    terms are ordered by decreasing number of variables, so column r is
+    padding below its nonzero rows, and indexing by ``lex`` restores the
+    lexicographic order of ``_term_arrays``.
+    """
+    emax = expo.max(axis=0, initial=0)
+    order = np.argsort(-emax, kind="stable")
+    sizes = [int(np.count_nonzero(emax >= e)) for e in range(1, int(emax.max()) + 1)]
+    starts = np.cumsum([0, 1] + sizes)[:-1]  # level e begins at row starts[e]
+    held = expo > 0
+    rows = np.where(held, starts[expo] + np.argsort(order), 0)
+    counts = held.sum(axis=1)
+    first = np.argsort(~held, axis=1, kind="stable")[:, : max(1, int(counts.max(initial=0)))]
+    by_count = np.argsort(-counts, kind="stable")
+    rows = np.take_along_axis(rows, first, axis=1)[by_count]
+    levels = list(zip(starts[1:].tolist(), sizes))
+    return order[: np.count_nonzero(emax)], levels, rows, np.argsort(by_count)
 
 
 def rho_estimate(
@@ -222,8 +254,15 @@ def rho_estimate(
     """Monte Carlo mean of |f(p^{-1/k} z)|^p over uniform torus samples, rooted at the end.
 
     Sampling uses a Philox counter-based generator keyed by ``seed``; for a
-    fixed (seed, samples) pair the estimate is deterministic.  Chunked
-    evaluation only groups the stream, it does not reorder it.
+    fixed (seed, samples) pair the estimate is deterministic.  Each sample
+    costs one complex exponential per variable, w_j = exp(i theta_j); the
+    powers w_j^e up to the largest exponent of each variable are built by
+    repeated multiplication, each monomial z^alpha is the product of its
+    variables' powers, and the terms are summed in lexicographic order of
+    their exponents without a BLAS call, so the bits do not depend on the
+    BLAS thread count.  Chunks of ``_MC_CHUNK`` samples and the sub-blocks
+    of ``_MC_BLOCK`` samples inside them only group the stream, they do not
+    reorder it.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -234,16 +273,32 @@ def rho_estimate(
     if table is None:
         table = sieve_for_n_primes(f.n_vars)
     coefs, rad, expo = _term_arrays(f, k, table)
+    used, levels, rows, lex = _power_table_plan(expo)
+    n_rows = 1 + sum(size for _, size in levels)
+    longer = np.count_nonzero(rows, axis=0)  # terms with more than r variables
     gen = np.random.Generator(np.random.Philox(key=seed))
     total = 0.0
     total_sq = 0.0
     done = 0
-    scaled = coefs * rad
+    scaled = (coefs * rad)[:, None]
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         theta = gen.uniform(0.0, 2.0 * np.pi, size=(m, f.n_vars))
-        phases = theta @ expo.T  # (m, n_terms)
-        vals = np.exp(1j * phases) @ scaled
+        w = np.exp(1j * theta[:, used].T)  # (variables, m), level 1 of the table
+        vals = np.empty(m, dtype=np.complex128)
+        for lo in range(0, m, _MC_BLOCK):
+            hi = min(lo + _MC_BLOCK, m)
+            powers = np.empty((n_rows, hi - lo), dtype=np.complex128)
+            powers[0] = 1.0
+            powers[1 : 1 + len(used)] = w[:, lo:hi]
+            for (below, _), (start, size) in zip(levels, levels[1:]):
+                powers[start : start + size] = powers[below : below + size] * powers[1 : 1 + size]
+            mono = powers[rows[:, 0]]
+            for r in range(1, rows.shape[1]):
+                mono[: longer[r]] *= powers[rows[: longer[r], r]]
+            mono = mono[lex]
+            mono *= scaled
+            vals[lo:hi] = mono.sum(axis=0)  # term by term, no BLAS call
         stat = np.abs(vals) ** p
         total += float(np.sum(stat))
         total_sq += float(np.sum(stat * stat))
@@ -257,6 +312,24 @@ def rho_estimate(
     else:
         se = math.inf
     return RhoEstimate(value=value, std_error=se, samples=samples, seed=seed, k=k, p=p)
+
+
+def parseval_rho2(f: MultiPoly, k: int, table: PrimeTable) -> float:
+    """Exact rho_{k,2} norm by weighted Parseval: sqrt(sum |c_alpha|^2 prod p_j^{-2 alpha_j/k}).
+
+    Terms are summed in insertion order.  ``rho_estimate`` at p = 2
+    estimates the same value.
+    """
+    if len(table.primes) < f.n_vars:
+        raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
+    primes = table.primes[: f.n_vars].astype(float)
+    return math.sqrt(
+        sum(
+            abs(c) ** 2
+            * float(np.prod(primes ** (-2.0 * np.array([alpha[j] for j in range(f.n_vars)]) / k)))
+            for alpha, c in f.terms.items()
+        )
+    )
 
 
 def sieve_for_n_primes(n_primes: int) -> PrimeTable:

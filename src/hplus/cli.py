@@ -274,21 +274,7 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
         est = bohr.rho_estimate(
             poly, args.k, args.p, args.samples, seed=args.seed + trial, table=table
         )
-        exact = None
-        if args.p == 2:
-            exact = math.sqrt(
-                sum(
-                    abs(c) ** 2
-                    * float(
-                        np.prod(
-                            table.primes[: args.n_vars].astype(float)
-                            ** (-2.0 * np.array([alpha[j] for j in range(args.n_vars)]) / args.k)
-                        )
-                    )
-                    for alpha, c in poly.terms.items()
-                )
-            )
-        tail = "" if exact is None else repr(exact)
+        tail = repr(bohr.parseval_rho2(poly, args.k, table)) if args.p == 2 else ""
         rows.append(f"{args.k},{args.p},{args.samples},{est.value!r},{est.std_error!r},{tail}")
     text = _csv_text("k,p,samples,estimate,std_err,exact_value_if_p2", rows)
     _atomic_write_text(os.path.join(outdir, "estimates.csv"), text)

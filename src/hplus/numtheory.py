@@ -64,8 +64,10 @@ class MultiIndex:
 
     def __post_init__(self):
         exps = tuple(map(int, self.exponents))
-        while exps and exps[-1] == 0:
-            exps = exps[:-1]
+        end = len(exps)
+        while end and exps[end - 1] == 0:
+            end -= 1
+        exps = exps[:end]
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)

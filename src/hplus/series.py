@@ -417,7 +417,7 @@ def series_to_json(d: DirichletSeries) -> dict:
     """JSON form {"truncation": N, "coeffs": [[re, im], ...]}; coeffs[i] is a_{i+1}."""
     return {
         "truncation": d.truncation,
-        "coeffs": [[float(c.real), float(c.imag)] for c in d.coeffs],
+        "coeffs": np.stack((d.coeffs.real, d.coeffs.imag), axis=1).tolist(),
     }
 
 

@@ -6,7 +6,9 @@ instead of table transforms.  The strided loops at the end are the dense
 kernels as they were before the hyperbola split, and the per-index loops
 after them are multiplicative extension and the Bohr lift as they were
 before they were vectorized; each is kept as the bit-for-bit reference for
-its replacement.
+its replacement.  The last is the Monte Carlo rho estimator as it was
+before it built monomials from power tables, the reference within 1e-13
+relative for its replacement.
 """
 
 from __future__ import annotations
@@ -216,3 +218,55 @@ def lift_by_factorize(d, n_vars: int, table):
             dropped += 1
             dropped_sq += abs(d.coeffs[i]) ** 2
     return LiftResult(MultiPoly(n_vars, terms), dropped, dropped_sq)
+
+
+def rho_phase_values(f, k: int, samples: int, seed: int, table=None) -> np.ndarray:
+    """Values of f on the scaled torus at the first ``samples`` draws of the Philox stream.
+
+    The phase of every term is theta @ alpha, exponentiated directly: one
+    complex exponential per term and sample, contracted by a matrix
+    product.  This is ``bohr.rho_estimate``'s loop before it built
+    monomials from per-variable power tables; rows go through it 1024 at a
+    time only to bound memory.  A shorter run is a prefix of a longer one.
+    """
+    from hplus.bohr import _term_arrays, sieve_for_n_primes
+
+    if table is None:
+        table = sieve_for_n_primes(f.n_vars)
+    coefs, rad, expo = _term_arrays(f, k, table)
+    expo = expo.astype(np.float64)
+    scaled = coefs * rad
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    theta = gen.uniform(0.0, 2.0 * np.pi, size=(samples, f.n_vars))
+    vals = np.empty(samples, dtype=np.complex128)
+    for lo in range(0, samples, 1024):
+        phases = theta[lo : lo + 1024] @ expo.T  # (rows, n_terms)
+        vals[lo : lo + 1024] = np.exp(1j * phases) @ scaled
+    return vals
+
+
+def rho_from_values(vals: np.ndarray, k: int, p: float, seed: int):
+    """``RhoEstimate`` from per-sample values, |f|^p summed in the library's chunks."""
+    from hplus.bohr import _MC_CHUNK, RhoEstimate
+
+    samples = len(vals)
+    total = 0.0
+    total_sq = 0.0
+    for lo in range(0, samples, _MC_CHUNK):
+        stat = np.abs(vals[lo : lo + _MC_CHUNK]) ** p
+        total += float(np.sum(stat))
+        total_sq += float(np.sum(stat * stat))
+    mean = total / samples
+    value = mean ** (1.0 / p)
+    if samples > 1:
+        var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+        se_mean = math.sqrt(var / samples)
+        se = se_mean / p * mean ** (1.0 / p - 1.0) if mean > 0 else se_mean
+    else:
+        se = math.inf
+    return RhoEstimate(value=value, std_error=se, samples=samples, seed=seed, k=k, p=p)
+
+
+def rho_estimate_phases(f, k: int, p: float, samples: int, seed: int, table=None):
+    """``bohr.rho_estimate`` with one complex exponential per term and sample."""
+    return rho_from_values(rho_phase_values(f, k, samples, seed, table), k, p, seed)

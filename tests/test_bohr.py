@@ -8,6 +8,7 @@ from hplus.bohr import (
     TorusSample,
     lift,
     nonextension_partial_sums,
+    parseval_rho2,
     rho_estimate,
     sieve_for_n_primes,
     weighted_h2_norm,
@@ -16,7 +17,7 @@ from hplus.errors import TableTooSmall
 from hplus.numtheory import MultiIndex, sieve
 from hplus.series import DirichletSeries, evaluate, seminorm_2
 
-from oracles import lift_by_factorize
+from oracles import lift_by_factorize, rho_estimate_phases, rho_from_values, rho_phase_values
 
 
 def parseval_value(poly: MultiPoly, k: int, table) -> float:
@@ -184,6 +185,67 @@ def test_rho_consistent_with_per_sample_path(rng):
     assert est.value == pytest.approx(naive, rel=1e-12)
 
 
+ORACLE_SEED = 2024
+ORACLE_SAMPLES = (1, 1023, 1025, 16384, 16385, 40_000)
+
+
+@pytest.fixture(scope="module")
+def oracle_polys():
+    return {
+        "constant": MultiPoly(2, {MultiIndex(()): 3 - 4j}),
+        "no-terms": MultiPoly(3, {}),
+        "draw": random_poly(np.random.default_rng(5)),  # 20 terms, exponents in {0..3}^3
+        # 1641 terms in 8 variables, exponents up to 14
+        "lift": lift(DirichletSeries.ones(20_000), 8, sieve(20_000)).poly,
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_values(oracle_polys):
+    # one oracle run per (polynomial, k); shorter runs are its prefixes
+    cache = {}
+
+    def values(name, k):
+        if (name, k) not in cache:
+            cache[name, k] = rho_phase_values(
+                oracle_polys[name], k, max(ORACLE_SAMPLES), ORACLE_SEED
+            )
+        return cache[name, k]
+
+    return values
+
+
+def assert_same_estimate(got, want, rel=1e-13):
+    for a, b in ((got.value, want.value), (got.std_error, want.std_error)):
+        assert a == b or abs(a - b) <= rel * abs(b), (got, want)
+
+
+@pytest.mark.parametrize("samples", ORACLE_SAMPLES)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", ["constant", "no-terms", "draw", "lift"])
+def test_rho_matches_phase_oracle(oracle_polys, oracle_values, name, k, samples):
+    # power tables against one exponential per term and sample, on the same
+    # stream: sub-block and chunk edges, a single sample, no terms at all
+    vals = oracle_values(name, k)[:samples]
+    for p in (1, 1.5, 2, 4):
+        got = rho_estimate(oracle_polys[name], k, p, samples, ORACLE_SEED)
+        assert_same_estimate(got, rho_from_values(vals, k, p, ORACLE_SEED))
+
+
+def test_rho_many_variables_few_exponents():
+    # more variables than any term holds, some never used: only the used
+    # ones enter the power table
+    rng = np.random.default_rng(3)
+    terms = {}
+    while len(terms) < 12:
+        alpha = np.zeros(40, dtype=int)
+        alpha[rng.choice(40, size=2, replace=False)] = rng.integers(1, 3, size=2)
+        terms[MultiIndex(tuple(alpha))] = complex(rng.normal(), rng.normal())
+    f = MultiPoly(40, terms)
+    got = rho_estimate(f, 2, 3.0, 3000, 9)
+    assert_same_estimate(got, rho_estimate_phases(f, 2, 3.0, 3000, 9))
+
+
 # -- weighted Parseval path ------------------------------------------------------------
 
 def test_weighted_norm_matches_seminorm(rng):
@@ -212,6 +274,19 @@ def test_weighted_norm_zero(table_200):
 def test_weighted_norm_needs_coverage(table_200):
     with pytest.raises(TableTooSmall):
         weighted_h2_norm(DirichletSeries.ones(500), 1, table_200)
+
+
+def test_parseval_rho2_matches_independent_sum(rng):
+    table = sieve_for_n_primes(5)
+    for n_vars in (1, 3, 5):
+        poly = random_poly(rng, n_vars=n_vars, n_terms=min(20, 4**n_vars))
+        for k in (1, 2, 7):
+            assert parseval_rho2(poly, k, table) == pytest.approx(
+                parseval_value(poly, k, table), rel=1e-14
+            )
+    assert parseval_rho2(MultiPoly(2, {}), 1, table) == 0.0
+    with pytest.raises(TableTooSmall):
+        parseval_rho2(MultiPoly(9, {MultiIndex((0,) * 8 + (1,)): 1.0}), 1, sieve(20))
 
 
 def test_rho_k2_monotone_in_k_exact_path(rng):

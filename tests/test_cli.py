@@ -72,10 +72,11 @@ def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
     assert not out.exists()
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **env_vars):
     """hplus.cli in a subprocess with a timeout, so a regression cannot hang the suite."""
     src = os.path.dirname(os.path.dirname(hplus.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(env_vars)
     return subprocess.run(
         [sys.executable, "-m", "hplus.cli", *argv],
         capture_output=True, text=True, timeout=60, env=env,
@@ -237,6 +238,21 @@ def test_experiment_outputs_byte_identical(tmp_path):
         assert rc == 0
     for name in ("manifest.json", "estimates.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_bohr_parseval_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # two chunks, the second ending inside a sub-block
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = _run_cli(
+            "experiment", "bohr-parseval", "--out-dir", str(out),
+            "--samples", "20000", "--trials", "2", "--seed", "5",
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bodies.append((out / "estimates.csv").read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_experiment_inequality_suite_small(tmp_path):

@@ -126,6 +126,18 @@ def test_multiindex_trims_and_rejects():
         MultiIndex((1, -1))
 
 
+@pytest.mark.parametrize("zeros", [1, 2, 8000])
+def test_multiindex_long_trailing_zeros_equal_short_form(zeros):
+    for short in ((1,), (0, 3), (2, 0, 5)):
+        long = MultiIndex(short + (0,) * zeros)
+        assert long.exponents == short
+        assert long == MultiIndex(short)
+        assert hash(long) == hash(MultiIndex(short))
+    assert MultiIndex((0,) * zeros) == MultiIndex(())
+    with pytest.raises(ValueError):
+        MultiIndex((-1,) + (0,) * zeros)
+
+
 def test_factorize_roundtrip_exhaustive(table_100k):
     for n in range(1, 100_001):
         assert factorize(n, table_100k).to_int(table_100k) == n

@@ -497,6 +497,17 @@ def test_json_roundtrip(rng):
     assert series_from_json(json.loads(json.dumps(series_to_json(d)))) == d
 
 
+def test_json_coeffs_match_per_element_floats():
+    # -0.0, subnormals and huge values survive as the same JSON text
+    vals = np.array([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, 1 / 3])
+    d = series(vals + 1j * vals[::-1])
+    per_element = {
+        "truncation": d.truncation,
+        "coeffs": [[float(c.real), float(c.imag)] for c in d.coeffs],
+    }
+    assert json.dumps(series_to_json(d), sort_keys=True) == json.dumps(per_element, sort_keys=True)
+
+
 def test_json_rejects_missing_fields():
     with pytest.raises(ValueError, match="truncation"):
         series_from_json({"coeffs": [[1, 0]]})
