@@ -17,7 +17,6 @@ from .bohr import (
     TorusSample,
     lift,
     nonextension_partial_sums,
-    parseval_rho2,
     rho_estimate,
     weighted_h2_norm,
 )

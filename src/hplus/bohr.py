@@ -215,32 +215,29 @@ def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
     return coefs, rad_factors, expo
 
 
-def _power_table_plan(expo: np.ndarray):
-    """Layout of a table of powers w_j^e, and the rows whose product is each monomial.
+def _power_rows(expo: np.ndarray):
+    """The powers w_j^e a monomial table needs, and the rows whose product is each monomial.
 
-    Row 0 of the table is 1.  Level e >= 1 holds w_j^e for every variable
-    whose largest exponent is at least e, in order of decreasing largest
-    exponent, so each level is a prefix of level 1 times a prefix of the
-    level before.  Returns the variables of level 1 (``used``), the (first
-    row, size) of each level, a (terms, factors) matrix of row indices and
-    the permutation ``lex``.  Each term is the product of its rows, one per
-    variable it holds in ascending variable order, padded with row 0; the
-    terms are ordered by decreasing number of variables, so column r is
-    padding below its nonzero rows, and indexing by ``lex`` restores the
-    lexicographic order of ``_term_arrays``.
+    Row 0 of the table is 1; the other rows hold w_j^e for the distinct
+    nonzero exponents e of each variable j that some term holds, so the
+    table grows with the exponents that occur, not with the degree.
+    Returns the variables that occur (``used``), the position in ``used``
+    and the exponent of each row from 1 on, and a (terms, variables) matrix
+    of rows: each term is the product of its rows, one per used variable
+    in ascending order, with row 0 for the variables it does not hold.
     """
-    emax = expo.max(axis=0, initial=0)
-    order = np.argsort(-emax, kind="stable")
-    sizes = [int(np.count_nonzero(emax >= e)) for e in range(1, int(emax.max()) + 1)]
-    starts = np.cumsum([0, 1] + sizes)[:-1]  # level e begins at row starts[e]
-    held = expo > 0
-    rows = np.where(held, starts[expo] + np.argsort(order), 0)
-    counts = held.sum(axis=1)
-    first = np.argsort(~held, axis=1, kind="stable")[:, : max(1, int(counts.max(initial=0)))]
-    by_count = np.argsort(-counts, kind="stable")
-    rows = np.take_along_axis(rows, first, axis=1)[by_count]
-    levels = list(zip(starts[1:].tolist(), sizes))
-    return order[: np.count_nonzero(emax)], levels, rows, np.argsort(by_count)
+    used = np.flatnonzero(expo.any(axis=0))
+    var: list[int] = []
+    exps: list[int] = []
+    rows = np.zeros((len(expo), max(1, len(used))), dtype=np.intp)
+    for c, j in enumerate(used):
+        es, inv = np.unique(expo[:, j], return_inverse=True)
+        first = 1 + len(exps) - int(es[0] == 0)  # es[i] > 0 takes row first + i
+        rows[:, c] = np.where(expo[:, j] > 0, first + inv, 0)
+        held = es[es > 0].tolist()
+        var += [c] * len(held)
+        exps += held
+    return used, np.array(var, dtype=np.intp), np.array(exps, dtype=np.int64), rows
 
 
 def rho_estimate(
@@ -255,14 +252,15 @@ def rho_estimate(
 
     Sampling uses a Philox counter-based generator keyed by ``seed``; for a
     fixed (seed, samples) pair the estimate is deterministic.  Each sample
-    costs one complex exponential per variable, w_j = exp(i theta_j); the
-    powers w_j^e up to the largest exponent of each variable are built by
-    repeated multiplication, each monomial z^alpha is the product of its
-    variables' powers, and the terms are summed in lexicographic order of
-    their exponents without a BLAS call, so the bits do not depend on the
-    BLAS thread count.  Chunks of ``_MC_CHUNK`` samples and the sub-blocks
-    of ``_MC_BLOCK`` samples inside them only group the stream, they do not
-    reorder it.
+    costs one complex exponential per variable, w_j = exp(i theta_j).  The
+    powers w_j^e are built by square-and-multiply, only for the exponents
+    that occur (``_power_rows``), so the cost grows with the number of terms
+    and of distinct exponents and with log2 of the degree, not with the
+    degree.  Each monomial z^alpha is the product of its variables' powers,
+    and the terms are summed in lexicographic order of their exponents
+    without a BLAS call, so the bits do not depend on the BLAS thread count.
+    Chunks of ``_MC_CHUNK`` samples and the sub-blocks of ``_MC_BLOCK``
+    samples inside them only group the stream, they do not reorder it.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -273,9 +271,12 @@ def rho_estimate(
     if table is None:
         table = sieve_for_n_primes(f.n_vars)
     coefs, rad, expo = _term_arrays(f, k, table)
-    used, levels, rows, lex = _power_table_plan(expo)
-    n_rows = 1 + sum(size for _, size in levels)
-    longer = np.count_nonzero(rows, axis=0)  # terms with more than r variables
+    used, var, exps, rows = _power_rows(expo)
+    # for each bit b of the exponents: the rows that take the factor w_j^(2^b), and their j
+    steps = []
+    for b in range(int(exps.max(initial=0)).bit_length()):
+        sel = np.flatnonzero((exps >> b) & 1)
+        steps.append((1 + sel, var[sel]))
     gen = np.random.Generator(np.random.Philox(key=seed))
     total = 0.0
     total_sq = 0.0
@@ -284,19 +285,19 @@ def rho_estimate(
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         theta = gen.uniform(0.0, 2.0 * np.pi, size=(m, f.n_vars))
-        w = np.exp(1j * theta[:, used].T)  # (variables, m), level 1 of the table
+        w = np.exp(1j * theta[:, used].T)  # (used variables, m)
         vals = np.empty(m, dtype=np.complex128)
         for lo in range(0, m, _MC_BLOCK):
             hi = min(lo + _MC_BLOCK, m)
-            powers = np.empty((n_rows, hi - lo), dtype=np.complex128)
-            powers[0] = 1.0
-            powers[1 : 1 + len(used)] = w[:, lo:hi]
-            for (below, _), (start, size) in zip(levels, levels[1:]):
-                powers[start : start + size] = powers[below : below + size] * powers[1 : 1 + size]
+            powers = np.ones((1 + len(exps), hi - lo), dtype=np.complex128)
+            square = w[:, lo:hi]  # w_j^(2^b)
+            for b, (at, of) in enumerate(steps):
+                if b:
+                    square = square * square
+                powers[at] *= square[of]
             mono = powers[rows[:, 0]]
-            for r in range(1, rows.shape[1]):
-                mono[: longer[r]] *= powers[rows[: longer[r], r]]
-            mono = mono[lex]
+            for c in range(1, rows.shape[1]):
+                mono *= powers[rows[:, c]]
             mono *= scaled
             vals[lo:hi] = mono.sum(axis=0)  # term by term, no BLAS call
         stat = np.abs(vals) ** p

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,25 @@ def test_rho_many_variables_few_exponents():
     f = MultiPoly(40, terms)
     got = rho_estimate(f, 2, 3.0, 3000, 9)
     assert_same_estimate(got, rho_estimate_phases(f, 2, 3.0, 3000, 9))
+
+
+@pytest.mark.parametrize("alpha", [(10**5,), (0, 10**5, 1)])
+def test_rho_high_degree_monomial_bounded_memory(alpha):
+    # the power table holds one row per exponent that occurs, not one per
+    # exponent up to the degree: a table up to 10^5 would take 1.6 GB per
+    # 1024-sample sub-block.  k = 10^5 keeps the radius near 2^{-1} or 3^{-1}.
+    f = MultiPoly(len(alpha), {MultiIndex(alpha): 2 - 1j})
+    tracemalloc.start()
+    try:
+        got = rho_estimate(f, 10**5, 3.0, 16_385, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    want = rho_estimate_phases(f, 10**5, 3.0, 16_385, 5)
+    assert abs(got.value - want.value) <= 1e-13 * want.value
+    # |f| is constant on the torus, so the standard error is rounding noise
+    assert got.std_error <= 1e-9 * got.value
 
 
 # -- weighted Parseval path ------------------------------------------------------------
