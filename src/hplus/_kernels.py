@@ -88,6 +88,32 @@ def from_support(idx: np.ndarray, vals: np.ndarray, out_len: int) -> np.ndarray:
     return c
 
 
+# Largest ratio max(index) / products at which _merge_indices marks slots
+# instead of sorting: it bounds the mark and rank tables (9 bytes a slot) to
+# 144 bytes per product, however large the indices.
+_MARK_SLOTS_PER_PRODUCT = 16
+
+
+def _merge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, inv): the distinct values of idx ascending, and idx == n[inv].
+
+    Marks the values in a boolean table over 0..max(idx) and reads n off it
+    when max(idx) <= _MARK_SLOTS_PER_PRODUCT * len(idx); a rank table over
+    the same range then maps each marked value to its place in n (slots
+    that are not marked are never written or read).  Otherwise
+    ``np.unique(idx, return_inverse=True)``.  Both give the same (n, inv).
+    """
+    top = int(idx.max(initial=0))
+    if top > _MARK_SLOTS_PER_PRODUCT * len(idx):
+        return np.unique(idx, return_inverse=True)
+    marks = np.zeros(top + 1, dtype=bool)
+    marks[idx] = True
+    n = np.flatnonzero(marks)
+    rank = np.empty(top + 1, dtype=np.intp)
+    rank[n] = np.arange(len(n))
+    return n, rank[idx]
+
+
 def convolve_support(
     ia: np.ndarray, va: np.ndarray, ib: np.ndarray, vb: np.ndarray, out_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,14 +129,15 @@ def convolve_support(
         ia, va, ib, vb = ib, vb, ia, va
     if len(ia) == 0:
         return ia, va
-    # row i keeps the prefix ib[:tops[i]] of the inner indices; the values
-    # are one scalar-times-slice product per row, as in the dense loop,
-    # because numpy's complex multiply rounds differently on some broadcast
-    # layouts
+    # row i pairs the outer term i with the inner prefix ib[:tops[i]]; the
+    # rows are laid end to end, so inner[j] counts j's place in its row, and
+    # the outer value stays the left factor as in the dense loop
     tops = np.searchsorted(ib, out_len // ia, side="right")
-    idx = np.concatenate([d * ib[:top] for d, top in zip(ia, tops)])
-    vals = np.concatenate([v * vb[:top] for v, top in zip(va, tops)])
-    n, inv = np.unique(idx, return_inverse=True)
+    ends = np.cumsum(tops)
+    inner = np.arange(ends[-1]) - np.repeat(ends - tops, tops)
+    idx = np.repeat(ia, tops) * ib[inner]
+    vals = np.repeat(va, tops) * vb[inner]
+    n, inv = _merge_indices(idx)
     c = np.empty(len(n), dtype=np.complex128)
     c.real = np.bincount(inv, weights=vals.real, minlength=len(n))
     c.imag = np.bincount(inv, weights=vals.imag, minlength=len(n))

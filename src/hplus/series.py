@@ -11,6 +11,7 @@ guessing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -330,11 +331,13 @@ def seminorm_even(
     return SeminormValue(value, exact)
 
 
+@functools.lru_cache(maxsize=256)
 def seminorm_comparison_constant(k: int, p: float, q: float) -> float:
     """Constant C_{k,p,q} comparing ||.||_{q,k} against ||.||_{p,2k}.
 
     Equals prod_{j <= j0} (1 - p_j^{-1/(2k)})^{-1} where j0 counts the primes
-    with p_j^{-1/(2k)} >= sqrt(p/q); the empty product is 1.
+    with p_j^{-1/(2k)} >= sqrt(p/q); the empty product is 1.  Memoized: the
+    value is a pure function of (k, p, q), and each new one sieves.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

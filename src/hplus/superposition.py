@@ -11,6 +11,7 @@ never materializing the underlying integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -269,12 +270,14 @@ def _chain_bound(m: int, k: int) -> float:
     return bound
 
 
+@functools.lru_cache(maxsize=256)
 def _chain_constant_parts(m: int, k: int) -> tuple[int, float]:
     """Cut index and prime product for the power-norm chain constant.
 
     Returns (j_cut, prod) with prod = product over the j_cut primes having
     p_j^{-1/(4m)} > sqrt(2/k) of (1 - p_j^{-1/(4m)})^{-1}; empty (0, 1.0)
-    whenever sqrt(2/k) >= 1, i.e. k <= 2.
+    whenever sqrt(2/k) >= 1, i.e. k <= 2.  Memoized: the value is a pure
+    function of (m, k), and each new one sieves.
     """
     threshold = math.sqrt(2.0 / k)
     if threshold >= 1.0:
@@ -295,18 +298,24 @@ def _chain_prime_product(m: int, k: int) -> float:
     return _chain_constant_parts(m, k)[1]
 
 
-def power_norm_chain_check(p_series: DirichletSeries, m: int, k: int) -> ChainCheck:
+def power_norm_chain_check(
+    p_series: DirichletSeries, m: int, k: int, out_truncation: int | None = None
+) -> ChainCheck:
     """Verify ||P^k||_{2,m} <= C_m * prod^k * ||P||_{2,4m}^k on a polynomial.
 
-    The power is computed at P's own truncation, which must contain the full
-    support of P^k (support(P)^k <= truncation), else InexactPower is raised.
-    Both norms are summed over supports (see ``power``), so a polynomial
-    padded to a large truncation costs what its nonzero terms cost.
+    The power is computed at the working truncation ``out_truncation``
+    (default: P's own truncation), which must contain the full support of
+    P^k (support(P)^k <= out_truncation), else InexactPower is raised.  Both
+    norms are summed over supports (see ``power``), so P need not be padded
+    to the working truncation, and a padded P costs what its nonzero terms
+    cost.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    n_trunc = p_series.truncation
-    idx, vals = support(p_series.coeffs, n_trunc)
+    n_trunc = p_series.truncation if out_truncation is None else out_truncation
+    if n_trunc < 1:
+        raise ValueError(f"out_truncation must be >= 1, got {n_trunc}")
+    idx, vals = support(p_series.coeffs, p_series.truncation)
     sup = int(idx[-1]) if len(idx) else 0
     if sup**k > n_trunc:
         raise InexactPower(

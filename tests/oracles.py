@@ -8,7 +8,8 @@ after them are multiplicative extension and the Bohr lift as they were
 before they were vectorized; each is kept as the bit-for-bit reference for
 its replacement.  The last is the Monte Carlo rho estimator as it was
 before it built monomials from power tables, the reference within 1e-13
-relative for its replacement.
+relative for its replacement.  ``convolve_support_rows`` is the support
+product as it was before its rows were built with one gather.
 """
 
 from __future__ import annotations
@@ -168,6 +169,29 @@ def dirichlet_convolve_loop(a, b, out_len: int):
         if top:
             c[d - 1 : d * top : d] += a[i] * b[:top]
     return c
+
+
+def convolve_support_rows(ia, va, ib, vb, out_len: int):
+    """Truncated Dirichlet convolution of two supports, built row by row.
+
+    The sparser operand is the outer axis; each outer term d, v contributes
+    the products d * ib[:top], v * vb[:top] of one row, and equal indices are
+    merged through ``np.unique`` and ``np.bincount`` in row order.  The
+    support kernel as it was before it built all rows with one gather.
+    """
+    if len(ib) < len(ia):
+        ia, va, ib, vb = ib, vb, ia, va
+    if len(ia) == 0:
+        return ia, va
+    tops = np.searchsorted(ib, out_len // ia, side="right")
+    idx = np.concatenate([d * ib[:top] for d, top in zip(ia, tops)])
+    vals = np.concatenate([v * vb[:top] for v, top in zip(va, tops)])
+    n, inv = np.unique(idx, return_inverse=True)
+    c = np.empty(len(n), dtype=np.complex128)
+    c.real = np.bincount(inv, weights=vals.real, minlength=len(n))
+    c.imag = np.bincount(inv, weights=vals.imag, minlength=len(n))
+    nz = c != 0
+    return n[nz], c[nz]
 
 
 def divisor_sum_loop(t):

@@ -9,7 +9,7 @@ import pytest
 
 import hplus
 from hplus import __version__
-from hplus.cli import main
+from hplus.cli import SUITE_SUPPORT_LIMIT, main
 from hplus.operators import Symbol, character_to_json, symbol_to_json
 from hplus.series import (
     DirichletSeries,
@@ -268,6 +268,21 @@ def test_experiment_inequality_suite_small(tmp_path):
     for name in ("seminorm_chain.csv", "algebra.csv", "power_chain.csv"):
         body = (tmp_path / name).read_text()
         assert "false" not in body.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "flags,code",
+    [
+        (["--count", "1"], 2),
+        (["--count", "0"], 2),
+        (["--support", "0"], 2),
+        (["--support", str(SUITE_SUPPORT_LIMIT + 1)], 3),
+    ],
+)
+def test_inequality_suite_rejects_sizes_before_any_work(tmp_path, flags, code):
+    out_dir = tmp_path / "suite"
+    assert main(["experiment", "inequality-suite", "--out-dir", str(out_dir), *flags]) == code
+    assert not any(tmp_path.iterdir())  # no --out-dir, no staging directory
 
 
 def test_experiment_noncomposition_small(tmp_path):

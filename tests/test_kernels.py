@@ -4,6 +4,7 @@ import pytest
 from hplus import _kernels
 
 from oracles import (
+    convolve_support_rows,
     dirichlet_convolve_loop,
     dirichlet_convolve_quadratic,
     divisor_sum_loop,
@@ -131,6 +132,47 @@ def test_convolve_support_operand_order(rng):
             assert np.array_equal(v1.view(np.uint64), v2.view(np.uint64))
         else:  # ties keep the first operand outer: the sums agree to rounding
             assert np.allclose(v1, v2, rtol=1e-13, atol=1e-13)
+
+
+def _random_support(rng, nnz, top):
+    """nnz ascending 1-based indices drawn from 1..top, with complex values."""
+    idx = np.sort(rng.choice(top, size=nnz, replace=False)) + 1
+    return idx, rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+
+
+def test_convolve_support_bit_identical_to_row_oracle(rng, monkeypatch):
+    # each merge is recorded as marks (max index <= 16 x products) or unique
+    branches = []
+    real = _kernels._merge_indices
+
+    def spy(idx):
+        slots = _kernels._MARK_SLOTS_PER_PRODUCT * len(idx)
+        branches.append(int(idx.max(initial=0)) <= slots)
+        return real(idx)
+
+    monkeypatch.setattr(_kernels, "_merge_indices", spy)
+    cases = [
+        (5, ([5], [1.0 + 2.0j]), ([2, 3], [1.0, -1.0j])),  # every top 0: no products
+        (40, ([1], [1.0]), ([1, 32], [1.0, 2.0])),  # max index 32 = 16 x 2 products
+        (40, ([1], [1.0]), ([1, 33], [1.0, 2.0])),  # 33 > 16 x 2
+    ]
+    for _ in range(400):
+        out_len = int(np.exp(rng.uniform(0.0, np.log(200_000))))
+        spread = int(rng.integers(1, out_len + 1))  # indices crowded into 1..spread
+        nnz_a = int(rng.integers(0, min(spread, 40) + 1))
+        nnz_b = nnz_a if rng.random() < 0.25 else int(rng.integers(0, min(spread, 40) + 1))
+        cases.append(
+            (out_len, _random_support(rng, nnz_a, spread), _random_support(rng, nnz_b, spread))
+        )
+    for out_len, (ia, va), (ib, vb) in cases:
+        ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+        va, vb = np.asarray(va, dtype=np.complex128), np.asarray(vb, dtype=np.complex128)
+        got_n, got_v = _kernels.convolve_support(ia, va, ib, vb, out_len)
+        want_n, want_v = convolve_support_rows(ia, va, ib, vb, out_len)
+        assert got_n.dtype == want_n.dtype and np.array_equal(got_n, want_n)
+        assert got_v.dtype == want_v.dtype and _same_bits(got_v, want_v)
+    assert branches[:3] == [True, True, False]
+    assert True in branches[3:] and False in branches[3:]
 
 
 def _dense_operand(rng, length):

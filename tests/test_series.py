@@ -7,7 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hplus import _kernels
-from hplus.errors import UndefinedAbscissa
+from hplus import series as series_module
+from hplus import superposition
+from hplus.errors import BeyondDeskScale, UndefinedAbscissa
 from hplus.numtheory import divisor_power_table
 from hplus.series import (
     DirichletSeries,
@@ -369,6 +371,34 @@ def test_comparison_constant_monotone_in_q():
     for k in (1, 2):
         vals = [seminorm_comparison_constant(k, 2, q) for q in (2, 4, 8, 16)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_chain_constants_memoized(monkeypatch):
+    # every distinct argument sieves once; repeats return the same bits and
+    # calls beyond desk scale keep raising
+    limits = []
+    for module in (series_module, superposition):
+        real = module.sieve
+
+        def counted(limit, *args, _real=real, **kwargs):
+            limits.append(limit)
+            return _real(limit, *args, **kwargs)
+
+        monkeypatch.setattr(module, "sieve", counted)
+    comparison, parts = seminorm_comparison_constant, superposition._chain_constant_parts
+    comparison.cache_clear()
+    parts.cache_clear()
+    for _ in range(3):
+        consts = [comparison(k, 2, 4) for k in (1, 2, 3, 4)]
+        chain = [parts(m, k) for m in (1, 2) for k in (3, 4)]
+        for args in ((30, 2, 4), (5, 1, 100)):
+            with pytest.raises(BeyondDeskScale):
+                comparison(*args)
+        with pytest.raises(BeyondDeskScale):
+            parts(4, 40)
+    assert len(limits) == 8
+    assert consts == [comparison.__wrapped__(k, 2, 4) for k in (1, 2, 3, 4)]
+    assert chain == [parts.__wrapped__(m, k) for m in (1, 2) for k in (3, 4)]
 
 
 def test_comparison_constant_rejects_bad_order():

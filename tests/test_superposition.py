@@ -183,6 +183,22 @@ def test_chain_threshold_cut_k3():
     assert chk.prime_product == pytest.approx(1 / (1 - 2 ** (-1 / 4)), rel=1e-13)
 
 
+def test_chain_working_truncation_matches_padded(rng):
+    sup = 30
+    base = series(rng.normal(size=sup) + 1j * rng.normal(size=sup))
+    fields = ("lhs", "rhs", "base_norm", "prime_product")
+    for k in (1, 2, 3, 4):
+        got = power_norm_chain_check(base, 1, k, out_truncation=sup**k)
+        want = power_norm_chain_check(with_truncation(base, sup**k), 1, k)
+        assert got.j_cut == want.j_cut
+        bits = [np.float64(getattr(c, f)).view(np.uint64) for c in (got, want) for f in fields]
+        assert bits[:4] == bits[4:]
+        with pytest.raises(InexactPower):
+            power_norm_chain_check(base, 1, k, out_truncation=sup**k - 1)
+    with pytest.raises(ValueError):
+        power_norm_chain_check(base, 1, 1, out_truncation=0)
+
+
 # -- log-space witnesses -----------------------------------------------------------------
 
 def test_witness_matches_direct_small_case():
