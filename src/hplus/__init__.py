@@ -35,6 +35,7 @@ from .numtheory import (
     PrimeTable,
     chebyshev_theta,
     divisor_power_table,
+    euler_product,
     factorize,
     prime_pi,
     sieve,
@@ -47,7 +48,6 @@ from .operators import (
     GridSpec,
     Symbol,
     classify_symbol,
-    compose_affine,
     compose_general,
     differentiate,
     integrate,
@@ -59,7 +59,6 @@ from .operators import (
 from .series import (
     AbscissaReport,
     DirichletSeries,
-    SeminormParams,
     SeminormValue,
     abscissa_estimates,
     add,

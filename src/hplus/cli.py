@@ -43,6 +43,9 @@ CACHE_FLAG_HELP = "sieve cache directory (overrides HPLUS_CACHE_DIR)"
 # index products each, and its products run at truncation support^2; at
 # 2 000 a --count 2 run peaks near 260 MB of RSS.
 SUITE_SUPPORT_LIMIT = 2000
+# inequality-suite's largest --count x --support: all polynomials are drawn
+# before the first row, 16 B per coefficient (16 MB at this limit).
+SUITE_COEFF_LIMIT = 10**6
 
 EXPERIMENTS = (
     "inequality-suite",
@@ -152,6 +155,21 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+def _tail_rows(diagnostics) -> list[tuple]:
+    """Growth-table rows (k_from, tail seminorm, majorant) of tail diagnostics.
+
+    The majorant is left empty where it is missing or its log is 700 or
+    more, past which exp overflows.
+    """
+    rows = []
+    for diag in diagnostics:
+        maj = None
+        if diag.log_majorant is not None and diag.log_majorant < 700:
+            maj = math.exp(diag.log_majorant)
+        rows.append((diag.k_from, diag.tail_seminorm, maj))
+    return rows
+
+
 def _cmd_superpose(args) -> int:
     d = load_series(args.infile)
     if args.coeffs:
@@ -170,14 +188,8 @@ def _cmd_superpose(args) -> int:
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
     _atomic_write_json(args.out, series_to_json(result))
     if args.diagnostics and diagnostics:
-        rows = []
-        for diag in diagnostics:
-            maj = None
-            if diag.log_majorant is not None and diag.log_majorant < 700:
-                maj = math.exp(diag.log_majorant)
-            rows.append((diag.k_from, diag.tail_seminorm, maj))
         tmp = args.diagnostics + ".part"
-        superposition.write_growth_table(rows, tmp)
+        superposition.write_growth_table(_tail_rows(diagnostics), tmp)
         os.replace(tmp, args.diagnostics)
     return 0
 
@@ -219,6 +231,11 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
         raise BeyondDeskScale(
             f"--support {support} forms {support}^2 products per seminorm; "
             f"beyond desk scale (limit {SUITE_SUPPORT_LIMIT})"
+        )
+    if count * support > SUITE_COEFF_LIMIT:
+        raise BeyondDeskScale(
+            f"--count {count} x --support {support} coefficients are drawn up front; "
+            f"beyond desk scale (limit {SUITE_COEFF_LIMIT})"
         )
     rng = np.random.default_rng(args.seed)
     out_trunc = support * support
@@ -418,9 +435,8 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
         result, diags = superposition.superpose_entire(d, ec, kmax, m)
         if series_doc is None:
             series_doc = series_to_json(result)
-        rows = [(diag.k_from, diag.tail_seminorm, 1e-12) for diag in diags]
         name = f"tails_m{m}.csv"
-        superposition.write_growth_table(rows, os.path.join(outdir, name))
+        superposition.write_growth_table(_tail_rows(diags), os.path.join(outdir, name))
         outputs.append(name)
     _atomic_write_json(os.path.join(outdir, "superposed.json"), series_doc)
     outputs.append("superposed.json")
@@ -436,13 +452,16 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
 def _cmd_experiment(args) -> int:
     """Run one experiment in a temporary directory, then move its files into --out-dir.
 
-    The temporary directory sits inside --out-dir when that exists and next
-    to it otherwise.  A run that fails deletes it: it leaves no file and
-    creates no --out-dir.  The manifest is moved last.
+    The temporary directory sits in the nearest existing directory on the
+    path to --out-dir (--out-dir itself when it exists), and --out-dir is
+    created only once the experiment has succeeded.  A run that fails
+    deletes the temporary directory: it leaves no file and creates no
+    directory.  The manifest is moved last.
     """
     outdir = os.path.abspath(args.out_dir)
-    where = outdir if os.path.isdir(outdir) else os.path.dirname(outdir)
-    os.makedirs(where, exist_ok=True)
+    where = outdir
+    while not os.path.isdir(where):
+        where = os.path.dirname(where)
     runners = {
         "inequality-suite": _exp_inequality_suite,
         "bohr-parseval": _exp_bohr_parseval,

@@ -1,9 +1,18 @@
-"""Prime sieve, factorization, divisor functions d_k, and exact prime counts.
+"""Prime sieve, factorization, divisor functions d_k, exact prime counts, and
+the truncated Euler products behind the comparison and chain constants.
 
 Everything here is exact and sieve-backed: no analytic approximations of
 pi(x) are used anywhere.  Tables are immutable after construction (the
 smallest-prime-factor table is sieved on first read, always to the same
 values) and safe to share across threads.
+
+``euler_product(e, t)`` is the one routine that walks primes to form an
+Euler product: prod over the primes with p^{-1/e} >= t of (1 - p^{-1/e})^{-1},
+with its log.  It keeps one prefix per exponent e over the primes up to the
+largest bound t^{-e} asked for so far: the factors r_j = p_j^{-1/e} (libm
+``pow``, as Python's float ``**``), their running product of 1/(1 - r_j)
+and the running sum of -log1p(-r_j).  A call reads its cut off that prefix
+and sieves again only when it needs a larger bound.
 """
 
 from __future__ import annotations
@@ -17,10 +26,14 @@ from itertools import compress
 import numpy as np
 
 from . import _kernels
-from .errors import TableTooSmall
+from .errors import BeyondDeskScale, TableTooSmall
 
 CACHE_ENV = "HPLUS_CACHE_DIR"
 _CACHE_MAGIC = "hplus-sieve-v1"
+
+# Euler products need primes up to threshold^(-exponent); above this bound
+# they are beyond desk scale.
+DESK_SCALE_PRIME_BOUND = 1e8
 
 
 @dataclass(frozen=True)
@@ -235,3 +248,63 @@ def smooth_numbers(n_primes: int, limit: int, table: PrimeTable) -> np.ndarray:
                 w *= p
         out.extend(extended)
     return np.array(sorted(out), dtype=np.int64)
+
+
+# exponent -> (sieve limit, -r_j, running products, running log sums), over
+# the primes up to the sieve limit; see the module docstring.
+_euler_prefixes: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+# primes turned into floats per Python-level pow batch
+_POW_CHUNK = 1 << 16
+
+
+def euler_product(exponent: int, threshold: float) -> tuple[int, float, float]:
+    """(j_cut, product, log_product) of the Euler product at ``exponent``.
+
+    The product runs over the j_cut primes p_j with r_j = p_j^{-1/exponent}
+    >= ``threshold`` (the first j_cut primes) of (1 - r_j)^{-1}, multiplied
+    in ascending order; log_product sums -log1p(-r_j) in the same order and
+    stays finite where the product overflows to inf.  The empty product,
+    (0, 1.0, 0.0), is returned without sieving when threshold >= 1.  The
+    primes lie below threshold^(-exponent); BeyondDeskScale is raised when
+    that bound exceeds DESK_SCALE_PRIME_BOUND.
+    """
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if threshold >= 1.0:
+        return 0, 1.0, 0.0
+    bound = threshold ** (-float(exponent))
+    if bound > DESK_SCALE_PRIME_BOUND:
+        raise BeyondDeskScale(
+            f"Euler product at exponent {exponent}, threshold {threshold!r} needs primes "
+            f"up to {bound:.2e}; beyond desk scale"
+        )
+    limit = math.ceil(bound) + 1  # a bound rounded just below a prime still reaches it
+    prefix = _euler_prefixes.get(exponent)
+    if prefix is None or prefix[0] < limit:
+        prefix = _euler_prefixes[exponent] = _euler_prefix(exponent, limit)
+    _, neg_r, products, log_products = prefix
+    j_cut = int(np.searchsorted(neg_r, -threshold, side="right"))  # r_j descends
+    if j_cut == 0:
+        return 0, 1.0, 0.0
+    return j_cut, float(products[j_cut - 1]), float(log_products[j_cut - 1])
+
+
+def _euler_prefix(exponent: int, limit: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    primes = sieve(limit).primes
+    power = -1.0 / exponent
+    neg_r = np.empty(len(primes), dtype=np.float64)
+    for start in range(0, len(primes), _POW_CHUNK):
+        chunk = primes[start : start + _POW_CHUNK].tolist()
+        neg_r[start : start + len(chunk)] = [-(float(p) ** power) for p in chunk]
+    del primes
+    products = np.add(1.0, neg_r)  # 1 - r_j
+    np.divide(1.0, products, out=products)
+    with np.errstate(over="ignore"):  # the log sums stay finite
+        np.cumprod(products, out=products)
+    log_products = np.log1p(neg_r)
+    np.negative(log_products, out=log_products)
+    np.cumsum(log_products, out=log_products)
+    return limit, neg_r, products, log_products

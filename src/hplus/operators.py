@@ -157,27 +157,6 @@ class ClassificationReport:
 # composition
 # ---------------------------------------------------------------------------
 
-def compose_affine(d: DirichletSeries, c0: int, c1: complex) -> DirichletSeries:
-    """Composition with the affine symbol c0*s + c1, c0 >= 1: reindexing n -> n^{c0}.
-
-    The coefficient landing at m = n^{c0} is a_n * n^{-c1}; everything else
-    is zero.  Output truncation equals the input truncation.
-    """
-    if c0 < 1 or int(c0) != c0:
-        raise ValueError(f"c0 must be a positive integer, got {c0}")
-    c0 = int(c0)
-    n_trunc = d.truncation
-    out = np.zeros(n_trunc, dtype=np.complex128)
-    c1 = complex(c1)
-    n = 1
-    while n**c0 <= n_trunc:
-        a = d.coeffs[n - 1]
-        if a != 0:
-            out[n**c0 - 1] = a * np.exp(-c1 * math.log(n)) if n > 1 else a
-        n += 1
-    return DirichletSeries(out)
-
-
 def _int_root(m: int, c0: int) -> int:
     """Largest t with t^c0 <= m, exact integer arithmetic."""
     t = int(round(m ** (1.0 / c0)))
@@ -442,7 +421,10 @@ def symbol_to_json(phi: Symbol) -> dict:
 def symbol_from_json(obj: dict) -> Symbol:
     if not isinstance(obj, dict) or "c0" not in obj or "varphi" not in obj:
         raise ValueError("symbol JSON must hold fields 'c0' and 'varphi'")
-    return Symbol(int(obj["c0"]), series_from_json(obj["varphi"]))
+    c0 = obj["c0"]
+    if type(c0) is not int:  # bool is an int subclass; 1.5, "1" and true are rejected
+        raise ValueError(f"field 'c0' must be a JSON integer, got {c0!r}")
+    return Symbol(c0, series_from_json(obj["varphi"]))
 
 
 def character_to_json(chi: Character) -> dict:

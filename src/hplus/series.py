@@ -11,7 +11,6 @@ guessing.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import BeyondDeskScale, UndefinedAbscissa
-from .numtheory import sieve
+from .errors import UndefinedAbscissa
+from .numtheory import euler_product
 
 
 @dataclass(frozen=True)
@@ -111,20 +110,6 @@ class SeminormValue(NamedTuple):
 
     value: float
     exact: bool
-
-
-@dataclass(frozen=True)
-class SeminormParams:
-    """Index pair (p, k) of a seminorm; exact evaluation needs p = 2 or p even."""
-
-    p: float
-    k: int
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -331,36 +316,18 @@ def seminorm_even(
     return SeminormValue(value, exact)
 
 
-@functools.lru_cache(maxsize=256)
 def seminorm_comparison_constant(k: int, p: float, q: float) -> float:
     """Constant C_{k,p,q} comparing ||.||_{q,k} against ||.||_{p,2k}.
 
     Equals prod_{j <= j0} (1 - p_j^{-1/(2k)})^{-1} where j0 counts the primes
-    with p_j^{-1/(2k)} >= sqrt(p/q); the empty product is 1.  Memoized: the
-    value is a pure function of (k, p, q), and each new one sieves.
+    with p_j^{-1/(2k)} >= sqrt(p/q); the empty product is 1.  Read off the
+    prefix ``numtheory.euler_product`` keeps for exponent 2k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    threshold = math.sqrt(p / q)
-    # p_j^{-1/(2k)} >= threshold  <=>  p_j <= (q/p)^k
-    bound = (q / p) ** k
-    if bound < 2:
-        return 1.0
-    if bound > 1e8:
-        raise BeyondDeskScale(
-            f"comparison constant for k={k}, p={p}, q={q} needs primes up to "
-            f"{bound:.2e}; beyond desk scale"
-        )
-    table = sieve(max(2, math.ceil(bound) + 1))
-    const = 1.0
-    for pj in table.primes:
-        r = float(pj) ** (-1.0 / (2.0 * k))
-        if r < threshold:
-            break
-        const *= 1.0 / (1.0 - r)
-    return const
+    return euler_product(2 * k, math.sqrt(p / q))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ never materializing the underlying integers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import support
-from .errors import BeyondDeskScale, InexactPower
-from .numtheory import PrimeTable, chebyshev_theta, prime_pi, sieve
+from .errors import InexactPower
+from .numtheory import PrimeTable, chebyshev_theta, euler_product, prime_pi, sieve
 from .series import (
     DirichletSeries,
     _power_terms,
@@ -102,7 +101,7 @@ class ChainCheck:
     """Both sides of the power-norm chain inequality with its explicit constant.
 
     lhs = ||P^k||_{2,m} (exact), rhs = C_m * prod^k * ||P||_{2,4m}^k, where
-    prod runs over the primes with p_j^{-1/(4m)} > sqrt(2/k).
+    prod runs over the primes with p_j^{-1/(4m)} >= sqrt(2/k).
     """
 
     lhs: float
@@ -181,17 +180,25 @@ def superpose_entire(
     || sum_{K'<k<=K} a_k D^k ||_{2,m_check}, plus (when the tag admits it)
     the explicit log-space majorant assembled from the power-norm chain
     constant: log|a_k| + k log(prod_k * ||D||_{2,4m}) + log C_m, summed over
-    the tail in log space.  When that constant for k = K needs primes beyond
+    the tail in log space.  log prod_k and log C_m are the log sums of their
+    Euler products, finite where the products overflow, so the majorant is
+    finite for every m.  When that constant for k = K needs primes beyond
     desk scale, BeyondDeskScale is raised before any power is formed.
     """
     if big_k < 1:
         raise ValueError(f"K must be >= 1, got {big_k}")
     if m_check < 1:
         raise ValueError(f"m_check must be >= 1, got {m_check}")
-    c_m = seminorm_comparison_constant(m_check, 1, 2)
     base_norm = seminorm_2(d, 4 * m_check)
+    log_terms = []  # log of the k-th majorant term, k = 1..K
     if ec.log_abs is not None and base_norm > 0:
-        _chain_bound(m_check, big_k)  # the majorant needs the constant for every k <= K
+        log_c_m = euler_product(2 * m_check, math.sqrt(1 / 2))[2]  # C_{m,1,2}
+        # k = K first: its prime bound decides desk scale, and its one sieve
+        # serves every k
+        for k in range(big_k, 0, -1):
+            log_prod = euler_product(4 * m_check, math.sqrt(2.0 / k))[2]
+            log_terms.append(log_c_m + k * (log_prod + math.log(base_norm)) + ec.log_abs(k))
+        log_terms.reverse()
     n_trunc = d.truncation
     powers = [DirichletSeries.monomial(1, 1.0, n_trunc)]
     base = with_truncation(d, n_trunc)
@@ -214,19 +221,10 @@ def superpose_entire(
     for k_from in range(0, big_k):
         delta = seminorm_2(tails[k_from], m_check)
         log_maj = None
-        if ec.log_abs is not None:
-            logs = []
-            for k in range(k_from + 1, big_k + 1):
-                prod_k = _chain_prime_product(m_check, k)
-                if base_norm > 0:
-                    logs.append(
-                        math.log(c_m)
-                        + k * (math.log(prod_k) + math.log(base_norm))
-                        + ec.log_abs(k)
-                    )
-            if logs:
-                top = max(logs)
-                log_maj = top + math.log(sum(math.exp(v - top) for v in logs))
+        if log_terms:
+            logs = log_terms[k_from:]
+            top = max(logs)
+            log_maj = top + math.log(sum(math.exp(v - top) for v in logs))
         diagnostics.append(TailDiagnostic(k_from, delta, log_maj))
     return total, diagnostics
 
@@ -255,49 +253,6 @@ def composition_criterion(d: DirichletSeries, m: int, k_max: int) -> GrowthRepor
     return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=norms, roots=roots)
 
 
-def _chain_bound(m: int, k: int) -> float:
-    """sqrt(2/k)^(-4m): the primes in the chain constant for (m, k) lie below it.
-
-    Raises BeyondDeskScale when that is above 1e8.  It grows with k, so the
-    bound for the largest k decides whether a whole ladder fits.
-    """
-    bound = math.sqrt(2.0 / k) ** (-4.0 * m)
-    if bound > 1e8:
-        raise BeyondDeskScale(
-            f"chain constant for m={m}, k={k} needs primes up to {bound:.2e}; "
-            "beyond desk scale"
-        )
-    return bound
-
-
-@functools.lru_cache(maxsize=256)
-def _chain_constant_parts(m: int, k: int) -> tuple[int, float]:
-    """Cut index and prime product for the power-norm chain constant.
-
-    Returns (j_cut, prod) with prod = product over the j_cut primes having
-    p_j^{-1/(4m)} > sqrt(2/k) of (1 - p_j^{-1/(4m)})^{-1}; empty (0, 1.0)
-    whenever sqrt(2/k) >= 1, i.e. k <= 2.  Memoized: the value is a pure
-    function of (m, k), and each new one sieves.
-    """
-    threshold = math.sqrt(2.0 / k)
-    if threshold >= 1.0:
-        return 0, 1.0
-    table = sieve(max(2, math.ceil(_chain_bound(m, k)) + 1))
-    count = 0
-    prod = 1.0
-    for pj in table.primes:
-        r = float(pj) ** (-1.0 / (4.0 * m))
-        if r <= threshold:
-            break
-        count += 1
-        prod *= 1.0 / (1.0 - r)
-    return count, prod
-
-
-def _chain_prime_product(m: int, k: int) -> float:
-    return _chain_constant_parts(m, k)[1]
-
-
 def power_norm_chain_check(
     p_series: DirichletSeries, m: int, k: int, out_truncation: int | None = None
 ) -> ChainCheck:
@@ -323,7 +278,7 @@ def power_norm_chain_check(
         )
     lhs = _weighted_l2_norm(*_power_terms(idx, vals, k, n_trunc), m)
     c_m = seminorm_comparison_constant(m, 1, 2)
-    j_cut, prod = _chain_constant_parts(m, k)
+    j_cut, prod, _ = euler_product(4 * m, math.sqrt(2.0 / k))
     base = _weighted_l2_norm(idx, vals, 4 * m)
     rhs = c_m * prod**k * base**k
     return ChainCheck(

@@ -10,6 +10,10 @@ its replacement.  The last is the Monte Carlo rho estimator as it was
 before it built monomials from power tables, the reference within 1e-13
 relative for its replacement.  ``convolve_support_rows`` is the support
 product as it was before its rows were built with one gather.
+``euler_product_loop`` is the prime loop the comparison and chain constants
+each ran before they shared ``numtheory.euler_product``, and
+``compose_affine`` is the affine reindexing that ``compose_general`` must
+reproduce for a constant series part.
 """
 
 from __future__ import annotations
@@ -294,3 +298,61 @@ def rho_from_values(vals: np.ndarray, k: int, p: float, seed: int):
 def rho_estimate_phases(f, k: int, p: float, samples: int, seed: int, table=None):
     """``bohr.rho_estimate`` with one complex exponential per term and sample."""
     return rho_from_values(rho_phase_values(f, k, samples, seed, table), k, p, seed)
+
+
+def compose_affine(d: DirichletSeries, c0: int, c1: complex) -> DirichletSeries:
+    """Composition with the affine symbol c0*s + c1, c0 >= 1: reindexing n -> n^{c0}.
+
+    The coefficient landing at m = n^{c0} is a_n * n^{-c1}; everything else
+    is zero.  Output truncation equals the input truncation.
+    """
+    from hplus.series import DirichletSeries
+
+    if c0 < 1 or int(c0) != c0:
+        raise ValueError(f"c0 must be a positive integer, got {c0}")
+    c0 = int(c0)
+    n_trunc = d.truncation
+    out = np.zeros(n_trunc, dtype=np.complex128)
+    c1 = complex(c1)
+    n = 1
+    while n**c0 <= n_trunc:
+        a = d.coeffs[n - 1]
+        if a != 0:
+            out[n**c0 - 1] = a * np.exp(-c1 * math.log(n)) if n > 1 else a
+        n += 1
+    return DirichletSeries(out)
+
+
+def eratosthenes(limit: int) -> np.ndarray:
+    """Ascending primes up to limit, from a plain boolean sieve of 0..limit."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for n in range(2, math.isqrt(limit) + 1):
+        if is_prime[n]:
+            is_prime[n * n :: n] = False
+    return np.flatnonzero(is_prime)
+
+
+def euler_product_loop(
+    exponent: int, thresholds, primes: np.ndarray, strict: bool
+) -> list[tuple[int, float]]:
+    """(count, product) of the Euler product at ``exponent`` for each threshold.
+
+    The loop multiplies 1/(1 - r) for r = p^{-1/exponent} over the ascending
+    primes and stops at the first r below the threshold: r < t for the
+    comparison constant (strict=False), r <= t for the chain constant
+    (strict=True).  ``thresholds`` must not increase: one walk then serves
+    them all, and its state at each stop is what the per-threshold loop
+    returned.  ``primes`` must reach past the last stop.
+    """
+    out = []
+    count, prod = 0, 1.0
+    for t in thresholds:
+        while count < len(primes):
+            r = float(primes[count]) ** (-1.0 / exponent)
+            if r <= t if strict else r < t:
+                break
+            count += 1
+            prod *= 1.0 / (1.0 - r)
+        out.append((count, prod))
+    return out

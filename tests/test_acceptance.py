@@ -24,7 +24,6 @@ from hplus.errors import SpectrumPoint
 from hplus.numtheory import MultiIndex, divisor_power_table, sieve
 from hplus.operators import (
     Symbol,
-    compose_affine,
     compose_general,
     differentiate,
     integrate,
@@ -52,7 +51,7 @@ from hplus.superposition import (
     zeta_growth_witness,
 )
 
-from oracles import nonextension_increment_bracket, ordered_factorizations
+from oracles import compose_affine, nonextension_increment_bracket, ordered_factorizations
 
 SEED = 20250802
 

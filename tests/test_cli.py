@@ -9,7 +9,7 @@ import pytest
 
 import hplus
 from hplus import __version__
-from hplus.cli import SUITE_SUPPORT_LIMIT, main
+from hplus.cli import SUITE_COEFF_LIMIT, SUITE_SUPPORT_LIMIT, main
 from hplus.operators import Symbol, character_to_json, symbol_to_json
 from hplus.series import (
     DirichletSeries,
@@ -144,6 +144,19 @@ def test_compose_roundtrips_series_json(series_file, tmp_path):
     assert load_series(str(resaved)) == back
 
 
+@pytest.mark.parametrize("c0", [1.5, "1", True])
+def test_compose_rejects_non_integer_c0(series_file, tmp_path, c0):
+    # each of these once ran as c0 = 1
+    d, path = series_file
+    sym_path = tmp_path / "symbol.json"
+    doc = symbol_to_json(Symbol(1, DirichletSeries(np.array([0.2, 0.05], dtype=np.complex128))))
+    doc["c0"] = c0
+    sym_path.write_text(json.dumps(doc))
+    out = tmp_path / "result.json"
+    assert main(["compose", "--in", str(path), "--symbol", str(sym_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_spectrum_exit_codes(series_file, tmp_path):
     d, path = series_file
     zeroed = DirichletSeries(np.concatenate([[0.0], d.coeffs[1:]]))
@@ -206,9 +219,14 @@ def test_experiment_superpose_exp(tmp_path):
     assert manifest["version"] == __version__
     assert manifest["parameters"]["kmax"] == 6
     assert sorted(manifest["outputs"]) == ["superposed.json", "tails_m1.csv", "tails_m2.csv"]
-    tails = (tmp_path / "tails_m1.csv").read_text().splitlines()
-    assert tails[0] == "k,value,target,margin"
-    assert len(tails) == 7  # header + k_from 0..5
+    for m in (1, 2):
+        tails = (tmp_path / f"tails_m{m}.csv").read_text().splitlines()
+        assert tails[0] == "k,value,target,margin"
+        assert len(tails) == 7  # header + k_from 0..5
+        # the target is the tail majorant, which bounds the tail
+        for row in tails[1:]:
+            _, value, target, _ = row.split(",")
+            assert float(value) <= float(target)
 
 
 def test_experiment_ejemplo_growth_matches_library(tmp_path):
@@ -277,12 +295,14 @@ def test_experiment_inequality_suite_small(tmp_path):
         (["--count", "0"], 2),
         (["--support", "0"], 2),
         (["--support", str(SUITE_SUPPORT_LIMIT + 1)], 3),
+        (["--count", str(SUITE_COEFF_LIMIT // 100 + 1), "--support", "100"], 3),
     ],
 )
 def test_inequality_suite_rejects_sizes_before_any_work(tmp_path, flags, code):
-    out_dir = tmp_path / "suite"
-    assert main(["experiment", "inequality-suite", "--out-dir", str(out_dir), *flags]) == code
-    assert not any(tmp_path.iterdir())  # no --out-dir, no staging directory
+    # with an existing parent of --out-dir and with a missing one
+    for out_dir in (tmp_path / "suite", tmp_path / "lim" / "suite"):
+        assert main(["experiment", "inequality-suite", "--out-dir", str(out_dir), *flags]) == code
+        assert not any(tmp_path.iterdir())  # no --out-dir, parent or staging directory
 
 
 def test_experiment_noncomposition_small(tmp_path):

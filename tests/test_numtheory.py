@@ -6,18 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hplus import _kernels
-from hplus.errors import TableTooSmall
+from hplus.errors import BeyondDeskScale, TableTooSmall
 from hplus.numtheory import (
     MultiIndex,
     chebyshev_theta,
     divisor_power_table,
+    euler_product,
     factorize,
     prime_pi,
     sieve,
     smooth_numbers,
 )
 
+from hplus.series import seminorm_comparison_constant
+
 from oracles import (
+    eratosthenes,
+    euler_product_loop,
     ordered_factorizations_enumerated,
     smallest_factor,
     trial_division_primes,
@@ -275,3 +280,47 @@ def test_nth_prime(table_200):
     assert table_200.nth_prime(10) == 29
     with pytest.raises(TableTooSmall):
         table_200.nth_prime(10_000)
+
+
+# -- Euler products ------------------------------------------------------------
+
+def _same_bits(got, want):
+    return [(j, float(v).hex()) for j, v in got] == [(j, float(v).hex()) for j, v in want]
+
+
+def test_euler_product_matches_old_loops():
+    # each ladder is asked for largest bound first, as superpose_entire asks
+    primes = eratosthenes(10**6)
+    for m in (1, 2, 3, 4):
+        # chain constants: every k with (k/2)^{2m} <= 10^6, strict cut r > t
+        ks = [k for k in range(1, 2001) if k ** (2 * m) <= 10**6 * 4**m]
+        thresholds = [math.sqrt(2.0 / k) for k in ks]
+        got = [euler_product(4 * m, t)[:2] for t in reversed(thresholds)][::-1]
+        assert _same_bits(got, euler_product_loop(4 * m, thresholds, primes, strict=True))
+    for p, q in ((1, 2), (2, 4)):
+        # comparison constants: every k with (q/p)^k <= 10^6, cut r >= t
+        for k in range(1, 20):
+            want = euler_product_loop(2 * k, [math.sqrt(p / q)], primes, strict=False)
+            got = euler_product(2 * k, math.sqrt(p / q))[:2]
+            assert _same_bits([got], want)
+            assert seminorm_comparison_constant(k, p, q) == want[0][1]
+
+
+def test_euler_product_log_sum_stays_finite():
+    # m = 4, k = 8: the chain product overflows, its log does not
+    j_cut, prod, log_prod = euler_product(16, math.sqrt(2.0 / 8))
+    primes = eratosthenes(4**8 + 1)[:j_cut]
+    assert prod == math.inf
+    want = math.fsum(-math.log1p(-float(p) ** (-1 / 16)) for p in primes)
+    assert log_prod == pytest.approx(want, rel=1e-12)
+
+
+def test_euler_product_empty_and_invalid():
+    assert euler_product(4, 1.0) == (0, 1.0, 0.0)
+    assert euler_product(2, 2.0) == (0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        euler_product(0, 0.5)
+    with pytest.raises(ValueError):
+        euler_product(4, 0.0)
+    with pytest.raises(BeyondDeskScale, match="beyond desk scale"):
+        euler_product(2, 1e-5)  # primes up to 1e10

@@ -18,7 +18,6 @@ from hplus.operators import (
     character_from_json,
     character_to_json,
     classify_symbol,
-    compose_affine,
     compose_general,
     differentiate,
     integrate,
@@ -37,7 +36,7 @@ from hplus.series import (
     translate,
 )
 
-from oracles import dict_compose
+from oracles import compose_affine, dict_compose
 
 
 def series(coeffs):
@@ -61,7 +60,7 @@ def random_character(rng, n_primes):
     return Character(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n_primes)))
 
 
-# -- compose_affine -------------------------------------------------------------
+# -- compose_affine (the oracle for constant series parts) -------------------------
 
 def test_affine_identity(rng):
     d = random_series(rng, 20)

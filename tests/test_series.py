@@ -6,14 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hplus import _kernels
-from hplus import series as series_module
-from hplus import superposition
+from hplus import _kernels, numtheory
 from hplus.errors import BeyondDeskScale, UndefinedAbscissa
-from hplus.numtheory import divisor_power_table
+from hplus.numtheory import divisor_power_table, euler_product
 from hplus.series import (
     DirichletSeries,
-    SeminormParams,
     abscissa_estimates,
     add,
     evaluate,
@@ -30,7 +27,12 @@ from hplus.series import (
 )
 from hplus.superposition import power_norm_chain_check
 
-from oracles import dirichlet_convolve_loop, dirichlet_convolve_quadratic
+from oracles import (
+    dirichlet_convolve_loop,
+    dirichlet_convolve_quadratic,
+    eratosthenes,
+    euler_product_loop,
+)
 
 coeff_arrays = st.lists(
     st.tuples(
@@ -374,44 +376,43 @@ def test_comparison_constant_monotone_in_q():
 
 
 def test_chain_constants_memoized(monkeypatch):
-    # every distinct argument sieves once; repeats return the same bits and
-    # calls beyond desk scale keep raising
+    # one prefix per exponent: descending chain ladders, then comparison
+    # constants below their bounds, sieve once per exponent; repeats return
+    # the same bits and calls beyond desk scale keep raising
     limits = []
-    for module in (series_module, superposition):
-        real = module.sieve
+    real = numtheory.sieve
 
-        def counted(limit, *args, _real=real, **kwargs):
-            limits.append(limit)
-            return _real(limit, *args, **kwargs)
+    def counted(limit, *args, **kwargs):
+        limits.append(limit)
+        return real(limit, *args, **kwargs)
 
-        monkeypatch.setattr(module, "sieve", counted)
-    comparison, parts = seminorm_comparison_constant, superposition._chain_constant_parts
-    comparison.cache_clear()
-    parts.cache_clear()
+    monkeypatch.setattr(numtheory, "sieve", counted)
+    monkeypatch.setattr(numtheory, "_euler_prefixes", {})
+    rounds = []
     for _ in range(3):
-        consts = [comparison(k, 2, 4) for k in (1, 2, 3, 4)]
-        chain = [parts(m, k) for m in (1, 2) for k in (3, 4)]
+        chain = [euler_product(4 * m, math.sqrt(2.0 / k)) for m in (1, 2) for k in (8, 6, 3)]
+        consts = [seminorm_comparison_constant(k, 2, 4) for k in (1, 2, 3, 4)]
+        rounds.append([float(v).hex() for v in consts] + [repr(c) for c in chain])
         for args in ((30, 2, 4), (5, 1, 100)):
             with pytest.raises(BeyondDeskScale):
-                comparison(*args)
+                seminorm_comparison_constant(*args)
         with pytest.raises(BeyondDeskScale):
-            parts(4, 40)
-    assert len(limits) == 8
-    assert consts == [comparison.__wrapped__(k, 2, 4) for k in (1, 2, 3, 4)]
-    assert chain == [parts.__wrapped__(m, k) for m in (1, 2) for k in (3, 4)]
+            euler_product(16, math.sqrt(2.0 / 40))  # chain constant for m = 4, k = 40
+    assert len(limits) == 4  # exponents 4 and 8 (chains), 2 and 6 (comparisons)
+    assert rounds[0] == rounds[1] == rounds[2]
+    primes = eratosthenes(4**8 + 1)
+    for m in (1, 2):
+        want = euler_product_loop(4 * m, [math.sqrt(2.0 / k) for k in (3, 6, 8)], primes, True)
+        assert [c[:2] for c in chain[3 * m - 3 : 3 * m]] == want[::-1]
+    # a larger bound than any asked for sieves again
+    want = euler_product_loop(4, [math.sqrt(2.0 / 16)], primes, True)
+    assert euler_product(4, math.sqrt(2.0 / 16))[:2] == want[0]
+    assert len(limits) == 5
 
 
 def test_comparison_constant_rejects_bad_order():
     with pytest.raises(ValueError):
         seminorm_comparison_constant(1, 4, 2)
-
-
-def test_seminorm_params_validation():
-    assert SeminormParams(2.0, 3).k == 3
-    with pytest.raises(ValueError):
-        SeminormParams(0.5, 1)
-    with pytest.raises(ValueError):
-        SeminormParams(2.0, 0)
 
 
 # -- seminorm invariants -------------------------------------------------------------
