@@ -356,10 +356,10 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     n_max = d.truncation
     if n_max > table.limit:
         raise TableTooSmall(f"truncation {n_max} exceeds sieve limit {table.limit}")
-    prime_vals = np.zeros(table.limit + 1, dtype=np.complex128)
+    prime_vals = np.zeros(n_max + 1, dtype=np.complex128)
     pr = table.primes[table.primes <= n_max]
     prime_vals[pr] = pr.astype(np.float64) ** (-2.0 / k)
-    weights = _kernels.mult_extend(table.spf, prime_vals, n_max).real
+    weights = _kernels.mult_extend(table.spf_up_to(n_max), prime_vals, n_max).real
     mags = d.coeffs.real**2 + d.coeffs.imag**2
     return float(np.sqrt(np.sum(mags * weights[1:])))
 

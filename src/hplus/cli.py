@@ -46,6 +46,12 @@ SUITE_SUPPORT_LIMIT = 2000
 # inequality-suite's largest --count x --support: all polynomials are drawn
 # before the first row, 16 B per coefficient (16 MB at this limit).
 SUITE_COEFF_LIMIT = 10**6
+# ejemplo-growth's largest --truncation: the series takes 16 B a slot, and
+# one dense product at 10^6 peaks near 90 MB of RSS.
+EJEMPLO_TRUNCATION_LIMIT = 10**6
+# ejemplo-growth's largest --kmax x --truncation: it forms one dense product
+# per k, about 11 ms each at truncation 10^5 and 0.15 s at 10^6.
+EJEMPLO_WORK_LIMIT = 2 * 10**7
 
 EXPERIMENTS = (
     "inequality-suite",
@@ -349,6 +355,15 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
     kmax = args.kmax if args.kmax is not None else 6
     delta = args.delta if args.delta is not None else 0.3
     truncation = args.truncation if args.truncation is not None else 100000
+    if truncation > EJEMPLO_TRUNCATION_LIMIT:
+        raise BeyondDeskScale(
+            f"--truncation {truncation} is beyond desk scale (limit {EJEMPLO_TRUNCATION_LIMIT})"
+        )
+    if kmax * truncation > EJEMPLO_WORK_LIMIT:
+        raise BeyondDeskScale(
+            f"--kmax {kmax} x --truncation {truncation} forms one product per k; "
+            f"beyond desk scale (limit {EJEMPLO_WORK_LIMIT})"
+        )
     d = translate(DirichletSeries.ones(truncation), 0.5)
     report = superposition.composition_criterion(d, args.m, kmax)
     growth_rows = [

@@ -12,7 +12,8 @@ with its log.  It keeps one prefix per exponent e over the primes up to the
 largest bound t^{-e} asked for so far: the factors r_j = p_j^{-1/e} (libm
 ``pow``, as Python's float ``**``), their running product of 1/(1 - r_j)
 and the running sum of -log1p(-r_j).  A call reads its cut off that prefix
-and sieves again only when it needs a larger bound.
+and sieves again only when it needs a larger bound.  Only one prefix whose
+sieve limit exceeds 10^6 is kept: building a second evicts the first.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class PrimeTable:
 
     ``spf[n]``, the smallest prime factor of n for 2 <= n <= limit
     (``spf[0]`` and ``spf[1]`` are padding), is sieved on first access and
-    kept; only factorization and multiplicative extension read it.
+    kept; only factorization reads it whole.  Multiplicative extension reads
+    ``spf_up_to(n_max)``, which sieves no further than it needs.
     """
 
     limit: int
@@ -56,6 +58,19 @@ class PrimeTable:
         spf, _ = _kernels.sieve_spf(self.limit)  # int32, length limit + 1
         spf.flags.writeable = False
         return spf
+
+    def spf_up_to(self, n_max: int) -> np.ndarray:
+        """``spf[: n_max + 1]`` for n_max <= limit, without sieving past n_max.
+
+        A view of ``spf`` when that is built already or n_max reaches the
+        limit; otherwise a table sieved to n_max alone, not kept.  The
+        smallest prime factor of n does not depend on the limit, so both
+        hold the same values.
+        """
+        if n_max >= self.limit or "spf" in self.__dict__:
+            return self.spf[: n_max + 1]
+        spf, _ = _kernels.sieve_spf(max(n_max, 1))
+        return spf[: n_max + 1]
 
     @cached_property
     def _cum_log_primes(self) -> np.ndarray:
@@ -135,7 +150,7 @@ def sieve(limit: int, cache_dir: str | None = None) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit >= 2**31:
-        raise ValueError(f"sieve limit {limit} exceeds the int32 range of spf")
+        raise BeyondDeskScale(f"sieve limit {limit} exceeds the int32 range of spf")
     limit = int(limit)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV) or None
 
@@ -254,6 +269,10 @@ def smooth_numbers(n_primes: int, limit: int, table: PrimeTable) -> np.ndarray:
 # the primes up to the sieve limit; see the module docstring.
 _euler_prefixes: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
+# Sieve limit above which euler_product keeps one prefix only: a prefix holds
+# three float64 arrays over its primes, 138 MB for the primes to 10^8.
+_EULER_PREFIX_KEEP_LIMIT = 10**6
+
 # primes turned into floats per Python-level pow batch
 _POW_CHUNK = 1 << 16
 
@@ -284,6 +303,10 @@ def euler_product(exponent: int, threshold: float) -> tuple[int, float, float]:
     limit = math.ceil(bound) + 1  # a bound rounded just below a prime still reaches it
     prefix = _euler_prefixes.get(exponent)
     if prefix is None or prefix[0] < limit:
+        if limit > _EULER_PREFIX_KEEP_LIMIT:  # evict the large prefix before building one
+            large = [e for e, kept in _euler_prefixes.items() if kept[0] > _EULER_PREFIX_KEEP_LIMIT]
+            for e in large:
+                del _euler_prefixes[e]
         prefix = _euler_prefixes[exponent] = _euler_prefix(exponent, limit)
     _, neg_r, products, log_products = prefix
     j_cut = int(np.searchsorted(neg_r, -threshold, side="right"))  # r_j descends

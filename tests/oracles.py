@@ -13,7 +13,9 @@ product as it was before its rows were built with one gather.
 ``euler_product_loop`` is the prime loop the comparison and chain constants
 each ran before they shared ``numtheory.euler_product``, and
 ``compose_affine`` is the affine reindexing that ``compose_general`` must
-reproduce for a constant series part.
+reproduce for a constant series part.  ``compose_general_loop`` is
+``compose_general`` as it was before it expanded the n that share a
+truncation room as one stack, its bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -355,4 +357,60 @@ def euler_product_loop(
             count += 1
             prod *= 1.0 / (1.0 - r)
         out.append((count, prod))
+    return out
+
+
+def _exp_series_loop(e_coeffs: np.ndarray, log_n: float, out_len: int) -> np.ndarray:
+    """exp(-log_n * E) truncated at out_len, one 1-D product per power of E."""
+    from hplus import _kernels
+
+    out = np.zeros(out_len, dtype=np.complex128)
+    out[0] = 1.0
+    scaled = np.zeros(out_len, dtype=np.complex128)
+    upto = min(len(e_coeffs), out_len)
+    scaled[:upto] = -log_n * e_coeffs[:upto]
+    if not np.any(scaled):
+        return out
+    term = scaled.copy()
+    out += term
+    r = 1
+    while 2 ** (r + 1) <= out_len:
+        r += 1
+        term = _kernels.dirichlet_convolve(term, scaled, out_len) / r
+        out += term
+    return out
+
+
+def compose_general_loop(d, phi, out_truncation: int, n_cutoff: int | None = None):
+    """Coefficients of ``operators.compose_general``, one expansion per n.
+
+    Each nonzero a_n with n >= 2 expands n^{-phi~} on its own and adds
+    a_n n^{-c1} times it into the slots n^{c0}, 2 n^{c0}, ... in ascending n:
+    the loop as it was before the n sharing a truncation room ran as one
+    stack.  n runs to M^{1/c0} for c0 >= 1 and to n_cutoff for c0 = 0.
+    """
+    from hplus.operators import _int_root
+
+    m_out = int(out_truncation)
+    c0 = phi.c0
+    n_top = min(int(n_cutoff) if c0 == 0 else _int_root(m_out, c0), d.truncation)
+    e_coeffs = phi.varphi.coeffs.copy()
+    e_coeffs[0] = 0.0
+    c1 = phi.c1
+    out = np.zeros(m_out, dtype=np.complex128)
+    for n in range(1, n_top + 1):
+        a = d.coeffs[n - 1]
+        if a == 0:
+            continue
+        shift = n**c0
+        room = m_out // shift
+        if room < 1:
+            continue
+        if n == 1:
+            out[0] += a
+            continue
+        log_n = math.log(n)
+        scale = a * np.exp(-c1 * log_n)
+        g = _exp_series_loop(e_coeffs, log_n, room)
+        out[shift - 1 : shift * room : shift] += scale * g
     return out

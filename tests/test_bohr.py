@@ -16,6 +16,7 @@ from hplus.bohr import (
 )
 from hplus.errors import TableTooSmall
 from hplus.numtheory import MultiIndex, sieve
+from hplus.operators import Character
 from hplus.series import DirichletSeries, evaluate, seminorm_2
 
 from oracles import lift_by_factorize, rho_estimate_phases, rho_from_values, rho_phase_values
@@ -289,6 +290,27 @@ def test_weighted_norm_monomial(table_200):
 
 def test_weighted_norm_zero(table_200):
     assert weighted_h2_norm(DirichletSeries.zero(10), 2, table_200) == 0.0
+
+
+def test_oversized_table_sieves_spf_only_to_the_series(rng):
+    # a table far longer than the series keeps no spf, and the weights and
+    # character values equal those of a table sieved to the series alone
+    big, exact = sieve(200_000), sieve(1000)
+    d = DirichletSeries(rng.normal(size=1000) + 1j * rng.normal(size=1000))
+    chi = Character(np.exp(2j * np.pi * rng.uniform(size=200)))
+    for n_max in (1, 2, 999, 1000):
+        assert np.array_equal(big.spf_up_to(n_max), exact.spf[: n_max + 1])
+        want = chi.values_up_to(n_max, exact)
+        assert np.array_equal(chi.values_up_to(n_max, big).view(np.uint64), want.view(np.uint64))
+    for k in (1, 2, 5):
+        want = weighted_h2_norm(d, k, exact)
+        assert weighted_h2_norm(d, k, big).hex() == want.hex()
+        assert weighted_h2_norm(DirichletSeries.ones(1000), k, big) > 0
+    assert "spf" not in big.__dict__
+    # a table whose spf is built already lends a view of it
+    built = sieve(5000)
+    spf = built.spf
+    assert np.shares_memory(built.spf_up_to(100), spf)
 
 
 def test_weighted_norm_needs_coverage(table_200):

@@ -9,7 +9,13 @@ import pytest
 
 import hplus
 from hplus import __version__
-from hplus.cli import SUITE_COEFF_LIMIT, SUITE_SUPPORT_LIMIT, main
+from hplus.cli import (
+    EJEMPLO_TRUNCATION_LIMIT,
+    EJEMPLO_WORK_LIMIT,
+    SUITE_COEFF_LIMIT,
+    SUITE_SUPPORT_LIMIT,
+    main,
+)
 from hplus.operators import Symbol, character_to_json, symbol_to_json
 from hplus.series import (
     DirichletSeries,
@@ -327,3 +333,32 @@ def test_experiment_nonextension_small(tmp_path):
     assert sums == sorted(sums)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["prime_bound_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--truncation", str(EJEMPLO_TRUNCATION_LIMIT + 1), "--kmax", "2"],
+        ["--kmax", "100000"],  # at the default truncation 10^5
+        ["--kmax", str(EJEMPLO_WORK_LIMIT // 1000 + 1), "--truncation", "1000"],
+    ],
+)
+def test_ejemplo_growth_rejects_sizes_before_any_work(tmp_path, flags):
+    # the defaults, kmax 6 at truncation 10^5, lie inside both bounds
+    assert 100_000 <= EJEMPLO_TRUNCATION_LIMIT and 6 * 100_000 <= EJEMPLO_WORK_LIMIT
+    out_dir = tmp_path / "eg"
+    proc = _run_cli("experiment", "ejemplo-growth", "--out-dir", str(out_dir), *flags)
+    assert proc.returncode == 3, proc.stderr
+    assert "beyond desk scale" in proc.stderr
+    assert not any(tmp_path.iterdir())  # no --out-dir and no staging directory
+
+
+def test_nonextension_past_the_sieve_range_is_domain_error(tmp_path):
+    # the sieve for 10^11 primes would reach past 2^31, the int32 range of spf
+    out_dir = tmp_path / "ne"
+    proc = _run_cli(
+        "experiment", "nonextension", "--nmax", "100000000000", "--out-dir", str(out_dir)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "int32" in proc.stderr
+    assert not any(tmp_path.iterdir())

@@ -202,7 +202,7 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_power_on_supports_bit_identical(rng, monkeypatch, k):
     paths = []
-    for name in ("convolve_support", "_convolve_numpy"):
+    for name in ("convolve_support", "_convolve_rows"):
         real = getattr(_kernels, name)
         monkeypatch.setattr(
             _kernels, name, lambda *a, _real=real, _name=name: paths.append(_name) or _real(*a)
@@ -211,8 +211,8 @@ def test_power_on_supports_bit_identical(rng, monkeypatch, k):
     cases = [  # (series, out_truncation, paths taken by the k - 1 = 3 products)
         (_sparse_series(rng, 30, 30), 30**4, {"convolve_support"}),
         # 12 * 12 <= 144, but the square has more than 12 terms: dense partway
-        (dense_12, 144, {"convolve_support", "_convolve_numpy"}),
-        (_sparse_series(rng, 200, 200), 200, {"_convolve_numpy"}),
+        (dense_12, 144, {"convolve_support", "_convolve_rows"}),
+        (_sparse_series(rng, 200, 200), 200, {"_convolve_rows"}),
         # support cut by the truncation
         (_sparse_series(rng, 50, 9, truncation=400), 300, {"convolve_support"}),
         (DirichletSeries.zero(20), 400, {"convolve_support"}),
@@ -408,6 +408,17 @@ def test_chain_constants_memoized(monkeypatch):
     want = euler_product_loop(4, [math.sqrt(2.0 / 16)], primes, True)
     assert euler_product(4, math.sqrt(2.0 / 16))[:2] == want[0]
     assert len(limits) == 5
+    # one prefix above 10^6 at most: a ladder asked for its largest bound
+    # first sieves once, and a second large prefix evicts the first
+    def large():
+        return [e for e, kept in numtheory._euler_prefixes.items() if kept[0] > 10**6]
+
+    ladder = [euler_product(4, t) for t in (0.03, 0.05, 0.1)]  # primes to 1.2e6
+    assert len(limits) == 6 and large() == [4]
+    euler_product(8, 0.17)  # primes to 1.4e6
+    assert len(limits) == 7 and large() == [8]
+    assert euler_product(4, 0.03) == ladder[0]  # sieved again, to the same bits
+    assert len(limits) == 8 and large() == [4]
 
 
 def test_comparison_constant_rejects_bad_order():
