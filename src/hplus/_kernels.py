@@ -13,12 +13,7 @@ for finite operands the coefficients are that loop's bits (the zero a_d
 that loop 2 also multiplies add exact zeros).  When the nonzero a_d above D
 are no more than the rows loop 2 would walk, the split moves to D = N and
 loop 2 is empty, which keeps a very sparse operand as cheap as that plain
-loop.  The split loops run on one product or on a stack of rows that share
-their nonzero patterns: ``dirichlet_convolve_rows`` groups the rows of two
-stacks by pattern and runs each group's slice steps once for all its rows,
-so many short products cost about what one does.  numpy's inner loop is
-still a scalar times a slice in every row, so each row keeps the bits of
-its own product.
+loop.
 
 Dirichlet products of sparse operands run on supports, (1-based index,
 value) pairs: ``convolve_support`` forms the nnz_a * nnz_b products directly
@@ -62,32 +57,21 @@ def _hyperbola_split(a: np.ndarray, b: np.ndarray, out_len: int) -> int:
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """Split loops: a * b truncated at out_len, for one product or a stack.
-
-    a and b are one product each (1-D) or stacks (rows, length), one
-    product per row.  Below out_len every row of a has the nonzero pattern
-    of the first and so has every row of b; the loops walk those of the
-    first rows.  They index the transposed arrays, slot axis first, so one
-    slice step serves every row, and a_d is the scalar of one product or the
-    row vector of a stack: numpy's inner loop stays scalar times slice, with
-    its bits, in every row.
-    """
-    c = np.zeros(a.shape[:-1] + (out_len,), dtype=np.complex128)
-    at, bt, ct = a.T, b.T, c.T
-    pattern_a, pattern_b = np.atleast_2d(a)[0], np.atleast_2d(b)[0]
-    split = _hyperbola_split(pattern_a, pattern_b, out_len)
-    for i in np.flatnonzero(pattern_a[:split]):
+    """Split loops: a * b truncated at out_len, a_d the left factor."""
+    c = np.zeros(out_len, dtype=np.complex128)
+    split = _hyperbola_split(a, b, out_len)
+    for i in np.flatnonzero(a[:split]):
         d = i + 1
-        top = min(len(bt), out_len // d)
+        top = min(len(b), out_len // d)
         if top:
-            ct[d - 1 : d * top : d] += at[i] * bt[:top]
+            c[d - 1 : d * top : d] += a[i] * b[:top]
     # descending m: each slot gets its d > split terms in ascending d; a_d
     # stays the left factor as in loop 1, because numpy's complex multiply
     # can round x * y and y * x differently
-    for j in np.flatnonzero(pattern_b[: out_len // (split + 1)])[::-1]:
+    for j in np.flatnonzero(b[: out_len // (split + 1)])[::-1]:
         m = j + 1
-        hi = min(len(at), out_len // m)
-        ct[(split + 1) * m - 1 : hi * m : m] += at[split:hi] * bt[j]
+        hi = min(len(a), out_len // m)
+        c[(split + 1) * m - 1 : hi * m : m] += a[split:hi] * b[j]
     return c
 
 
@@ -180,39 +164,6 @@ def dirichlet_convolve(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray
     if nb < na:
         a, b = b, a
     return _convolve_rows(a, b, out_len)
-
-
-def dirichlet_convolve_rows(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """Row i is ``dirichlet_convolve(a[i], b[i], out_len)``, bit for bit.
-
-    a and b are stacks with one row per product.  Rows are grouped by their
-    pair of nonzero patterns below out_len (one group when all rows share
-    them).  A group of several rows runs the split loops once, with its
-    sparser operand as a; a lone row is one ``dirichlet_convolve`` call, so
-    it takes the support path when that is cheaper.  Rows whose patterns
-    differ are never mixed: the sparser operand fixes the left factor and
-    the order of each slot's sum.
-    """
-    if len(a) == 1:
-        return dirichlet_convolve(a[0], b[0], out_len)[None]
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    c = np.empty((len(a), out_len), dtype=np.complex128)
-    groups = [slice(None)]
-    nz = np.hstack([a[:, :out_len] != 0, b[:, :out_len] != 0])
-    if not (nz == nz[0]).all():
-        _, inv = np.unique(nz, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        groups = [np.flatnonzero(inv == g) for g in range(inv.max() + 1)]
-    for rows in groups:
-        ga, gb = a[rows], b[rows]
-        if len(ga) == 1:
-            c[rows] = dirichlet_convolve(ga[0], gb[0], out_len)
-            continue
-        if np.count_nonzero(gb[0, :out_len]) < np.count_nonzero(ga[0, :out_len]):
-            ga, gb = gb, ga
-        c[rows] = _convolve_rows(ga, gb, out_len)
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -204,14 +204,15 @@ def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
     if len(table.primes) < f.n_vars:
         raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
     primes = table.primes[: f.n_vars].astype(np.float64)
-    radii = primes ** (-1.0 / k)
     n_terms = len(f.terms)
     coefs = np.empty(n_terms, dtype=np.complex128)
     expo = np.zeros((n_terms, f.n_vars), dtype=np.int64)
     for t, (alpha, c) in enumerate(sorted(f.terms.items(), key=lambda kv: kv[0].exponents)):
         coefs[t] = c
         expo[t, : len(alpha)] = alpha.exponents
-    rad_factors = np.prod(radii[None, :] ** expo, axis=1)
+    # p_j ** (-alpha_j / k) rounds each factor once; (p_j ** (-1 / k)) ** alpha_j
+    # would raise the rounding of p_j ** (-1 / k) to the power alpha_j
+    rad_factors = np.prod(primes[None, :] ** (-expo / k), axis=1)
     return coefs, rad_factors, expo
 
 

@@ -52,6 +52,14 @@ EJEMPLO_TRUNCATION_LIMIT = 10**6
 # ejemplo-growth's largest --kmax x --truncation: it forms one dense product
 # per k, about 11 ms each at truncation 10^5 and 0.15 s at 10^6.
 EJEMPLO_WORK_LIMIT = 2 * 10**7
+# norms' largest output truncation: for p >= 4 each k raises the input to a
+# power at it, and on a dense 1000-term input --p 8 --k 1..8 at 4*10^6 takes
+# about 8 s and peaks near 270 MB (the truncation of inequality-suite's
+# products at its largest --support).
+NORMS_TRUNCATION_LIMIT = 4 * 10**6
+# compose's largest output truncation: at 10^6 a dense input takes about 7 s
+# end to end, most of it JSON, and peaks near 300 MB.
+COMPOSE_TRUNCATION_LIMIT = 10**6
 
 EXPERIMENTS = (
     "inequality-suite",
@@ -63,15 +71,23 @@ EXPERIMENTS = (
 )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+# Characters per write of _atomic_write_text: a text written at once is
+# first encoded whole, a second full copy of it.
+_WRITE_SLICE = 1 << 20
+
+
+def _atomic_write_text(path: str, *texts: str) -> None:
+    """Write the texts one after another to path, through a renamed temp file."""
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as f:
-        f.write(text)
+        for text in texts:
+            for start in range(0, len(text), _WRITE_SLICE):
+                f.write(text[start : start + _WRITE_SLICE])
     os.replace(tmp, path)
 
 
 def _atomic_write_json(path: str, obj: dict) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
+    _atomic_write_text(path, json.dumps(obj, sort_keys=True), "\n")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -93,13 +109,19 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _out_truncation(args, d: DirichletSeries) -> int:
-    """--truncation when given (it must be >= 1), else the input's truncation."""
-    if args.truncation is None:
-        return d.truncation
-    if args.truncation < 1:
+def _out_truncation(args, d: DirichletSeries, limit: int) -> int:
+    """--truncation when given (it must be >= 1), else the input's truncation.
+
+    Either must be at most limit, checked before any work on the input.
+    """
+    out_trunc = d.truncation if args.truncation is None else args.truncation
+    if out_trunc < 1:
         raise ValueError(f"--truncation must be >= 1, got {args.truncation}")
-    return args.truncation
+    if out_trunc > limit:
+        raise BeyondDeskScale(
+            f"output truncation {out_trunc} is beyond desk scale (limit {limit})"
+        )
+    return out_trunc
 
 
 def _parse_complex(text: str) -> complex:
@@ -133,7 +155,7 @@ def _cmd_norms(args) -> int:
     p = args.p
     if p < 2 or p % 2 != 0:
         raise ValueError(f"--p must be an even integer >= 2 for exact norms, got {p}")
-    out_trunc = _out_truncation(args, d)
+    out_trunc = _out_truncation(args, d, NORMS_TRUNCATION_LIMIT)
     rows = []
     for k in ks:
         if p == 2:
@@ -153,7 +175,7 @@ def _cmd_compose(args) -> int:
     d = load_series(args.infile)
     with open(args.symbol) as f:
         phi = operators.symbol_from_json(json.load(f))
-    out_trunc = _out_truncation(args, d)
+    out_trunc = _out_truncation(args, d, COMPOSE_TRUNCATION_LIMIT)
     result = operators.compose_general(d, phi, out_trunc, n_cutoff=args.cutoff)
     doc = series_to_json(result.series)
     doc["exact"] = result.exact

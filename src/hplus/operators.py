@@ -167,38 +167,30 @@ def _int_root(m: int, c0: int) -> int:
     return t
 
 
-def _exp_series(e_coeffs: np.ndarray, log_n: np.ndarray, out_len: int) -> np.ndarray:
-    """Rows exp(-log_n[i] * E) truncated at out_len, one row per entry of log_n.
+def _weights(a: np.ndarray, c1: complex, c0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, -log n) for n = 1..len(a), with w_n = a_n n^{-c1}.
 
-    E is supported on indices >= 2, so E^r vanishes below 2^r and the sum
-    over r terminates once 2^r exceeds the truncation: the result is exact,
-    not an approximation.  The rows run as one stack: each power of E is one
-    ``dirichlet_convolve_rows`` call, and row i has the bits of the
-    expansion for log_n[i] alone.
+    With c0 >= 1 both sit on the slots n^{c0} - 1 of arrays that are zero
+    elsewhere (for c0 = 1 the slot of n is n - 1); with c0 = 0 they hold
+    one entry per n.  log n is ``math.log`` and the complex product is
+    spelled out on real and imaginary parts, as numpy's scalar product rounds
+    it (its array product can round differently): an affine symbol then gives
+    the bits of reindexing a_n n^{-c1} to n^{c0} one n at a time.
     """
-    out = np.zeros((len(log_n), out_len), dtype=np.complex128)
-    out[:, 0] = 1.0
-    scaled = np.zeros((len(log_n), out_len), dtype=np.complex128)
-    upto = min(len(e_coeffs), out_len)
-    scaled[:, :upto] = -log_n[:, None] * e_coeffs[:upto]
-    if not np.any(scaled):
-        return out
-    term = scaled
-    out += term
-    r = 1
-    while 2 ** (r + 1) <= out_len:
-        r += 1
-        term = _kernels.dirichlet_convolve_rows(term, scaled, out_len) / r
-        out += term
-    return out
-
-
-# Most slots (rows x truncation room) one _exp_series stack of compose_general
-# holds; a longer room runs alone.  A slice step over a stack beats one step
-# per row only while the stack is small (two rows of 2 048 slots gained
-# nothing, 32 rows of 1 024 took twice as long), and a small stack keeps the
-# peak memory of the per-n loop where every n shares one room (c0 = 0).
-_COMPOSE_BATCH_SLOTS = 1 << 12
+    n_top = len(a)
+    neglog = -np.fromiter(map(math.log, range(1, n_top + 1)), np.float64, n_top)
+    scale = np.exp(c1 * neglog)
+    w = np.empty(n_top, dtype=np.complex128)
+    w.real = a.real * scale.real - a.imag * scale.imag
+    w.imag = a.real * scale.imag + a.imag * scale.real
+    if c0 < 2:
+        return w, neglog
+    slots = np.arange(1, n_top + 1) ** c0 - 1
+    w_slots = np.zeros(slots[-1] + 1, dtype=np.complex128)
+    w_slots[slots] = w
+    log_slots = np.zeros(slots[-1] + 1)
+    log_slots[slots] = neglog
+    return w_slots, log_slots
 
 
 def compose_general(
@@ -209,20 +201,24 @@ def compose_general(
 ) -> CompositionResult:
     """Dirichlet-series composition D(phi(s)) rearranged to truncation M.
 
-    For each contributing index n the factor n^{-phi~(s)} is expanded as
-    n^{-c1} * exp(-log(n) * E) with E the part of phi~ supported on indices
-    >= 2; the expansion is exact below M (see ``_exp_series``), and shifting
-    by index multiplication with n^{c0} places it.  With c0 >= 1 only
-    n <= M^{1/c0} can contribute below M, so the sum is finite and the
-    result exact.  With c0 = 0 every n contributes at index 1 and no finite
-    cutoff is canonical: ``n_cutoff`` is required and the result flagged as
-    an approximation.
+    Each contributing index n adds a_n n^{-phi~(s)} = w_n exp(-log(n) * E)
+    at the index n^{c0}, with w_n = a_n n^{-c1} and E the part of phi~ on
+    indices >= 2.  With P_r = E^r / r! and W_r holding w_n (-log n)^r at
+    the index n^{c0}, the composition is the sum over r of the Dirichlet
+    products W_r * P_r.  One ladder P_r = (P_{r-1} * E) / r serves every n,
+    and W_r is W_{r-1} times -log n on the same slots: about 2 log2(M) calls
+    of ``_kernels.dirichlet_convolve``, with a few arrays of at most M slots
+    live.  E^r vanishes below 2^r, so the sum stops once 2^r > M.
 
-    The n with one room M // n^{c0} (about 2 sqrt(M) distinct rooms for
-    c0 = 1, one for c0 = 0) expand as the rows of one ``_exp_series`` stack
-    of at most ``_COMPOSE_BATCH_SLOTS`` slots.  Each row is scaled by
-    a_n n^{-c1}, computed per n, and added into the output in ascending n,
-    so every coefficient has the bits of the per-n loop.
+    With c0 >= 1 only n <= M^{1/c0} can contribute below M, and the result
+    is exact.  With c0 = 0 every n lands on index 1, so W_r * P_r is the
+    moment sum_n w_n (-log n)^r times P_r; no finite cutoff is canonical:
+    ``n_cutoff`` is required and the result flagged as an approximation.
+
+    The sums run in another order than one expansion per n, so the
+    coefficients match that expansion within rounding, not bit for bit.
+    For a constant phi~ they are the bits of reindexing a_n n^{-c1} to
+    n^{c0} (see ``_weights``).
 
     Parameters
     ----------
@@ -249,24 +245,27 @@ def compose_general(
 
     e_coeffs = phi.varphi.coeffs.copy()
     e_coeffs[0] = 0.0  # constant term handled by the n^{-c1} factor
-    c1 = phi.c1
     out = np.zeros(m_out, dtype=np.complex128)
-    if n_top >= 1:
-        out[0] += d.coeffs[0]
-    ns = np.flatnonzero(d.coeffs[1:n_top]) + 2
-    rooms = m_out // ns**c0  # non-increasing in n; every room is >= 1
-    lo = 0
-    while lo < len(ns):
-        room = int(rooms[lo])
-        run_end = int(np.searchsorted(-rooms, -room, side="right"))
-        hi = min(run_end, lo + max(1, _COMPOSE_BATCH_SLOTS // room))
-        batch = ns[lo:hi]
-        logs = [math.log(n) for n in batch.tolist()]
-        scale = np.array([a * np.exp(-c1 * x) for a, x in zip(d.coeffs[batch - 1], logs)])
-        g = _exp_series(e_coeffs, np.array(logs), room)
-        slots = (batch**c0)[:, None] * np.arange(1, room + 1) - 1
-        np.add.at(out, slots, scale[:, None] * g)  # row by row, in ascending n
-        lo = hi
+    w, neglog = _weights(d.coeffs[:n_top], phi.c1, c0)
+    if c0 == 0:
+        out[0] = w.sum()
+    else:
+        out[: len(w)] = w
+    # for r >= 1, W_r vanishes at slot 1 (log 1 = 0), so with c0 >= 1 it
+    # meets P_r only at indices <= M / 2^{c0}: the ladder stops there
+    ladder_len = m_out >> c0
+    power = np.zeros(ladder_len, dtype=np.complex128)
+    power[:1] = 1.0  # P_0
+    for r in range(1, ladder_len.bit_length()):  # every r with 2^r <= ladder_len
+        power = _kernels.dirichlet_convolve(power, e_coeffs, ladder_len)
+        power /= r
+        if c0 == 0:
+            w *= neglog
+            out += w.sum() * power
+        else:
+            top = m_out >> r  # a slot above M / 2^r meets only P_r[j] = 0, j < 2^r
+            w[:top] *= neglog[:top]
+            out += _kernels.dirichlet_convolve(w[:top], power, m_out)
     return CompositionResult(DirichletSeries(out), exact)
 
 

@@ -14,8 +14,10 @@ product as it was before its rows were built with one gather.
 each ran before they shared ``numtheory.euler_product``, and
 ``compose_affine`` is the affine reindexing that ``compose_general`` must
 reproduce for a constant series part.  ``compose_general_loop`` is
-``compose_general`` as it was before it expanded the n that share a
-truncation room as one stack, its bit-for-bit reference.
+``compose_general`` as it was before the indices n shared one ladder of
+powers of the symbol, with one expansion per n in float64, and
+``compose_general_clongdouble`` the same per-n expansion in
+``np.clongdouble``, the reference within rounding for both.
 """
 
 from __future__ import annotations
@@ -386,8 +388,8 @@ def compose_general_loop(d, phi, out_truncation: int, n_cutoff: int | None = Non
 
     Each nonzero a_n with n >= 2 expands n^{-phi~} on its own and adds
     a_n n^{-c1} times it into the slots n^{c0}, 2 n^{c0}, ... in ascending n:
-    the loop as it was before the n sharing a truncation room ran as one
-    stack.  n runs to M^{1/c0} for c0 >= 1 and to n_cutoff for c0 = 0.
+    the loop as it was before the n shared one ladder of powers of E.  n
+    runs to M^{1/c0} for c0 >= 1 and to n_cutoff for c0 = 0.
     """
     from hplus.operators import _int_root
 
@@ -414,3 +416,45 @@ def compose_general_loop(d, phi, out_truncation: int, n_cutoff: int | None = Non
         g = _exp_series_loop(e_coeffs, log_n, room)
         out[shift - 1 : shift * room : shift] += scale * g
     return out
+
+
+def compose_general_clongdouble(d, phi, out_truncation: int, n_cutoff: int | None = None):
+    """``compose_general_loop`` in ``np.clongdouble``, returned as such.
+
+    Each nonzero a_n expands a_n n^{-c1} exp(-log(n) E) on its own, by the
+    recursion term_r = term_{r-1} * (-log(n) E) / r with the Dirichlet
+    product written as one strided slice per nonzero e_m, and adds it into
+    the slots n^{c0}, 2 n^{c0}, ...  No float64 rounding enters after the
+    inputs are read (on x86 the extended type carries 64 mantissa bits).
+    """
+    from hplus.operators import _int_root
+
+    m_out = int(out_truncation)
+    c0 = phi.c0
+    n_top = max(0, min(int(n_cutoff) if c0 == 0 else _int_root(m_out, c0), d.truncation))
+    e = phi.varphi.coeffs.astype(np.clongdouble)
+    c1 = e[0]
+    e_terms = [(m, e[m - 1]) for m in range(2, len(e) + 1) if e[m - 1] != 0]
+    out = np.zeros(m_out, dtype=np.clongdouble)
+    for n in range(1, n_top + 1):
+        a = np.clongdouble(d.coeffs[n - 1])
+        shift = n**c0
+        room = m_out // shift
+        if a == 0 or room < 1:
+            continue
+        neg_log = -np.log(np.longdouble(n))
+        g = np.zeros(room, dtype=np.clongdouble)
+        g[0] = 1
+        term = g.copy()
+        r = 0
+        while 2 ** (r + 1) <= room:
+            r += 1
+            nxt = np.zeros(room, dtype=np.clongdouble)
+            for m, em in e_terms:
+                top = room // m
+                nxt[m - 1 : m * top : m] += term[:top] * (neg_log * em)
+            term = nxt / r
+            g += term
+        out[shift - 1 : shift * room : shift] += a * np.exp(c1 * neg_log) * g
+    return out
+

@@ -7,6 +7,7 @@ import pytest
 from hplus.bohr import (
     MultiPoly,
     TorusSample,
+    _term_arrays,
     lift,
     nonextension_partial_sums,
     parseval_rho2,
@@ -265,6 +266,20 @@ def test_rho_high_degree_monomial_bounded_memory(alpha):
     assert abs(got.value - want.value) <= 1e-13 * want.value
     # |f| is constant on the torus, so the standard error is rounding noise
     assert got.std_error <= 1e-9 * got.value
+
+
+@pytest.mark.parametrize(
+    "alpha, k, coef, exact",
+    [((10**5,), 10**5, 2 - 1j, math.sqrt(5) / 2), ((10**6,), 10**6, 1.0, 0.5)],
+)
+def test_radius_factor_rounded_once_at_high_degree(alpha, k, coef, exact):
+    # |f| is |coef| 2^{-alpha/k} on the whole torus; raising the rounded
+    # 2^{-1/k} to the power alpha once put it 7.2e-12 and 4.4e-11 off
+    f = MultiPoly(len(alpha), {MultiIndex(alpha): coef})
+    coefs, rad, _ = _term_arrays(f, k, sieve_for_n_primes(1))
+    assert abs(abs(coefs[0]) * rad[0] - exact) <= 1e-14 * exact
+    got = rho_estimate_phases(f, k, 3.0, 1000, 5).value
+    assert abs(got - exact) <= 1e-14 * exact
 
 
 # -- weighted Parseval path ------------------------------------------------------------

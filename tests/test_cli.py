@@ -10,8 +10,10 @@ import pytest
 import hplus
 from hplus import __version__
 from hplus.cli import (
+    COMPOSE_TRUNCATION_LIMIT,
     EJEMPLO_TRUNCATION_LIMIT,
     EJEMPLO_WORK_LIMIT,
+    NORMS_TRUNCATION_LIMIT,
     SUITE_COEFF_LIMIT,
     SUITE_SUPPORT_LIMIT,
     main,
@@ -78,15 +80,49 @@ def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
     assert not out.exists()
 
 
-def _run_cli(*argv, **env_vars):
+def _run_cli(*argv, timeout=60, **env_vars):
     """hplus.cli in a subprocess with a timeout, so a regression cannot hang the suite."""
     src = os.path.dirname(os.path.dirname(hplus.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.update(env_vars)
     return subprocess.run(
         [sys.executable, "-m", "hplus.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def test_norms_and_compose_reject_truncation_past_their_limits(series_file, tmp_path):
+    d, path = series_file
+    out = tmp_path / "out.csv"
+    argv = ["norms", "--in", str(path), "--p", "4", "--truncation",
+            str(NORMS_TRUNCATION_LIMIT + 1), "--out", str(out)]
+    assert main(argv) == 3
+    sym_path = tmp_path / "symbol.json"
+    phi = Symbol(1, DirichletSeries(np.array([0.2 + 0.1j, 0.05], dtype=np.complex128)))
+    sym_path.write_text(json.dumps(symbol_to_json(phi)))
+    argv = ["compose", "--in", str(path), "--symbol", str(sym_path),
+            "--truncation", str(COMPOSE_TRUNCATION_LIMIT + 1), "--out", str(out)]
+    assert main(argv) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "symbol.json"]
+    # the sparse-algebra benchmark runs norms at 30^4
+    assert 30**4 <= NORMS_TRUNCATION_LIMIT
+
+
+def test_compose_flat_symbol_at_full_cutoff_is_fast(tmp_path, rng):
+    # c0 = 0 with --cutoff = --truncation = 4096 once took 15-20 s: every n
+    # expanded its own exponential series to the full truncation
+    path = tmp_path / "series.json"
+    save_series(DirichletSeries(rng.normal(size=4096) + 1j * rng.normal(size=4096)), str(path))
+    varphi = (rng.normal(size=64) + 1j * rng.normal(size=64)) / (2.0 * np.arange(1, 65))
+    varphi[0] = 0.5 + 0.2j
+    sym_path = tmp_path / "symbol.json"
+    sym_path.write_text(json.dumps(symbol_to_json(Symbol(0, DirichletSeries(varphi)))))
+    out = tmp_path / "composed.json"
+    proc = _run_cli("compose", "--in", str(path), "--symbol", str(sym_path), "--cutoff", "4096",
+                    "--truncation", "4096", "--out", str(out), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["exact"] is False and series_from_json(doc).truncation == 4096
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -198,79 +196,6 @@ def test_split_kernels_bit_identical_at_square_boundaries(rng, root):
         got, flag = _kernels.divisor_sum_u64(t)
         want, want_flag = divisor_sum_loop(t)
         assert np.array_equal(got, want) and flag == want_flag
-
-
-def _stack(rng, rows, length, nonzero=None):
-    """rows x length complex values sharing one nonzero pattern.
-
-    Every entry is nonzero unless ``nonzero`` lists the 0-based positions
-    that are.
-    """
-    vals = rng.normal(size=(rows, length)) + 1j * rng.normal(size=(rows, length))
-    if nonzero is not None:
-        keep = np.zeros(length, dtype=bool)
-        keep[nonzero] = True
-        vals[:, ~keep] = 0
-    return vals
-
-
-def _rows_match_loop(got, a, b, out_len):
-    return got.shape == (len(a), out_len) and all(
-        _same_bits(got[i], _dense_loop(a[i], b[i], out_len)) for i in range(len(a))
-    )
-
-
-@pytest.mark.parametrize("rows", [1, 2, 7])
-def test_convolve_rows_bit_identical_to_loop_per_row(rng, rows):
-    for out_len in (1, 2, 15, 16, 17, 400, 1000):
-        root = math.isqrt(out_len)
-        dense_a, dense_b = _stack(rng, rows, out_len), _stack(rng, rows, out_len)
-        # three nonzeros, two of them above isqrt(out_len): the split moves to D = out_len
-        sparse = _stack(rng, rows, out_len, sorted({0, out_len // 2, out_len - 1}))
-        long_b = _stack(rng, rows, out_len + 9)  # operands past the truncation
-        short_a = _stack(rng, rows, max(1, root - 1))  # and shorter than the split
-        if out_len >= 400:
-            assert _kernels._hyperbola_split(dense_a[0], dense_b[0], out_len) == root
-            assert _kernels._hyperbola_split(sparse[0], dense_b[0], out_len) == out_len
-        zero = np.zeros((rows, out_len), dtype=np.complex128)
-        for a, b in (
-            (dense_a, dense_b),  # loop 2 runs
-            (dense_b, dense_a),
-            (sparse, dense_b),  # split at D = out_len
-            (dense_a, sparse),
-            (short_a, long_b),
-            (long_b, short_a),
-            (zero, dense_b),
-            (zero, zero),
-        ):
-            assert _rows_match_loop(_kernels.dirichlet_convolve_rows(a, b, out_len), a, b, out_len)
-
-
-def test_convolve_rows_splits_rows_of_different_patterns(rng, monkeypatch):
-    out_len = 300
-    dense = _stack(rng, 3, out_len)
-    sparse = _stack(rng, 1, out_len, [4, 40, 200, 299])[0]
-    zero = np.zeros(out_len, dtype=np.complex128)
-    # row 0 has the sparser a and row 1 the sparser b, so the rows need
-    # different left factors and summation orders; rows 3 and 4 share one
-    # pattern pair and run as one stack
-    a = np.array([sparse, dense[0], zero, dense[1], dense[2]])
-    b = np.array([dense[0], sparse, dense[1], dense[2], dense[0]])
-    shapes = []
-    real = _kernels._convolve_rows
-
-    def spy(x, y, n):
-        shapes.append(x.shape)
-        return real(x, y, n)
-
-    monkeypatch.setattr(_kernels, "_convolve_rows", spy)
-    got = _kernels.dirichlet_convolve_rows(a, b, out_len)
-    assert _rows_match_loop(got, a, b, out_len)
-    # the zero row takes the support path; the others run in three calls
-    assert sorted(shapes) == [(2, out_len), (out_len,), (out_len,)]
-    # one stack for rows 0 and 1 would walk the nonzeros of row 0 alone
-    mixed = real(a[:2], b[:2], out_len)
-    assert not _same_bits(mixed[1], got[1])
 
 
 def test_split_convolve_operands_shorter_than_split_and_longer_than_output(rng):
