@@ -2,9 +2,11 @@
 
 Subcommands: norms, compose, superpose, spectrum, vertical-limit,
 experiment <name>.  One JSON format is shared with the library modules.
-Outputs are deterministic for a fixed (config, seed) pair and written
-atomically (temp file, then rename); an experiment runs in a temporary
-directory whose files are moved into --out-dir only when it succeeds.
+Outputs are deterministic for a fixed (config, seed) pair.  Every file goes
+through one writer, ``series._atomic_write_text`` (temp file, then rename),
+and a failed write leaves no temp file behind; an experiment runs in a
+temporary directory whose files are moved into --out-dir only when it
+succeeds.
 Exit codes: 0 success, 2 usage or parse error, 3 domain error (spectrum
 point, support overflow, missing coverage, beyond desk scale), surfaced
 verbatim.
@@ -27,6 +29,8 @@ from .errors import BeyondDeskScale, HplusError
 from .numtheory import MultiIndex, sieve
 from .series import (
     DirichletSeries,
+    _atomic_write_json,
+    _atomic_write_text,
     load_series,
     multiply,
     seminorm_2,
@@ -36,8 +40,6 @@ from .series import (
     translate,
     with_truncation,
 )
-
-CACHE_FLAG_HELP = "sieve cache directory (overrides HPLUS_CACHE_DIR)"
 
 # inequality-suite's largest --support: its even seminorms form support^2
 # index products each, and its products run at truncation support^2; at
@@ -57,9 +59,23 @@ EJEMPLO_WORK_LIMIT = 2 * 10**7
 # about 8 s and peaks near 270 MB (the truncation of inequality-suite's
 # products at its largest --support).
 NORMS_TRUNCATION_LIMIT = 4 * 10**6
+# norms' largest --p: each k does p/2 - 1 products, and a small product costs
+# about 30 us of call overhead whatever its size (--p 64 --k 1..1000 on a
+# 1-term input takes about 1 s).
+NORMS_P_LIMIT = 64
+# norms' largest len(ks) x (p/2 - 1) x output truncation for p >= 4, the
+# slots its products fill.  The slowest in-bound calls, on dense inputs
+# (numpy backend, 2 cores): --p 4 --k 1..12 at 4*10^6 computes for 8.4 s,
+# --p 64 --k 1..1000 at 1612 for 9.9 s.
+NORMS_WORK_LIMIT = 5 * 10**7
 # compose's largest output truncation: at 10^6 a dense input takes about 7 s
 # end to end, most of it JSON, and peaks near 300 MB.
 COMPOSE_TRUNCATION_LIMIT = 10**6
+
+# The longest integer list (norms --k, superpose-exp --m-list): each value
+# is one seminorm of the input, or one superpose_entire run (about 4 ms at
+# superpose-exp's defaults).
+INT_LIST_LIMIT = 1000
 
 EXPERIMENTS = (
     "inequality-suite",
@@ -71,25 +87,6 @@ EXPERIMENTS = (
 )
 
 
-# Characters per write of _atomic_write_text: a text written at once is
-# first encoded whole, a second full copy of it.
-_WRITE_SLICE = 1 << 20
-
-
-def _atomic_write_text(path: str, *texts: str) -> None:
-    """Write the texts one after another to path, through a renamed temp file."""
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        for text in texts:
-            for start in range(0, len(text), _WRITE_SLICE):
-                f.write(text[start : start + _WRITE_SLICE])
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path: str, obj: dict) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True), "\n")
-
-
 def _csv_text(header: str, rows) -> str:
     lines = [header]
     lines.extend(rows)
@@ -97,16 +94,26 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '4', '1,2,3', or '1..8'; a list that selects nothing is an error."""
+    """Accept '4', '1,2,3', or '1..8'; a list that selects nothing is an error.
+
+    A list longer than INT_LIST_LIMIT is beyond desk scale; a range's length
+    is checked before the range is built.
+    """
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split("..", 1))
+        length, values = hi - lo + 1, range(lo, hi + 1)
     else:
         values = [int(tok) for tok in text.split(",") if tok]
-    if not values:
+        length = len(values)
+    if length < 1:
         raise ValueError(f"integer list {text!r} selects no values")
-    return values
+    if length > INT_LIST_LIMIT:
+        raise BeyondDeskScale(
+            f"integer list {text!r} holds {length} values; beyond desk scale "
+            f"(limit {INT_LIST_LIMIT})"
+        )
+    return list(values)
 
 
 def _out_truncation(args, d: DirichletSeries, limit: int) -> int:
@@ -124,12 +131,20 @@ def _out_truncation(args, d: DirichletSeries, limit: int) -> int:
     return out_trunc
 
 
+def _finite_float(text: str) -> float:
+    """A float flag: nan and infinities are usage errors, not values."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_finite_float(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_finite_float(parts[0]), _finite_float(parts[1]))
     raise ValueError(f"expected 're' or 're,im', got {text!r}")
 
 
@@ -150,12 +165,19 @@ def _manifest(name: str, parameters: dict, outputs: list[str], **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_norms(args) -> int:
-    d = load_series(args.infile)
     ks = _parse_int_list(args.k)
     p = args.p
     if p < 2 or p % 2 != 0:
         raise ValueError(f"--p must be an even integer >= 2 for exact norms, got {p}")
+    if p > NORMS_P_LIMIT:
+        raise BeyondDeskScale(f"--p {p} is beyond desk scale (limit {NORMS_P_LIMIT})")
+    d = load_series(args.infile)
     out_trunc = _out_truncation(args, d, NORMS_TRUNCATION_LIMIT)
+    if len(ks) * (p // 2 - 1) * out_trunc > NORMS_WORK_LIMIT:
+        raise BeyondDeskScale(
+            f"{len(ks)} k values x {p // 2 - 1} products at truncation {out_trunc}; "
+            f"beyond desk scale (limit {NORMS_WORK_LIMIT})"
+        )
     rows = []
     for k in ks:
         if p == 2:
@@ -216,9 +238,11 @@ def _cmd_superpose(args) -> int:
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
     _atomic_write_json(args.out, series_to_json(result))
     if args.diagnostics and diagnostics:
-        tmp = args.diagnostics + ".part"
-        superposition.write_growth_table(_tail_rows(diagnostics), tmp)
-        os.replace(tmp, args.diagnostics)
+        try:
+            superposition.write_growth_table(_tail_rows(diagnostics), args.diagnostics)
+        except BaseException:
+            os.remove(args.out)  # a failed run leaves no output
+            raise
     return 0
 
 
@@ -234,7 +258,7 @@ def _cmd_vertical_limit(args) -> int:
     d = load_series(args.infile)
     with open(args.character) as f:
         chi = operators.character_from_json(json.load(f))
-    table = sieve(max(2, d.truncation), cache_dir=args.cache_dir)
+    table = sieve(max(2, d.truncation))
     result = operators.vertical_limit(d, chi, table)
     _atomic_write_json(args.out, series_to_json(result))
     return 0
@@ -315,6 +339,8 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
     # and terms <= 4^n_vars  <=>  (terms - 1).bit_length() <= 2 n_vars
     if args.n_vars < 1:
         raise ValueError(f"--n-vars must be >= 1, got {args.n_vars}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.terms < 1 or (args.terms - 1).bit_length() > 2 * args.n_vars:
         raise ValueError(
             f"--terms must lie in 1..4^{args.n_vars} (distinct exponents), got {args.terms}"
@@ -353,7 +379,7 @@ def _exp_nonextension(args, outdir: str) -> dict:
     n_max = args.nmax
     # p_n < n (ln n + ln ln n) for n >= 6
     limit = max(100, int(n_max * (math.log(max(n_max, 6)) + math.log(math.log(max(n_max, 6)))) * 1.05))
-    table = sieve(limit, cache_dir=args.cache_dir)
+    table = sieve(limit)
     result = bohr.nonextension_partial_sums(n_max, table)
     rows = [
         f"{int(m)},{float(s)!r},{float(lb)!r}"
@@ -464,11 +490,12 @@ def _exp_noncomposition(args, outdir: str) -> dict:
 def _exp_superpose_exp(args, outdir: str) -> dict:
     kmax = args.kmax if args.kmax is not None else 8
     truncation = args.truncation if args.truncation is not None else 2000
+    m_checks = _parse_int_list(args.m_list)
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     outputs = []
     series_doc = None
-    for m in _parse_int_list(args.m_list):
+    for m in m_checks:
         result, diags = superposition.superpose_entire(d, ec, kmax, m)
         if series_doc is None:
             series_doc = series_to_json(result)
@@ -480,7 +507,7 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     params = {
         "truncation": truncation,
         "kmax": kmax,
-        "m_checks": _parse_int_list(args.m_list),
+        "m_checks": m_checks,
         "coefficients": ec.tag,
     }
     return _manifest("superpose-exp", params, outputs)
@@ -551,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--coeffs", default=None, help="polynomial coefficients 'b0;b1;...'")
     p.add_argument("--entire", default=None, choices=("exp-kk", "exp-kC", "inv-factorial"))
-    p.add_argument("--cc", type=float, default=1.2, help="C for --entire exp-kC")
+    p.add_argument("--cc", type=_finite_float, default=1.2, help="C for --entire exp-kC")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--m", type=int, default=1, help="seminorm index for diagnostics")
     p.add_argument("--out", required=True)
@@ -561,14 +588,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="apply the resolvent of differentiation")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lam", required=True, help="shift lambda as 're' or 're,im'")
-    p.add_argument("--tol", type=float, default=operators.SPECTRUM_TOL)
+    p.add_argument("--tol", type=_finite_float, default=operators.SPECTRUM_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("vertical-limit", help="twist coefficients by a character")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--character", required=True)
-    p.add_argument("--cache-dir", default=None, help=CACHE_FLAG_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_vertical_limit)
 
@@ -584,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-vars", type=int, default=3)
     p.add_argument("--terms", type=int, default=20)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p", type=float, default=2)
+    p.add_argument("--p", type=_finite_float, default=2)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--m-list", default="1,2,4")
     p.add_argument("--kmax", type=int, default=None)
@@ -592,12 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-m", type=int, default=1)
     p.add_argument("--witness-kmin", type=int, default=20)
     p.add_argument("--witness-kmax", type=int, default=60)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--cc", type=float, default=1.2, help="exponent C")
-    p.add_argument("--cprime", type=float, default=1.6, help="exponent C'")
+    p.add_argument("--delta", type=_finite_float, default=None)
+    p.add_argument("--epsilon", type=_finite_float, default=0.05)
+    p.add_argument("--cc", type=_finite_float, default=1.2, help="exponent C")
+    p.add_argument("--cprime", type=_finite_float, default=1.6, help="exponent C'")
     p.add_argument("--nmax", type=int, default=1000000)
-    p.add_argument("--cache-dir", default=None, help=CACHE_FLAG_HELP)
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -608,7 +633,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HplusError as exc:
+    except (HplusError, OverflowError) as exc:  # OverflowError: past the float range
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:

@@ -19,7 +19,6 @@ sieve limit exceeds 10^6 is kept: building a second evicts the first.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -28,9 +27,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import BeyondDeskScale, TableTooSmall
-
-CACHE_ENV = "HPLUS_CACHE_DIR"
-_CACHE_MAGIC = "hplus-sieve-v1"
 
 # Euler products need primes up to threshold^(-exponent); above this bound
 # they are beyond desk scale.
@@ -118,62 +114,17 @@ class MultiIndex:
         return n
 
 
-def _cache_path(cache_dir: str, limit: int) -> str:
-    return os.path.join(cache_dir, f"sieve-{limit}.npz")
-
-
-def _try_load_cache(path: str, limit: int) -> PrimeTable | None:
-    try:
-        with np.load(path) as data:
-            if str(data["magic"]) != _CACHE_MAGIC or int(data["limit"]) != limit:
-                return None
-            primes = data["primes"].astype(np.int64)
-        # spot checks; a corrupt file falls through to recomputation
-        if len(primes) == 0 or primes[0] != 2 or primes[-1] > limit:
-            return None
-        if not np.all(np.diff(primes) > 0):
-            return None
-        return PrimeTable(limit=limit, primes=primes)
-    except Exception:
-        return None
-
-
-def sieve(limit: int, cache_dir: str | None = None) -> PrimeTable:
+def sieve(limit: int) -> PrimeTable:
     """The primes up to ``limit`` (inclusive), from an odd-only boolean sieve.
 
-    The smallest-prime-factor table ``spf`` is only sieved when read.  If
-    ``cache_dir`` is given (or the HPLUS_CACHE_DIR environment variable is
-    set) the primes are persisted as an .npz keyed by the limit; a corrupt
-    or mismatched cache file is ignored and the table recomputed.  Cache
-    files that also hold an ``spf`` array load as well; it is not read.
+    The smallest-prime-factor table ``spf`` is only sieved when read.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit >= 2**31:
         raise BeyondDeskScale(f"sieve limit {limit} exceeds the int32 range of spf")
     limit = int(limit)
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV) or None
-
-    if cache_dir:
-        cached = _try_load_cache(_cache_path(cache_dir, limit), limit)
-        if cached is not None:
-            return cached
-
-    primes = _kernels.sieve_primes(limit)
-    table = PrimeTable(limit=limit, primes=primes)
-
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = _cache_path(cache_dir, limit)
-        tmp = path + f".tmp-{os.getpid()}"
-        try:
-            with open(tmp, "wb") as f:
-                np.savez(f, magic=_CACHE_MAGIC, limit=limit, primes=primes)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    return table
+    return PrimeTable(limit=limit, primes=_kernels.sieve_primes(limit))
 
 
 def factorize(n: int, table: PrimeTable) -> MultiIndex:

@@ -398,6 +398,8 @@ def resolvent(
     otherwise the offending n is reported as a spectrum point.  The output
     satisfies (lambda I - Del)(result) = d exactly on coefficients.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if d.coeffs[0] != 0:
         raise NonzeroConstantTerm(
             f"resolvent domain requires a_1 = 0, got a_1 = {complex(d.coeffs[0])}"
@@ -412,18 +414,6 @@ def resolvent(
     if d.truncation > 1:
         out[1:] = d.coeffs[1:] / denom[1:]
     return DirichletSeries(out)
-
-
-def _translate_back(d: DirichletSeries, delta: float) -> DirichletSeries:
-    """Backward translation b_n = a_n * n^{+delta}; finite supports only.
-
-    Private: unlike ``series.translate`` this inflates coefficients and is
-    only meaningful on Dirichlet polynomials.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    n = np.arange(1, d.truncation + 1, dtype=np.float64)
-    return DirichletSeries(d.coeffs * n ** float(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -459,26 +449,3 @@ def character_from_json(obj: dict) -> Character:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field 'prime_values' must hold [re, im] pairs: {exc}") from None
     return Character(vals)
-
-
-def classification_to_json(report: ClassificationReport) -> dict:
-    return {
-        "inf_re_estimate": report.inf_re_estimate,
-        "boundary_margin": report.boundary_margin,
-        "epsilon_estimate": report.epsilon_estimate,
-        "heuristic": report.heuristic,
-        "c0": report.c0,
-        "grid": {
-            "sigma_min": report.grid.sigma_min,
-            "sigma_max": report.grid.sigma_max,
-            "n_sigma": report.grid.n_sigma,
-            "t_max": report.grid.t_max,
-            "n_t": report.grid.n_t,
-            "log_sigma": report.grid.log_sigma,
-        },
-        "verdicts": {
-            name: {"holds": v.holds, "threshold": v.threshold, "basis": v.basis}
-            for name, v in report.verdicts.items()
-        },
-        "notes": report.notes,
-    }

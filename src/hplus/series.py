@@ -11,8 +11,10 @@ guessing.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -407,12 +409,36 @@ def series_from_json(obj: dict) -> DirichletSeries:
     return DirichletSeries(arr)
 
 
-def save_series(d: DirichletSeries, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(series_to_json(d), f, sort_keys=True)
-        f.write("\n")
-
-
 def load_series(path: str) -> DirichletSeries:
     with open(path) as f:
         return series_from_json(json.load(f))
+
+
+# Characters per write of _atomic_write_text: a text written at once is
+# first encoded whole, a second full copy of it.
+_WRITE_SLICE = 1 << 20
+
+
+def _atomic_write_text(path: str, *texts: str) -> None:
+    """Write the texts one after another to path, through a renamed temp file.
+
+    Every file hplus writes goes through here.  When the write or the rename
+    raises, the temp file is deleted and the error re-raised: a failed write
+    leaves path as it was and no temp file.
+    """
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w") as f:
+            for text in texts:
+                for start in range(0, len(text), _WRITE_SLICE):
+                    f.write(text[start : start + _WRITE_SLICE])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _atomic_write_json(path: str, obj: dict) -> None:
+    """obj as sorted-key JSON and a newline, through ``_atomic_write_text``."""
+    _atomic_write_text(path, json.dumps(obj, sort_keys=True), "\n")

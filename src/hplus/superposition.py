@@ -22,6 +22,7 @@ from .errors import InexactPower
 from .numtheory import PrimeTable, chebyshev_theta, euler_product, prime_pi, sieve
 from .series import (
     DirichletSeries,
+    _atomic_write_text,
     _power_terms,
     _weighted_l2_norm,
     multiply,
@@ -401,7 +402,7 @@ def noncomposition_exponent(
 
 
 def write_growth_table(rows, path: str) -> None:
-    """CSV with columns k, value, target, margin (empty target when undefined)."""
+    """Write the CSV k, value, target, margin (empty target when undefined) atomically."""
     lines = ["k,value,target,margin"]
     for k, value, target in rows:
         value = float(value)
@@ -410,5 +411,4 @@ def write_growth_table(rows, path: str) -> None:
         else:
             target = float(target)
             lines.append(f"{int(k)},{value!r},{target!r},{value - target!r}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _atomic_write_text(path, "\n".join(lines) + "\n")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,21 +14,30 @@ from hplus.cli import (
     COMPOSE_TRUNCATION_LIMIT,
     EJEMPLO_TRUNCATION_LIMIT,
     EJEMPLO_WORK_LIMIT,
+    INT_LIST_LIMIT,
+    NORMS_P_LIMIT,
     NORMS_TRUNCATION_LIMIT,
+    NORMS_WORK_LIMIT,
     SUITE_COEFF_LIMIT,
     SUITE_SUPPORT_LIMIT,
+    _parse_int_list,
     main,
 )
 from hplus.operators import Symbol, character_to_json, symbol_to_json
 from hplus.series import (
     DirichletSeries,
     load_series,
-    save_series,
     seminorm_2,
     series_from_json,
+    series_to_json,
     translate,
 )
 from hplus.superposition import composition_criterion
+
+
+def save_series(d, path):
+    with open(path, "w") as f:
+        f.write(json.dumps(series_to_json(d), sort_keys=True) + "\n")
 
 
 @pytest.fixture()
@@ -77,6 +87,115 @@ def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
     d, path = series_file
     out = tmp_path / "norms.csv"
     assert main(["norms", "--in", str(path), "--k", "3..1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "k",
+    [f"1..{INT_LIST_LIMIT + 1}", ",".join(["1"] * (INT_LIST_LIMIT + 1)), "1..100000000"],
+    ids=["range", "list", "huge-range"],
+)
+def test_norms_rejects_k_lists_past_the_limit(series_file, tmp_path, k):
+    # 1..100000000 was once built whole: a MemoryError, or minutes of work
+    d, path = series_file
+    out = tmp_path / "norms.csv"
+    start = time.perf_counter()
+    assert main(["norms", "--in", str(path), "--k", k, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_norms_rejects_work_past_the_limit(series_file, tmp_path, p):
+    # len(ks) x (p/2 - 1) x truncation = NORMS_WORK_LIMIT + 1, each factor in range
+    d, path = series_file
+    work = NORMS_WORK_LIMIT + 1
+    n = next(
+        n for n in range(1, INT_LIST_LIMIT + 1)
+        if work % (n * (p // 2 - 1)) == 0 and work // (n * (p // 2 - 1)) <= NORMS_TRUNCATION_LIMIT
+    )
+    out = tmp_path / "norms.csv"
+    argv = ["norms", "--in", str(path), "--p", str(p), "--k", f"1..{n}",
+            "--truncation", str(work // (n * (p // 2 - 1))), "--out", str(out)]
+    assert main(argv) == 3
+    argv = ["norms", "--in", str(path), "--p", str(NORMS_P_LIMIT + 2), "--k", "1",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+
+
+def test_default_lists_lie_inside_the_bounds():
+    assert len(_parse_int_list("1..8")) <= INT_LIST_LIMIT
+    assert len(_parse_int_list("1,2,4")) <= INT_LIST_LIMIT
+    # the sparse-algebra benchmark: norms --p 8 --k 1..8 at 30^4
+    assert 8 * 3 * 30**4 <= NORMS_WORK_LIMIT and 8 <= NORMS_P_LIMIT
+    # the default k list at p = 4 and the largest output truncation
+    assert 8 * NORMS_TRUNCATION_LIMIT <= NORMS_WORK_LIMIT
+
+
+def test_superpose_exp_rejects_m_lists_past_the_limit(tmp_path):
+    out_dir = tmp_path / "se"
+    argv = ["experiment", "superpose-exp", "--out-dir", str(out_dir),
+            "--m-list", ",".join(["1"] * (INT_LIST_LIMIT + 1))]
+    assert main(argv) == 3
+    assert not any(tmp_path.iterdir())
+
+
+def test_output_onto_a_directory_leaves_nothing_behind(series_file, tmp_path):
+    # norms once left <dir>.tmp-<pid>; superpose left <dir>.part and its --out
+    d, path = series_file
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["norms", "--in", str(path), "--k", "1..2", "--out", str(target)]) == 2
+    out = tmp_path / "sup.json"
+    argv = ["superpose", "--in", str(path), "--entire", "exp-kk", "--kmax", "4",
+            "--out", str(out), "--diagnostics", str(target)]
+    assert main(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "taken"]
+    assert not any(target.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "bohr-parseval", "--trials", "0"],
+        ["experiment", "bohr-parseval", "--trials", "-3"],
+        ["experiment", "bohr-parseval", "--p", "nan"],
+        ["experiment", "noncomposition", "--epsilon", "nan"],
+        ["experiment", "noncomposition", "--delta", "inf"],
+        ["experiment", "bohr-parseval", "--p", "1e400"],
+    ],
+)
+def test_experiments_reject_empty_and_non_finite_values(tmp_path, argv):
+    # each of these once ran to exit 0 with an empty or nan table
+    out_dir = tmp_path / "run"
+    try:
+        rc = main([*argv, "--out-dir", str(out_dir)])
+    except SystemExit as exc:  # argparse rejects the flag itself
+        rc = exc.code
+    assert rc == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_spectrum_rejects_non_finite_shift_and_negative_tolerance(series_file, tmp_path):
+    d, path = series_file
+    out = tmp_path / "res.json"
+    assert main(["spectrum", "--in", str(path), "--lam", "inf", "--out", str(out)]) == 2
+    assert main(["spectrum", "--in", str(path), "--lam", "1,nan", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--in", str(path), "--lam", "1", "--tol", "nan", "--out", str(out)])
+    assert exc.value.code == 2
+    assert main(["spectrum", "--in", str(path), "--lam", "1", "--tol", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_superpose_past_the_float_range_is_domain_error(series_file, tmp_path):
+    # exp(-k^k) leaves the float range at k = 144: once an OverflowError traceback
+    d, path = series_file
+    out = tmp_path / "sup.json"
+    argv = ["superpose", "--in", str(path), "--entire", "exp-kk", "--kmax", "1000",
+            "--out", str(out)]
+    assert main(argv) == 3
     assert not out.exists()
 
 

@@ -60,18 +60,6 @@ def test_sieve_rejects_tiny_limit():
         sieve(2**31)
 
 
-def test_sieve_cache_roundtrip_and_corruption(tmp_path):
-    cache = str(tmp_path)
-    t1 = sieve(1000, cache_dir=cache)
-    files = list(tmp_path.glob("sieve-1000.npz"))
-    assert len(files) == 1
-    t2 = sieve(1000, cache_dir=cache)
-    assert np.array_equal(t1.spf, t2.spf) and np.array_equal(t1.primes, t2.primes)
-    files[0].write_bytes(b"garbage, not a zip")
-    t3 = sieve(1000, cache_dir=cache)
-    assert np.array_equal(t1.spf, t3.spf)
-
-
 @pytest.mark.parametrize("limit", [2, 3, 4, 9, 25, 26, 500, 10_001])
 def test_sieve_matches_spf_sieve_and_builds_spf_lazily(limit):
     table = sieve(limit)
@@ -81,32 +69,6 @@ def test_sieve_matches_spf_sieve_and_builds_spf_lazily(limit):
     assert table.spf.tobytes() == spf.tobytes()
     assert table.primes.tobytes() == primes.tobytes()
     assert not table.spf.flags.writeable and not table.primes.flags.writeable
-
-
-def test_sieve_loads_cache_holding_spf(tmp_path, monkeypatch):
-    # the cache format that stored the smallest-prime-factor table as well
-    spf, primes = _kernels.sieve_spf(1000)
-    np.savez(tmp_path / "sieve-1000.npz", magic="hplus-sieve-v1", limit=1000, spf=spf, primes=primes)
-
-    def no_sieving(limit):
-        raise AssertionError("recomputed instead of loading the cache")
-
-    monkeypatch.setattr(_kernels, "sieve_primes", no_sieving)
-    table = sieve(1000, cache_dir=str(tmp_path))
-    assert table.primes.tobytes() == primes.tobytes()
-    assert table.spf.tobytes() == spf.tobytes()
-
-
-def test_sieve_cache_stores_primes_only(tmp_path):
-    sieve(1000, cache_dir=str(tmp_path))
-    with np.load(tmp_path / "sieve-1000.npz") as data:
-        assert sorted(data.files) == ["limit", "magic", "primes"]
-
-
-def test_sieve_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("HPLUS_CACHE_DIR", str(tmp_path))
-    sieve(512)
-    assert (tmp_path / "sieve-512.npz").exists()
 
 
 # -- factorize / MultiIndex ---------------------------------------------------

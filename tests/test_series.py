@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hplus.errors import BeyondDeskScale, UndefinedAbscissa
 from hplus.numtheory import divisor_power_table, euler_product
 from hplus.series import (
     DirichletSeries,
+    _atomic_write_json,
+    _atomic_write_text,
     abscissa_estimates,
     add,
     evaluate,
@@ -555,3 +558,21 @@ def test_json_rejects_missing_fields():
         series_from_json({"coeffs": [[1, 0]]})
     with pytest.raises(ValueError, match="coeffs"):
         series_from_json({"truncation": 2, "coeffs": [[1, 0]]})
+
+
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_atomic_write_leaves_no_temp_file_when_it_fails(tmp_path, monkeypatch, fails):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    if fails == "replace":
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            _atomic_write_json(str(path), {"a": 1})
+    else:
+        with pytest.raises(TypeError):
+            _atomic_write_text(str(path), "first text", 2)  # not a str: fails mid-write
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert path.read_text() == "old\n"
