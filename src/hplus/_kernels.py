@@ -20,7 +20,16 @@ value) pairs: ``convolve_support`` forms the nnz_a * nnz_b products directly
 instead of walking output slots.  ``dirichlet_convolve`` takes that path
 when nnz_a * nnz_b <= out_len and the split loops otherwise.  Both paths add
 the terms of each output coefficient in ascending divisor of the sparser
-operand, so they give the same bits.
+operand, so they give the same bits.  A support product splits into a plan
+and its values: the plan (row lengths, inner offsets, merged indices) is a
+function of the two index arrays and out_len alone, so ``_support_plan``
+keeps it in a memo keyed by both arrays' dtype, length and bytes and
+out_len, within ``_PLAN_BUDGET_BYTES`` (least recently used dropped
+first).  The even seminorms translate one support by every 1/k and raise it
+to powers, so its plans serve every k.  The values are multiplied and added
+per call with the same expressions in the same order, so a kept plan gives
+the bits of a fresh one; a product whose coefficients cancel has a smaller
+support, and the next product on it a different key.
 
 ``sieve_primes`` finds the primes alone, with one byte per odd number; the
 int32 smallest-prime-factor table of ``sieve_spf`` is built only for the
@@ -33,6 +42,7 @@ n // spf(n) < 2^j, in vectorized steps of at most ``_EXTEND_BLOCK`` slots.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -89,8 +99,8 @@ def from_support(idx: np.ndarray, vals: np.ndarray, out_len: int) -> np.ndarray:
 
 
 # Largest ratio max(index) / products at which _merge_indices marks slots
-# instead of sorting: it bounds the mark and rank tables (9 bytes a slot) to
-# 144 bytes per product, however large the indices.
+# instead of sorting: it bounds the mark and int32 rank tables (5 bytes a
+# slot) to 80 bytes per product, however large the indices.
 _MARK_SLOTS_PER_PRODUCT = 16
 
 
@@ -101,17 +111,79 @@ def _merge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when max(idx) <= _MARK_SLOTS_PER_PRODUCT * len(idx); a rank table over
     the same range then maps each marked value to its place in n (slots
     that are not marked are never written or read).  Otherwise
-    ``np.unique(idx, return_inverse=True)``.  Both give the same (n, inv).
+    ``np.unique(idx, return_inverse=True)``.  Both give the same (n, inv),
+    with inv in int32 when len(n) < 2^31.
     """
     top = int(idx.max(initial=0))
     if top > _MARK_SLOTS_PER_PRODUCT * len(idx):
-        return np.unique(idx, return_inverse=True)
+        n, inv = np.unique(idx, return_inverse=True)
+        return n, inv.astype(_rank_dtype(len(n)), copy=False)
     marks = np.zeros(top + 1, dtype=bool)
     marks[idx] = True
     n = np.flatnonzero(marks)
-    rank = np.empty(top + 1, dtype=np.intp)
+    rank = np.empty(top + 1, dtype=_rank_dtype(len(n)))
     rank[n] = np.arange(len(n))
     return n, rank[idx]
+
+
+def _rank_dtype(count: int) -> type:
+    """int32 when every place in 0..count - 1 fits in it, else intp."""
+    return np.int32 if count < 2**31 else np.intp
+
+
+# Bytes the support-product plans may hold together, keys included.  The
+# plans of one sparse-algebra benchmark round (supports of 30 and 100 terms
+# and their powers up to 810 000 slots) are 7 and take 0.86 MB.
+_PLAN_BUDGET_BYTES = 2 << 20
+_plans: dict[tuple, tuple[tuple[np.ndarray, ...], int]] = {}  # key -> (plan, bytes)
+_plan_bytes = 0
+_plans_lock = threading.Lock()
+
+
+def _support_plan(
+    ia: np.ndarray, ib: np.ndarray, out_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index plan (tops, inner, n, inv) of the support product ia x ib at out_len.
+
+    Row i pairs the outer term i with the inner prefix ib[:tops[i]]; the
+    rows are laid end to end, so inner[j] counts j's place in its row, and
+    the products ia[i] * ib[inner] merge to the ascending n with inv.  The
+    plan depends on the indices alone, so it is kept in ``_plans`` under
+    both arrays' dtype, length and bytes and out_len, read-only, and the
+    least recently used plans are dropped once the plans would hold more
+    than _PLAN_BUDGET_BYTES.  A plan above that budget is not kept.
+    """
+    global _plan_bytes
+    key = (ia.dtype.str, len(ia), ia.tobytes(), ib.dtype.str, len(ib), ib.tobytes(), out_len)
+    with _plans_lock:
+        kept = _plans.pop(key, None)
+        if kept is not None:
+            _plans[key] = kept  # most recently used last
+            return kept[0]
+    tops = np.searchsorted(ib, out_len // ia, side="right")
+    ends = np.cumsum(tops)
+    place = _rank_dtype(int(ends[-1]))  # the products' places fit, so the offsets do
+    inner = np.arange(ends[-1], dtype=place) - np.repeat((ends - tops).astype(place), tops)
+    n, inv = _merge_indices(np.repeat(ia, tops) * ib[inner])
+    plan = (tops.astype(_rank_dtype(len(ib) + 1)), inner, n, inv)
+    for arr in plan:
+        arr.flags.writeable = False
+    size = sum(arr.nbytes for arr in plan) + len(key[2]) + len(key[5])
+    with _plans_lock:
+        if size <= _PLAN_BUDGET_BYTES and key not in _plans:
+            while _plan_bytes + size > _PLAN_BUDGET_BYTES:
+                _plan_bytes -= _plans.pop(next(iter(_plans)))[1]
+            _plans[key] = (plan, size)
+            _plan_bytes += size
+    return plan
+
+
+def _clear_plans() -> None:
+    """Forget every support-product plan."""
+    global _plan_bytes
+    with _plans_lock:
+        _plans.clear()
+        _plan_bytes = 0
 
 
 def convolve_support(
@@ -123,21 +195,18 @@ def convolve_support(
     nonzero values.  The sparser operand is the outer axis of the index
     products; products landing above out_len are dropped and equal indices
     merged with ``np.bincount``, which adds them in ascending index of the
-    outer operand.  Coefficients that cancel to zero are dropped.
+    outer operand.  Coefficients that cancel to zero are dropped.  The index
+    work comes from ``_support_plan``; only the values are multiplied and
+    added per call, the outer value the left factor as in the dense loop.
     """
     if len(ib) < len(ia):
         ia, va, ib, vb = ib, vb, ia, va
     if len(ia) == 0:
         return ia, va
-    # row i pairs the outer term i with the inner prefix ib[:tops[i]]; the
-    # rows are laid end to end, so inner[j] counts j's place in its row, and
-    # the outer value stays the left factor as in the dense loop
-    tops = np.searchsorted(ib, out_len // ia, side="right")
-    ends = np.cumsum(tops)
-    inner = np.arange(ends[-1]) - np.repeat(ends - tops, tops)
-    idx = np.repeat(ia, tops) * ib[inner]
-    vals = np.repeat(va, tops) * vb[inner]
-    n, inv = _merge_indices(idx)
+    tops, inner, n, inv = _support_plan(ia, ib, out_len)
+    # take, not vb[inner]: the same gather, without casting the int32 inner
+    # to intp on every call
+    vals = np.repeat(va, tops) * vb.take(inner)
     c = np.empty(len(n), dtype=np.complex128)
     c.real = np.bincount(inv, weights=vals.real, minlength=len(n))
     c.imag = np.bincount(inv, weights=vals.imag, minlength=len(n))

@@ -72,6 +72,20 @@ NORMS_WORK_LIMIT = 5 * 10**7
 # end to end, most of it JSON, and peaks near 300 MB.
 COMPOSE_TRUNCATION_LIMIT = 10**6
 
+# superpose's largest (--kmax + 1) x truncation, and superpose-exp's largest
+# len(--m-list) x (--kmax + 1) x --truncation: a run keeps all K + 1 powers
+# and their K tails, 32 B a slot, and forms one product per power.  A dense
+# 10^6-term input at --kmax 7 takes about 9 s end to end and peaks near
+# 330 MB.
+SUPERPOSE_WORK_LIMIT = 8 * 10**6
+# bohr-parseval's largest --samples x --trials: about 0.6 s per 10^6 samples
+# at its defaults (3 variables, 20 terms).
+BOHR_SAMPLE_LIMIT = 10**7
+# The largest k of noncomposition (--kmax) and of ejemplo-growth's witness
+# (--witness-kmax): they sieve to k^C' and k^(1 + delta), below 10^8 for
+# C' < 2 and delta < 1, which takes about 2 s and 155 MB.
+K_RANGE_LIMIT = 10**4
+
 # The longest integer list (norms --k, superpose-exp --m-list): each value
 # is one seminorm of the input, or one superpose_entire run (about 4 ms at
 # superpose-exp's defaults).
@@ -129,6 +143,24 @@ def _out_truncation(args, d: DirichletSeries, limit: int) -> int:
             f"output truncation {out_trunc} is beyond desk scale (limit {limit})"
         )
     return out_trunc
+
+
+def _check_superpose_work(runs: int, kmax: int, truncation: int) -> None:
+    """Refuse runs x (kmax + 1) x truncation power slots past SUPERPOSE_WORK_LIMIT."""
+    if runs * (kmax + 1) * truncation > SUPERPOSE_WORK_LIMIT:
+        raise BeyondDeskScale(
+            f"{runs} x (--kmax {kmax} + 1) x truncation {truncation} power slots; "
+            f"beyond desk scale (limit {SUPERPOSE_WORK_LIMIT})"
+        )
+
+
+def _check_k_range(flag: str, kmin: int, kmax: int, least: int) -> None:
+    """Refuse the k range of the flags <flag>kmin..<flag>kmax, before it is built,
+    when it starts below least or ends past K_RANGE_LIMIT."""
+    if kmin < least:
+        raise ValueError(f"{flag}kmin must be >= {least}, got {kmin}")
+    if kmax > K_RANGE_LIMIT:
+        raise BeyondDeskScale(f"{flag}kmax {kmax} is beyond desk scale (limit {K_RANGE_LIMIT})")
 
 
 def _finite_float(text: str) -> float:
@@ -235,6 +267,7 @@ def _cmd_superpose(args) -> int:
             ec = superposition.EntireCoeffs.inverse_factorial()
         else:
             raise ValueError(f"unknown entire-coefficient tag {args.entire!r}")
+        _check_superpose_work(1, args.kmax, d.truncation)
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
     _atomic_write_json(args.out, series_to_json(result))
     if args.diagnostics and diagnostics:
@@ -345,6 +378,11 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
         raise ValueError(
             f"--terms must lie in 1..4^{args.n_vars} (distinct exponents), got {args.terms}"
         )
+    if args.samples * args.trials > BOHR_SAMPLE_LIMIT:
+        raise BeyondDeskScale(
+            f"--samples {args.samples} x --trials {args.trials} is beyond desk scale "
+            f"(limit {BOHR_SAMPLE_LIMIT})"
+        )
     rng = np.random.default_rng(args.seed)
     table = bohr.sieve_for_n_primes(args.n_vars)
     rows = []
@@ -412,6 +450,7 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
             f"--kmax {kmax} x --truncation {truncation} forms one product per k; "
             f"beyond desk scale (limit {EJEMPLO_WORK_LIMIT})"
         )
+    _check_k_range("--witness-", args.witness_kmin, args.witness_kmax, 2)
     d = translate(DirichletSeries.ones(truncation), 0.5)
     report = superposition.composition_criterion(d, args.m, kmax)
     growth_rows = [
@@ -448,6 +487,7 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
 def _exp_noncomposition(args, outdir: str) -> dict:
     kmax = args.kmax if args.kmax is not None else 200
     delta = args.delta if args.delta is not None else 0.05
+    _check_k_range("--", args.kmin, kmax, 1)
     main = superposition.noncomposition_exponent(
         args.cc, args.cprime, args.epsilon, delta, range(args.kmin, kmax + 1)
     )
@@ -491,6 +531,9 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     kmax = args.kmax if args.kmax is not None else 8
     truncation = args.truncation if args.truncation is not None else 2000
     m_checks = _parse_int_list(args.m_list)
+    if kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {kmax}")
+    _check_superpose_work(len(m_checks), kmax, truncation)
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     outputs = []

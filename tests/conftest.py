@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from hplus import _kernels
 from hplus.numtheory import sieve
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -26,3 +27,10 @@ def table_100k():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250808)
+
+
+@pytest.fixture(autouse=True)
+def fresh_support_plans():
+    """Start every test with no support-product plan kept, so each one sees
+    its own first products merge (both _merge_indices branches included)."""
+    _kernels._clear_plans()

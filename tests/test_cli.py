@@ -11,15 +11,18 @@ import pytest
 import hplus
 from hplus import __version__
 from hplus.cli import (
+    BOHR_SAMPLE_LIMIT,
     COMPOSE_TRUNCATION_LIMIT,
     EJEMPLO_TRUNCATION_LIMIT,
     EJEMPLO_WORK_LIMIT,
     INT_LIST_LIMIT,
+    K_RANGE_LIMIT,
     NORMS_P_LIMIT,
     NORMS_TRUNCATION_LIMIT,
     NORMS_WORK_LIMIT,
     SUITE_COEFF_LIMIT,
     SUITE_SUPPORT_LIMIT,
+    SUPERPOSE_WORK_LIMIT,
     _parse_int_list,
     main,
 )
@@ -506,6 +509,68 @@ def test_ejemplo_growth_rejects_sizes_before_any_work(tmp_path, flags):
     assert proc.returncode == 3, proc.stderr
     assert "beyond desk scale" in proc.stderr
     assert not any(tmp_path.iterdir())  # no --out-dir and no staging directory
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # once a MemoryError traceback (exit 1) allocating 10^9 slots
+        ["superpose-exp", "--truncation", "1000000000"],
+        # 1 run x (2 + 1) powers x truncation = SUPERPOSE_WORK_LIMIT + 1
+        ["superpose-exp", "--m-list", "1", "--kmax", "2",
+         "--truncation", str((SUPERPOSE_WORK_LIMIT + 1) // 3)],
+        # once a MemoryError traceback building the k list
+        ["noncomposition", "--kmax", "1000000000"],
+        ["noncomposition", "--kmax", str(K_RANGE_LIMIT + 1)],
+        ["ejemplo-growth", "--witness-kmax", str(K_RANGE_LIMIT + 1)],
+        ["bohr-parseval", "--samples", str(BOHR_SAMPLE_LIMIT + 1), "--trials", "1"],
+        ["bohr-parseval", "--samples", str((BOHR_SAMPLE_LIMIT + 10) // 10)],  # 10 trials
+    ],
+)
+def test_experiment_sizes_past_their_limits_exit_3_before_any_work(tmp_path, argv):
+    assert (SUPERPOSE_WORK_LIMIT + 1) % 3 == 0 and BOHR_SAMPLE_LIMIT % 10 == 0
+    # the defaults and the benchmark's calls lie inside every bound: superpose-exp
+    # 3 runs x 9 powers at 2 000, noncomposition k <= 1 000 (its factorial
+    # ladder), the witness k <= 60, bohr-parseval 10 x 10^5 samples
+    assert 3 * 9 * 2000 <= SUPERPOSE_WORK_LIMIT and 1000 <= K_RANGE_LIMIT
+    assert 60 <= K_RANGE_LIMIT and 10 * 100_000 <= BOHR_SAMPLE_LIMIT
+    out_dir = tmp_path / "run"
+    proc = _run_cli("experiment", *argv, "--out-dir", str(out_dir))
+    assert proc.returncode == 3, proc.stderr
+    assert "beyond desk scale" in proc.stderr
+    assert not any(tmp_path.iterdir())  # no --out-dir and no staging directory
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["noncomposition", "--kmin", "-1000000000"], 2),  # not a k list of 10^9 values
+        (["ejemplo-growth", "--witness-kmin", "-1000000000"], 2),
+        (["superpose-exp", "--kmax", "-1", "--truncation", "1000000000"], 2),
+    ],
+)
+def test_experiment_k_ranges_are_checked_before_they_are_built(tmp_path, argv, code):
+    proc = _run_cli("experiment", *argv, "--out-dir", str(tmp_path / "run"))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_superpose_rejects_powers_past_the_limit(tmp_path):
+    # a 1-term input at --kmax SUPERPOSE_WORK_LIMIT: (kmax + 1) x 1 slots is
+    # the limit + 1; the default --kmax 8 holds 8 x 10^5 input terms
+    assert 9 * 800_000 <= SUPERPOSE_WORK_LIMIT
+    path = tmp_path / "one.json"
+    save_series(DirichletSeries(np.array([0.5 + 0j])), str(path))
+    out = tmp_path / "sup.json"
+    argv = ["superpose", "--in", str(path), "--entire", "inv-factorial",
+            "--kmax", str(SUPERPOSE_WORK_LIMIT), "--out", str(out)]
+    proc = _run_cli(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "beyond desk scale" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
+    argv[argv.index("--kmax") + 1] = "40"
+    assert main(argv) == 0 and out.exists()
 
 
 def test_nonextension_past_the_sieve_range_is_domain_error(tmp_path):

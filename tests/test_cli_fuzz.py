@@ -25,15 +25,18 @@ from hypothesis import strategies as st
 
 import hplus
 from hplus.cli import (
+    BOHR_SAMPLE_LIMIT,
     COMPOSE_TRUNCATION_LIMIT,
     EJEMPLO_TRUNCATION_LIMIT,
     EJEMPLO_WORK_LIMIT,
     INT_LIST_LIMIT,
+    K_RANGE_LIMIT,
     NORMS_P_LIMIT,
     NORMS_TRUNCATION_LIMIT,
     NORMS_WORK_LIMIT,
     SUITE_COEFF_LIMIT,
     SUITE_SUPPORT_LIMIT,
+    SUPERPOSE_WORK_LIMIT,
 )
 from hplus.operators import Character, Symbol, character_to_json, symbol_to_json
 from hplus.series import DirichletSeries, series_to_json
@@ -67,7 +70,8 @@ COMMANDS = {
     "superpose": (["--in", "{series}"], {
         "--entire": ("exp-kk", ["exp-kC", "inv-factorial", "abc"]),
         "--coeffs": (None, ["1,0;0,0;1,0", "2", "1;abc"]),
-        "--kmax": ("4", ["1", "1000", *BAD]),
+        # (kmax + 1) x the input's 20 terms past SUPERPOSE_WORK_LIMIT
+        "--kmax": ("4", ["1", "1000", str(SUPERPOSE_WORK_LIMIT // 20), *BAD]),
         "--m": ("1", ["2", *BAD]),
         "--cc": ("1.2", ["0.5", "nan", *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
@@ -90,8 +94,8 @@ COMMANDS = {
         "--seed": ("1", BAD),
     }),
     "experiment bohr-parseval": ([], {
-        "--samples": ("64", ["1", *BAD]),
-        "--trials": ("1", ["2", *BAD]),
+        "--samples": ("64", ["1", str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
+        "--trials": ("1", ["2", str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
         "--n-vars": ("2", ["1", *BAD]),
         "--terms": ("3", ["1", "17", *BAD]),
         "--k": ("1", ["2", *BAD]),
@@ -106,19 +110,20 @@ COMMANDS = {
         "--m": ("2", ["1", *BAD]),
         "--witness-m": ("1", ["2", *BAD]),
         "--witness-kmin": ("20", ["2", "30", *BAD]),
-        "--witness-kmax": ("22", ["21", *BAD]),
+        "--witness-kmax": ("22", ["21", str(K_RANGE_LIMIT + 1), *BAD]),
         "--delta": ("0.3", ["0.9", "1.5", *BAD]),
     }),
     "experiment noncomposition": ([], {
         "--kmin": ("40", ["1", *BAD]),
-        "--kmax": ("45", ["40", "39", *BAD]),
+        "--kmax": ("45", ["40", "39", str(K_RANGE_LIMIT + 1), *BAD]),
         "--cc": ("1.2", ["1.9", "nan", *BAD]),
         "--cprime": ("1.6", ["1.1", "1.9", *BAD]),
         "--epsilon": ("0.05", ["0.5", *BAD]),
         "--delta": ("0.05", ["0.5", *BAD]),
     }),
     "experiment superpose-exp": ([], {
-        "--truncation": ("50", ["1", *BAD]),
+        # 1 run x (1 + 1) powers, the least drawn, past SUPERPOSE_WORK_LIMIT
+        "--truncation": ("50", ["1", str(SUPERPOSE_WORK_LIMIT // 2 + 1), *BAD]),
         "--kmax": ("4", ["1", "40", *BAD]),
         "--m-list": ("1,2", ["1", "4", "3..1", *LONG_LIST, *BAD]),
     }),

@@ -175,6 +175,133 @@ def test_convolve_support_bit_identical_to_row_oracle(rng, monkeypatch):
     assert True in branches[3:] and False in branches[3:]
 
 
+def _spy_merges(monkeypatch):
+    """Record the length of every index array _merge_indices merges."""
+    merges = []
+    real = _kernels._merge_indices
+
+    def spy(idx):
+        merges.append(len(idx))
+        return real(idx)
+
+    monkeypatch.setattr(_kernels, "_merge_indices", spy)
+    return merges
+
+
+def _assert_matches_row_oracle(ia, va, ib, vb, out_len):
+    got_n, got_v = _kernels.convolve_support(ia, va, ib, vb, out_len)
+    want_n, want_v = convolve_support_rows(ia, va, ib, vb, out_len)
+    assert got_n.dtype == want_n.dtype and np.array_equal(got_n, want_n)
+    assert got_v.dtype == want_v.dtype and _same_bits(got_v, want_v)
+    return got_n, got_v
+
+
+def test_support_plan_hits_and_misses_match_row_oracle(rng, monkeypatch):
+    # every support pair is multiplied three times with fresh values: one
+    # merge (the miss), then two products from the kept plan
+    merges = _spy_merges(monkeypatch)
+    pairs = []
+    for _ in range(60):
+        out_len = int(np.exp(rng.uniform(0.0, np.log(50_000))))
+        spread = int(rng.integers(1, out_len + 1))
+        nnz_a, nnz_b = (int(x) for x in rng.integers(1, min(spread, 30) + 1, size=2))
+        ia = _random_support(rng, nnz_a, spread)[0]
+        ib = _random_support(rng, nnz_b, spread)[0]
+        pairs.append((ia, ib, out_len))
+    for _ in range(3):
+        for ia, ib, out_len in pairs:
+            va = rng.normal(size=len(ia)) + 1j * rng.normal(size=len(ia))
+            vb = rng.normal(size=len(ib)) + 1j * rng.normal(size=len(ib))
+            n, v = _assert_matches_row_oracle(ia, va, ib, vb, out_len)
+            assert n.flags.writeable  # never the kept plan's own array
+    distinct = {(a.tobytes(), b.tobytes(), o) for a, b, o in pairs}
+    assert len(merges) == len(distinct) and len(_kernels._plans) == len(distinct)
+
+
+def test_support_plan_after_a_cancelled_coefficient(monkeypatch):
+    # P = 1 + 2^-s + 3 * 3^-s + c 6^-s: the coefficient of 6^-s in P^2 is
+    # 2c + 6 (row order: -3 + 3 + 3 - 3 for c = -3), exactly 0 at c = -3, so
+    # that P^2 has one term less and P^3 = P * P^2 misses the plan of the
+    # other P^2 by its key
+    merges = _spy_merges(monkeypatch)
+    out_len = 6**3
+    ia = np.array([1, 2, 3, 6], dtype=np.int64)
+    squares = []
+    for c in (-1.5, -3.0):
+        va = np.array([1.0, 1.0, 3.0, c], dtype=np.complex128)
+        ib, vb = _assert_matches_row_oracle(ia, va, ia, va, out_len)
+        squares.append(ib)
+        _assert_matches_row_oracle(ia, va, ib, vb, out_len)
+    assert 6 in squares[0] and 6 not in squares[1] and len(squares[1]) == len(squares[0]) - 1
+    assert len(merges) == 3  # P^2 once, and one P^3 for each support of P^2
+
+
+# int32 [1, 2] and uint32 [1, 2] have the same bytes at one length, int64
+# [2^33 + 1] the same bytes at another; none may read another's plan
+_SAME_BYTES = [
+    np.array([1, 2], dtype=np.int32),
+    np.array([1, 2], dtype=np.uint32),
+    np.array([2**33 + 1], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize(
+    "side,same_bytes,out_len",
+    [("outer", _SAME_BYTES[:2], 1000), ("inner", _SAME_BYTES, 2**36)],
+)
+def test_support_plan_keys_tell_equal_bytes_apart(side, same_bytes, out_len):
+    assert len({x.tobytes() for x in same_bytes}) == 1
+    other = np.array([1, 2, 3] if side == "outer" else [1], dtype=np.int64)
+    vo = np.full(len(other), 2.0 - 1.0j)
+    for order in (same_bytes, same_bytes[::-1]):
+        _kernels._clear_plans()
+        for idx in order:
+            vals = np.arange(1, len(idx) + 1) * (1.0 + 0.5j)
+            args = (idx, vals, other, vo) if side == "outer" else (other, vo, idx, vals)
+            _assert_matches_row_oracle(*args, out_len)
+        assert len(_kernels._plans) == len(same_bytes)
+
+
+def _kept_plan_bytes():
+    return sum(
+        sum(a.nbytes for a in plan) + len(key[2]) + len(key[5])
+        for key, (plan, _) in _kernels._plans.items()
+    )
+
+
+def test_support_plans_stay_within_their_byte_budget(rng):
+    budget = _kernels._PLAN_BUDGET_BYTES
+    out_len = 10**7
+    first = None
+    for _ in range(40):
+        # about 12 000 products each: some 10 plans fill the budget
+        ia = _random_support(rng, 30, 3000)[0]
+        ib, vb = _random_support(rng, 400, 3000)
+        _assert_matches_row_oracle(ia, np.ones(30, np.complex128), ib, vb, out_len)
+        assert _kernels._plan_bytes == _kept_plan_bytes() <= budget
+        if first is None:
+            first = next(iter(_kernels._plans))
+    assert first not in _kernels._plans  # the oldest plans went first
+    # a plan above the whole budget serves its product but is not kept
+    ia, va = _random_support(rng, 300, 300)
+    ib, vb = _random_support(rng, 2000, 2000)
+    kept = list(_kernels._plans)
+    _assert_matches_row_oracle(ia, va, ib, vb, out_len)
+    assert list(_kernels._plans) == kept and _kernels._plan_bytes <= budget
+
+
+def test_support_plans_keep_the_recently_used(rng):
+    ia, va = _random_support(rng, 30, 3000)
+    ib, vb = _random_support(rng, 400, 3000)
+    _kernels.convolve_support(ia, va, ib, vb, 10**7)
+    key = next(iter(_kernels._plans))
+    for _ in range(40):
+        _kernels.convolve_support(ia, va, ib, vb, 10**7)  # a hit moves it last
+        ic, vc = _random_support(rng, 400, 3000)
+        _kernels.convolve_support(ia, va, ic, vc, 10**7)
+        assert key in _kernels._plans
+
+
 def _dense_operand(rng, length):
     return rng.normal(size=length) + 1j * rng.normal(size=length)
 
