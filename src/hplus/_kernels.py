@@ -25,11 +25,11 @@ and its values: the plan (row lengths, inner offsets, merged indices) is a
 function of the two index arrays and out_len alone, so ``_support_plan``
 keeps it in a memo keyed by both arrays' dtype, length and bytes and
 out_len, within ``_PLAN_BUDGET_BYTES`` (least recently used dropped
-first).  The even seminorms translate one support by every 1/k and raise it
-to powers, so its plans serve every k.  The values are multiplied and added
-per call with the same expressions in the same order, so a kept plan gives
-the bits of a fresh one; a product whose coefficients cancel has a smaller
-support, and the next product on it a different key.
+first).  Random polynomials of one support length share their indices, so
+their powers share plans.  The values are multiplied and added per call
+with the same expressions in the same order, so a kept plan gives the bits
+of a fresh one; a product whose coefficients cancel has a smaller support,
+and the next product on it a different key.
 
 ``sieve_primes`` finds the primes alone, with one byte per odd number; the
 int32 smallest-prime-factor table of ``sieve_spf`` is built only for the

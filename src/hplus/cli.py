@@ -54,19 +54,19 @@ EJEMPLO_TRUNCATION_LIMIT = 10**6
 # ejemplo-growth's largest --kmax x --truncation: it forms one dense product
 # per k, about 11 ms each at truncation 10^5 and 0.15 s at 10^6.
 EJEMPLO_WORK_LIMIT = 2 * 10**7
-# norms' largest output truncation: for p >= 4 each k raises the input to a
-# power at it, and on a dense 1000-term input --p 8 --k 1..8 at 4*10^6 takes
-# about 8 s and peaks near 270 MB (the truncation of inequality-suite's
-# products at its largest --support).
+# norms' largest output truncation: for p >= 4 a call raises the input to
+# the p/2-th power at it once, and on a dense 1000-term input --p 26 --k 1
+# at 4*10^6 (12 products) takes about 6.5 s and peaks near 245 MB (the
+# truncation of inequality-suite's products at its largest --support).
 NORMS_TRUNCATION_LIMIT = 4 * 10**6
-# norms' largest --p: each k does p/2 - 1 products, and a small product costs
-# about 30 us of call overhead whatever its size (--p 64 --k 1..1000 on a
-# 1-term input takes about 1 s).
+# norms' largest --p: a call does p/2 - 1 products, and a small product costs
+# about 30 us of call overhead whatever its size.
 NORMS_P_LIMIT = 64
-# norms' largest len(ks) x (p/2 - 1) x output truncation for p >= 4, the
-# slots its products fill.  The slowest in-bound calls, on dense inputs
-# (numpy backend, 2 cores): --p 4 --k 1..12 at 4*10^6 computes for 8.4 s,
-# --p 64 --k 1..1000 at 1612 for 9.9 s.
+# norms' largest len(ks) x (p/2 - 1) x output truncation for p >= 4.  The
+# products run once per call and only the weighting once per k, so the
+# len(ks) factor over-counts.  The slowest in-bound calls, on dense inputs
+# (numpy backend, 2 cores): --p 26 --k 1 at 4*10^6 takes 6.5 s, --p 4
+# --k 1..12 at 4*10^6 0.4 s, --p 64 --k 1..1000 at 1612 0.4 s.
 NORMS_WORK_LIMIT = 5 * 10**7
 # compose's largest output truncation: at 10^6 a dense input takes about 7 s
 # end to end, most of it JSON, and peaks near 300 MB.
@@ -81,6 +81,20 @@ SUPERPOSE_WORK_LIMIT = 8 * 10**6
 # bohr-parseval's largest --samples x --trials: about 0.6 s per 10^6 samples
 # at its defaults (3 variables, 20 terms).
 BOHR_SAMPLE_LIMIT = 10**7
+# bohr-parseval's largest --n-vars: it sieves for that many primes, and each
+# sample takes one exponential and one row of powers per variable (10^7
+# samples of a 1-term polynomial in 8 variables take 5-7 s).
+BOHR_VARS_LIMIT = 8
+# bohr-parseval's largest --trials x --terms: each term is drawn in a
+# Python-level loop, each trial makes one estimate, and the Monte Carlo
+# multiplies (terms x 1024-sample) arrays, about 32 KB a term.  One trial of
+# 4 096 terms in 8 variables at 12 207 samples takes 3.8 s and peaks near
+# 170 MB; 4 096 one-term trials take 1.3 s.
+BOHR_TERMS_LIMIT = 4096
+# bohr-parseval's largest --samples x --trials x --terms, the monomials its
+# Monte Carlo evaluates (2 * 10^7 at the defaults): 10^7 samples of 5 terms
+# in 8 variables, the slowest in-bound call, take about 8.6 s.
+BOHR_MONOMIAL_LIMIT = 5 * 10**7
 # The largest k of noncomposition (--kmax) and of ejemplo-growth's witness
 # (--witness-kmax): they sieve to k^C' and k^(1 + delta), below 10^8 for
 # C' < 2 and delta < 1, which takes about 2 s and 155 MB.
@@ -210,13 +224,11 @@ def _cmd_norms(args) -> int:
             f"{len(ks)} k values x {p // 2 - 1} products at truncation {out_trunc}; "
             f"beyond desk scale (limit {NORMS_WORK_LIMIT})"
         )
-    rows = []
-    for k in ks:
-        if p == 2:
-            rows.append(f"{k},{p},{seminorm_2(d, k)!r},true")
-        else:
-            val = seminorm_even(d, p // 2, k, out_trunc)
-            rows.append(f"{k},{p},{val.value!r},{str(val.exact).lower()}")
+    if p == 2:
+        rows = [f"{k},{p},{seminorm_2(d, k)!r},true" for k in ks]
+    else:
+        vals = seminorm_even(d, p // 2, ks, out_trunc)
+        rows = [f"{k},{p},{v.value!r},{str(v.exact).lower()}" for k, v in zip(ks, vals)]
     text = _csv_text("k,p,value,exact", rows)
     if args.out:
         _atomic_write_text(args.out, text)
@@ -326,10 +338,10 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
     out_trunc = support * support
     chain_rows, algebra_rows, power_rows = [], [], []
     polys = [_random_polynomial(rng, support) for _ in range(count)]
+    ks = (1, 2, 3, 4)
     for i, d in enumerate(polys):
-        for k in (1, 2, 3, 4):
+        for k, mid in zip(ks, seminorm_even(d, 2, ks, out_trunc)):
             lhs = seminorm_2(d, k)
-            mid = seminorm_even(d, 2, k, out_trunc)
             c = seminorm_comparison_constant(k, 2, 4)
             rhs = c * seminorm_2(d, 2 * k)
             ok = lhs <= mid.value * (1 + 1e-9) and mid.value <= rhs * (1 + 1e-9)
@@ -372,17 +384,26 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
     # and terms <= 4^n_vars  <=>  (terms - 1).bit_length() <= 2 n_vars
     if args.n_vars < 1:
         raise ValueError(f"--n-vars must be >= 1, got {args.n_vars}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.terms < 1 or (args.terms - 1).bit_length() > 2 * args.n_vars:
         raise ValueError(
             f"--terms must lie in 1..4^{args.n_vars} (distinct exponents), got {args.terms}"
         )
-    if args.samples * args.trials > BOHR_SAMPLE_LIMIT:
-        raise BeyondDeskScale(
-            f"--samples {args.samples} x --trials {args.trials} is beyond desk scale "
-            f"(limit {BOHR_SAMPLE_LIMIT})"
-        )
+    for size, flags, limit in (
+        (args.n_vars, f"--n-vars {args.n_vars}", BOHR_VARS_LIMIT),
+        (args.samples * args.trials, f"--samples {args.samples} x --trials {args.trials}",
+         BOHR_SAMPLE_LIMIT),
+        (args.trials * args.terms, f"--trials {args.trials} x --terms {args.terms}",
+         BOHR_TERMS_LIMIT),
+        (args.samples * args.trials * args.terms,
+         f"--samples {args.samples} x --trials {args.trials} x --terms {args.terms}",
+         BOHR_MONOMIAL_LIMIT),
+    ):
+        if size > limit:
+            raise BeyondDeskScale(f"{flags} is beyond desk scale (limit {limit})")
     rng = np.random.default_rng(args.seed)
     table = bohr.sieve_for_n_primes(args.n_vars)
     rows = []

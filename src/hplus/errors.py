@@ -43,3 +43,7 @@ class InexactPower(HplusError):
 
 class BeyondDeskScale(HplusError, ValueError):
     """A constant needs a prime table beyond desk scale (primes up to 1e8)."""
+
+
+class CoefficientOverflow(HplusError, ValueError):
+    """A product of finite coefficients leaves the float range."""

@@ -14,14 +14,16 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import UndefinedAbscissa
+from .errors import CoefficientOverflow, UndefinedAbscissa
 from .numtheory import euler_product
 
 
@@ -177,10 +179,13 @@ def multiply(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
     """Dirichlet product c_n = sum_{d | n} a_d b_{n/d} at the shorter truncation.
 
     Divisors of n never exceed n, so every output coefficient equals that of
-    the formal product of the two polynomials.
+    the formal product of the two polynomials.  A product that leaves the
+    float range raises ``CoefficientOverflow``.
     """
     out_len = min(d.truncation, e.truncation)
-    return DirichletSeries(_kernels.dirichlet_convolve(d.coeffs, e.coeffs, out_len))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _kernels.dirichlet_convolve(d.coeffs, e.coeffs, out_len)
+    return DirichletSeries(_finite_product(coeffs))
 
 
 def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
@@ -216,21 +221,27 @@ def _power_terms(
     Returns (indices, values), the ascending 1-based support of the power
     and its coefficients, while every product satisfies nnz_a * nnz_b <=
     out_len; from the first one that does not, the rest run on dense arrays
-    and the result is (None, coefficient array).  A product that overflows
-    raises ValueError, as ``multiply`` does.
+    and the result is (None, coefficient array).  A product that leaves the
+    float range raises ``CoefficientOverflow``, as ``multiply`` does.
     """
     ib, vb = ia, va
-    while k > 1 and len(ia) * len(ib) <= out_len:
-        ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
-        k -= 1
-    if k > 1:
-        base = _kernels.from_support(ia, va, out_len)
-        ib, vb = None, _kernels.from_support(ib, vb, out_len)
-        for _ in range(k - 1):
-            vb = _kernels.dirichlet_convolve(base, vb, out_len)
-    if not np.all(np.isfinite(vb.view(np.float64))):
-        raise ValueError("coefficients must be finite")
-    return ib, vb
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k > 1 and len(ia) * len(ib) <= out_len:
+            ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
+            k -= 1
+        if k > 1:
+            base = _kernels.from_support(ia, va, out_len)
+            ib, vb = None, _kernels.from_support(ib, vb, out_len)
+            for _ in range(k - 1):
+                vb = _kernels.dirichlet_convolve(base, vb, out_len)
+    return ib, _finite_product(vb)
+
+
+def _finite_product(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, the product of finite coefficients, if it stayed in the float range."""
+    if not np.all(np.isfinite(coeffs.view(np.float64))):
+        raise CoefficientOverflow("product coefficients are not finite: past the float range")
+    return coeffs
 
 
 def evaluate(d: DirichletSeries, s: complex) -> complex:
@@ -244,23 +255,37 @@ def evaluate(d: DirichletSeries, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _weighted_l2_norm(idx: np.ndarray | None, vals: np.ndarray, k: int) -> float:
-    """(sum |v_i|^2 idx_i^{-2/k})^{1/2} over (1-based index, value) pairs.
+    """(sum |v_i|^2 idx_i^{-2/k})^{1/2}; see ``_weighted_l2_roots``."""
+    return _weighted_l2_roots(idx, vals, [k], 1)[0]
+
+
+def _weighted_l2_roots(
+    idx: np.ndarray | None, vals: np.ndarray, ks: Sequence[int], q: int
+) -> list[float]:
+    """(sum |v_i|^2 idx_i^{-2/k})^{1/(2q)} for each k of ks, over (1-based index, value) pairs.
 
     ``idx`` None stands for the full range 1..len(vals), which is never
-    materialised as a gathered copy.  When the plain sum of squares
-    underflows into the subnormal range or overflows, the terms are
-    rescaled by their largest modulus first, as in ``math.hypot``.
+    materialised as a gathered copy.  The indices and squared moduli are
+    formed once for all k.  When the plain sum of squares underflows into
+    the subnormal range or overflows, the terms are rescaled by their
+    largest modulus first, as in ``math.hypot``, and the root is taken
+    factor by factor.
     """
     if idx is None:
         n = np.arange(1, len(vals) + 1, dtype=np.float64)
     else:
         n = idx.astype(np.float64)
+    roots = []
     with np.errstate(over="ignore", under="ignore"):
-        square_sum = float(np.sum((vals.real**2 + vals.imag**2) * n ** (-2.0 / k)))
-    if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
-        return math.sqrt(square_sum)
-    scale, norm = _rescaled_l2_norm(np.abs(vals) * n ** (-1.0 / k))
-    return scale * norm
+        squares = vals.real**2 + vals.imag**2
+        for k in ks:
+            square_sum = float(np.sum(squares * n ** (-2.0 / k)))
+            if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
+                roots.append(math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q))
+            else:
+                scale, norm = _rescaled_l2_norm(np.abs(vals) * n ** (-1.0 / k))
+                roots.append(scale ** (1.0 / q) * norm ** (1.0 / q))
+    return roots
 
 
 def _rescaled_l2_norm(terms: np.ndarray) -> tuple[float, float]:
@@ -287,35 +312,37 @@ def seminorm_2(d: DirichletSeries, k: int) -> float:
 
 
 def seminorm_even(
-    d: DirichletSeries, q: int, k: int, out_truncation: int
-) -> SeminormValue:
-    """Even-index seminorm of order p = 2q via the power identity.
+    d: DirichletSeries, q: int, k: int | Sequence[int], out_truncation: int
+) -> SeminormValue | list[SeminormValue]:
+    """Even-index seminorm of order p = 2q via the power identity, at one k or at each of a list.
 
-    ||D||_{2q,k} = || translate(D, 1/k)^q ||_{H^2}^{1/q}, with the power
-    computed at ``out_truncation``.  The value is exact when the support of
-    the q-th power fits below the truncation (support(D)^q <= out_truncation);
-    otherwise it is a certified lower bound and ``exact`` is False.  The
-    H^2 norm is summed over the power's support while it stays sparse (see
-    ``power``), so no array of out_truncation slots is built for a sparse D.
+    ||D||_{2q,k} = || translate(D, 1/k)^q ||_{H^2}^{1/q}.  Translation is
+    multiplicative, [translate(D, 1/k)^q]_N = N^{-1/k} [D^q]_N, and commutes
+    with truncation, so ||D||_{2q,k}^{2q} = sum_N |[D^q]_N|^2 N^{-2/k}: D^q
+    is formed once, at ``out_truncation``, and weighed for every k.  With
+    an int k the result is one ``SeminormValue``; with a sequence of ints it
+    is the list of their values in the same order, each entry the bits of
+    the single-k call.  A value is exact when the support of the q-th power
+    fits below the truncation (support(D)^q <= out_truncation); otherwise it
+    is a certified lower bound and ``exact`` is False.  The sum runs over
+    the power's support while it stays sparse (see ``power``), so no array
+    of out_truncation slots is built for a sparse D.  For q = 1 the values
+    are those of ``seminorm_2``.
     """
+    single = isinstance(k, numbers.Integral)
+    ks = [k] if single else list(k)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    for kk in ks:
+        if kk < 1:
+            raise ValueError(f"k must be >= 1, got {kk}")
     if q == 1:
-        return SeminormValue(seminorm_2(d, k), True)
-    shifted = translate(d, 1.0 / k)
-    _, vals = _power_terms(*_kernels.support(shifted.coeffs, out_truncation), q, out_truncation)
-    with np.errstate(over="ignore", under="ignore"):
-        l2 = np.sum(vals.real**2 + vals.imag**2)
-    if _SAFE_SQUARE_SUM_MIN <= l2 < math.inf:
-        value = float(l2 ** (0.5 / q))
+        idx, vals, exact = None, d.coeffs, True
     else:
-        # the H^2 norm rescaled as in _weighted_l2_norm, rooted factor by factor
-        scale, norm = _rescaled_l2_norm(np.abs(vals))
-        value = scale ** (1.0 / q) * norm ** (1.0 / q)
-    exact = d.support_max() ** q <= out_truncation
-    return SeminormValue(value, exact)
+        idx, vals = _power_terms(*_kernels.support(d.coeffs, out_truncation), q, out_truncation)
+        exact = d.support_max() ** q <= out_truncation
+    values = [SeminormValue(v, exact) for v in _weighted_l2_roots(idx, vals, ks, q)]
+    return values[0] if single else values
 
 
 def seminorm_comparison_constant(k: int, p: float, q: float) -> float:

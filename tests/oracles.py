@@ -18,6 +18,9 @@ reproduce for a constant series part.  ``compose_general_loop`` is
 powers of the symbol, with one expansion per n in float64, and
 ``compose_general_clongdouble`` the same per-n expansion in
 ``np.clongdouble``, the reference within rounding for both.
+``seminorm_even_translated`` is ``series.seminorm_even`` as it was before
+it weighed one untranslated power for every k: it translates D by 1/k and
+raises the translate to the q-th power for each k.
 """
 
 from __future__ import annotations
@@ -458,3 +461,28 @@ def compose_general_clongdouble(d, phi, out_truncation: int, n_cutoff: int | Non
         out[shift - 1 : shift * room : shift] += a * np.exp(c1 * neg_log) * g
     return out
 
+
+def seminorm_even_translated(d, q: int, k: int, out_truncation: int):
+    """||D||_{2q,k} as ||translate(D, 1/k)^q||_{H^2}^{1/q}, one power per k."""
+    from hplus import _kernels
+    from hplus.series import (
+        _SAFE_SQUARE_SUM_MIN,
+        SeminormValue,
+        _power_terms,
+        _rescaled_l2_norm,
+        seminorm_2,
+        translate,
+    )
+
+    if q == 1:
+        return SeminormValue(seminorm_2(d, k), True)
+    shifted = translate(d, 1.0 / k)
+    _, vals = _power_terms(*_kernels.support(shifted.coeffs, out_truncation), q, out_truncation)
+    with np.errstate(over="ignore", under="ignore"):
+        l2 = np.sum(vals.real**2 + vals.imag**2)
+    if _SAFE_SQUARE_SUM_MIN <= l2 < math.inf:
+        value = float(l2 ** (0.5 / q))
+    else:
+        scale, norm = _rescaled_l2_norm(np.abs(vals))
+        value = scale ** (1.0 / q) * norm ** (1.0 / q)
+    return SeminormValue(value, d.support_max() ** q <= out_truncation)

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import hplus
-from hplus import __version__
+from hplus import __version__, bohr
 from hplus.cli import (
+    BOHR_MONOMIAL_LIMIT,
     BOHR_SAMPLE_LIMIT,
+    BOHR_TERMS_LIMIT,
+    BOHR_VARS_LIMIT,
     COMPOSE_TRUNCATION_LIMIT,
     EJEMPLO_TRUNCATION_LIMIT,
     EJEMPLO_WORK_LIMIT,
@@ -62,6 +65,20 @@ def test_norms_emits_eight_rows(series_file, tmp_path, capsys):
     k, p, value, exact = lines[1].split(",")
     assert (k, p, exact) == ("1", "2", "true")
     assert float(value) == pytest.approx(seminorm_2(d, 1), rel=1e-15)
+
+
+def test_norms_row_of_a_k_list_matches_the_single_k_run(series_file, tmp_path):
+    # the k list shares one power of the input; each row keeps the single-k bytes
+    d, path = series_file
+    rows = {}
+    for k in ("1..8", "3"):
+        out = tmp_path / f"norms-{k}.csv"
+        argv = ["norms", "--in", str(path), "--p", "8", "--k", k, "--out", str(out)]
+        assert main(argv) == 0
+        rows[k] = out.read_text().splitlines()
+    assert len(rows["1..8"]) == 9 and len(rows["3"]) == 2
+    assert rows["1..8"][3] == rows["3"][1]
+    assert rows["3"][1].startswith("3,8,")
 
 
 def test_norms_stdout_and_odd_p_rejected(series_file, capsys):
@@ -202,6 +219,28 @@ def test_superpose_past_the_float_range_is_domain_error(series_file, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["superpose", "norms"])
+def test_products_past_the_float_range_exit_3_without_a_warning(tmp_path, case):
+    # once exit 2 ("coefficients must be finite") after numpy's RuntimeWarning
+    if case == "superpose":
+        # a_1 = 0.50 - 7.86i: a_1^k alone leaves the float range near k = 344
+        rng = np.random.default_rng(0)
+        n = np.arange(1, 4097)
+        coeffs = (rng.normal(size=4096) + 1j * rng.normal(size=4096)) * 4 / n**2
+        argv = ["superpose", "--entire", "inv-factorial", "--kmax", "1000"]
+    else:
+        coeffs = np.full(20, 1e200)
+        argv = ["norms", "--p", "4"]
+    path = tmp_path / "in.json"
+    save_series(DirichletSeries(coeffs), str(path))
+    out = tmp_path / "out"
+    proc = _run_cli(*argv, "--in", str(path), "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "past the float range" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
 def _run_cli(*argv, timeout=60, **env_vars):
     """hplus.cli in a subprocess with a timeout, so a regression cannot hang the suite."""
     src = os.path.dirname(os.path.dirname(hplus.__file__))
@@ -257,6 +296,62 @@ def test_bohr_parseval_rejects_unreachable_term_counts(tmp_path, flags):
     assert proc.returncode == 2, proc.stderr
     assert not out_dir.exists()
     assert not any(tmp_path.iterdir())  # no staging directory left either
+
+
+class _Sieved(Exception):
+    pass
+
+
+def _fail_at_sieve(n_primes):
+    raise _Sieved(n_primes)
+
+
+def _monomials_past_the_limit():
+    """(samples, trials, terms): samples x trials x terms = BOHR_MONOMIAL_LIMIT + 1, the
+    other two bounds kept."""
+    work = BOHR_MONOMIAL_LIMIT + 1
+    for terms in range(2, BOHR_TERMS_LIMIT + 1):
+        for trials in range(1, BOHR_TERMS_LIMIT // terms + 1):
+            if work % (terms * trials) == 0 and work // terms <= BOHR_SAMPLE_LIMIT:
+                return work // (terms * trials), trials, terms
+    raise AssertionError("no factorization of BOHR_MONOMIAL_LIMIT + 1 fits")
+
+
+@pytest.mark.parametrize(
+    "flags,inside",
+    [
+        ([("--n-vars", BOHR_VARS_LIMIT), ("--terms", 3)], True),
+        ([("--n-vars", BOHR_VARS_LIMIT + 1), ("--terms", 3)], False),
+        # once drawing terms for more than 8 s
+        ([("--n-vars", 20), ("--terms", 100_000_000), ("--samples", 1), ("--trials", 1)], False),
+        # once sieving up to about 10^9 before it failed
+        ([("--n-vars", 10**9), ("--samples", 1), ("--trials", 1)], False),
+        ([("--n-vars", 8), ("--samples", 1), ("--trials", 2), ("--terms", BOHR_TERMS_LIMIT // 2)],
+         True),
+        ([("--n-vars", 8), ("--samples", 1), ("--trials", 1), ("--terms", BOHR_TERMS_LIMIT + 1)],
+         False),
+        # samples x trials and samples x trials x terms both at their limits
+        ([("--samples", BOHR_SAMPLE_LIMIT // 10), ("--trials", 10),
+          ("--terms", BOHR_MONOMIAL_LIMIT // BOHR_SAMPLE_LIMIT)], True),
+        ([("--samples", BOHR_SAMPLE_LIMIT + 1), ("--trials", 1), ("--terms", 1)], False),
+        (list(zip(("--samples", "--trials", "--terms"), _monomials_past_the_limit())), False),
+    ],
+)
+def test_bohr_parseval_sizes_at_and_past_their_limits(tmp_path, monkeypatch, flags, inside):
+    # the sieve is the first work: a run inside every bound reaches it, a run
+    # past one exits 3 before it and before any draw
+    assert BOHR_TERMS_LIMIT % 2 == 0 and BOHR_SAMPLE_LIMIT % 10 == 0
+    assert BOHR_MONOMIAL_LIMIT % BOHR_SAMPLE_LIMIT == 0
+    monkeypatch.setattr(bohr, "sieve_for_n_primes", _fail_at_sieve)
+    out_dir = tmp_path / "bp"
+    argv = ["experiment", "bohr-parseval", "--out-dir", str(out_dir)]
+    argv += [str(arg) for pair in flags for arg in pair]
+    if inside:
+        with pytest.raises(_Sieved):
+            main(argv)
+    else:
+        assert main(argv) == 3
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -531,9 +626,12 @@ def test_experiment_sizes_past_their_limits_exit_3_before_any_work(tmp_path, arg
     assert (SUPERPOSE_WORK_LIMIT + 1) % 3 == 0 and BOHR_SAMPLE_LIMIT % 10 == 0
     # the defaults and the benchmark's calls lie inside every bound: superpose-exp
     # 3 runs x 9 powers at 2 000, noncomposition k <= 1 000 (its factorial
-    # ladder), the witness k <= 60, bohr-parseval 10 x 10^5 samples
+    # ladder), the witness k <= 60, bohr-parseval 10 x 10^5 samples of 20 terms
+    # in 3 variables
     assert 3 * 9 * 2000 <= SUPERPOSE_WORK_LIMIT and 1000 <= K_RANGE_LIMIT
     assert 60 <= K_RANGE_LIMIT and 10 * 100_000 <= BOHR_SAMPLE_LIMIT
+    assert 3 <= BOHR_VARS_LIMIT and 10 * 20 <= BOHR_TERMS_LIMIT
+    assert 10 * 100_000 * 20 <= BOHR_MONOMIAL_LIMIT
     out_dir = tmp_path / "run"
     proc = _run_cli("experiment", *argv, "--out-dir", str(out_dir))
     assert proc.returncode == 3, proc.stderr

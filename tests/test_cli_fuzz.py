@@ -25,7 +25,10 @@ from hypothesis import strategies as st
 
 import hplus
 from hplus.cli import (
+    BOHR_MONOMIAL_LIMIT,
     BOHR_SAMPLE_LIMIT,
+    BOHR_TERMS_LIMIT,
+    BOHR_VARS_LIMIT,
     COMPOSE_TRUNCATION_LIMIT,
     EJEMPLO_TRUNCATION_LIMIT,
     EJEMPLO_WORK_LIMIT,
@@ -94,10 +97,13 @@ COMMANDS = {
         "--seed": ("1", BAD),
     }),
     "experiment bohr-parseval": ([], {
-        "--samples": ("64", ["1", str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
-        "--trials": ("1", ["2", str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
-        "--n-vars": ("2", ["1", *BAD]),
-        "--terms": ("3", ["1", "17", *BAD]),
+        # with --terms 16, the most 2 variables hold, past BOHR_MONOMIAL_LIMIT
+        "--samples": ("64", ["1", str(BOHR_MONOMIAL_LIMIT // 16 + 1),
+                             str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
+        # x the base 3 terms past BOHR_TERMS_LIMIT
+        "--trials": ("1", ["2", str(BOHR_TERMS_LIMIT // 3 + 1), str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
+        "--n-vars": ("2", ["1", str(BOHR_VARS_LIMIT), str(BOHR_VARS_LIMIT + 1), *BAD]),
+        "--terms": ("3", ["1", "16", "17", str(BOHR_TERMS_LIMIT + 1), *BAD]),
         "--k": ("1", ["2", *BAD]),
         "--p": ("2", ["4", "nan", *BAD]),
     }),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hplus import _kernels, numtheory
-from hplus.errors import BeyondDeskScale, UndefinedAbscissa
+from hplus.errors import BeyondDeskScale, CoefficientOverflow, HplusError, UndefinedAbscissa
 from hplus.numtheory import divisor_power_table, euler_product
 from hplus.series import (
     DirichletSeries,
@@ -35,6 +36,7 @@ from oracles import (
     dirichlet_convolve_quadratic,
     eratosthenes,
     euler_product_loop,
+    seminorm_even_translated,
 )
 
 coeff_arrays = st.lists(
@@ -252,6 +254,24 @@ def test_power_overflow_raises_on_both_paths():
         power_norm_chain_check(with_truncation(sparse, 4), 1, 2)
 
 
+def test_products_past_the_float_range_raise_a_domain_error_without_a_warning():
+    sparse = series([1e200, 1e200])
+    dense = series(np.full(30, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, out_truncation in ((sparse, 4), (dense, 30)):
+            with pytest.raises(CoefficientOverflow):
+                multiply(with_truncation(d, out_truncation), with_truncation(d, out_truncation))
+            with pytest.raises(CoefficientOverflow):
+                power(d, 3, out_truncation)
+            with pytest.raises(CoefficientOverflow):
+                seminorm_even(d, 2, [1, 2], out_truncation)
+    # a non-finite input is a usage error, not a domain error
+    with pytest.raises(ValueError) as exc:
+        series([1.0, np.inf])
+    assert not isinstance(exc.value, HplusError)
+
+
 def _rel(x, y):
     return abs(x - y) / abs(y)
 
@@ -271,6 +291,46 @@ def test_seminorm_even_on_supports_matches_dense(rng):
             want = float(np.sum(p.real**2 + p.imag**2) ** (0.5 / q))
             assert _rel(got.value, want) <= 1e-15
             assert got.exact == (d.support_max() ** q <= out_truncation)
+
+
+def test_seminorm_even_list_matches_translated_oracle(rng):
+    ks = list(range(1, 9))
+    cases = [  # (series, q, out_truncation)
+        (_sparse_series(rng, 30, 30), 2, 900),
+        (_sparse_series(rng, 30, 12), 3, 30**3),
+        (_sparse_series(rng, 30, 30), 4, 30**4),
+        (_sparse_series(rng, 100, 100), 2, 10_000),
+        (_sparse_series(rng, 50, 9, truncation=400), 3, 300),  # support cut, inexact
+        (_sparse_series(rng, 40, 40), 3, 2000),  # dense fallback, inexact
+        (_sparse_series(rng, 60, 60), 2, 1000),  # dense from the start, inexact
+        (DirichletSeries.monomial(5, 1.0, 5), 2, 16),  # the square's support is lost
+        (series(rng.normal(size=30) + 1j * rng.normal(size=30)), 1, 30),
+        (DirichletSeries.zero(20), 3, 400),
+    ]
+    # squares of the power's coefficients, 1e-400 .. 1e600, leave the normal range
+    cases += [(series([3.0 * c, 4j * c]), 2, 4) for c in (1e-100, 1e-80, 1e100, 1e150)]
+    for d, q, out_truncation in cases:
+        got = seminorm_even(d, q, ks, out_truncation)
+        assert len(got) == len(ks)
+        for k, value in zip(ks, got):
+            want = seminorm_even_translated(d, q, k, out_truncation)
+            assert value.exact == want.exact == (q == 1 or d.support_max() ** q <= out_truncation)
+            if want.value == 0.0:
+                assert value.value == 0.0
+            else:
+                assert _rel(value.value, want.value) <= 4e-16
+            single = seminorm_even(d, q, k, out_truncation)
+            assert type(single) is type(value) and single.exact == value.exact
+            assert _same_bits(np.array([single.value]), np.array([value.value]))
+
+
+def test_seminorm_even_list_keeps_the_order_and_checks_every_k():
+    d = series([1.0, 0.5, 0.25])
+    got = seminorm_even(d, 2, (3, 1, 3), 9)
+    assert [v.value for v in got] == [seminorm_even(d, 2, k, 9).value for k in (3, 1, 3)]
+    assert seminorm_even(d, 2, [], 9) == []
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        seminorm_even(d, 2, [1, 0], 9)
 
 
 def test_power_norm_chain_check_on_supports_matches_dense(rng):
