@@ -379,20 +379,21 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
         raise TableTooSmall(
             f"need the first {n_max} primes, table holds {len(table.primes)}"
         )
-    n = np.arange(1, n_max + 1, dtype=np.float64)
+    tail = np.arange(3, n_max + 1, dtype=np.float64)  # the n >= 3
+    log_tail = np.log(tail)
+    tail_log = tail * log_tail  # n ln n
+    loglog_tail = np.log(log_tail, out=log_tail)  # ln ln n, over ln n
     z = np.empty(n_max, dtype=np.float64)
     z[:2] = 0.5
-    tail = n[2:]
-    z[2:] = 1.0 / (np.sqrt(tail * np.log(tail)) * np.log(np.log(tail)))
-    p_n = table.primes[:n_max].astype(np.float64)
-    terms = z / np.sqrt(p_n)
-    cum = np.cumsum(terms)
-
+    z[2:] = 1.0 / (np.sqrt(tail_log) * loglog_tail)
     c_lb = 1.0 / math.sqrt(2.0)
     lb_terms = np.zeros(n_max, dtype=np.float64)
-    lb_terms[2:] = c_lb / (tail * np.log(tail) * np.log(np.log(tail)))
+    lb_terms[2:] = c_lb / (tail_log * loglog_tail)
+    p_n = table.primes[:n_max].astype(np.float64)
+    # 2 (n ln n) has the bits of (2n) ln n, since doubling is exact
+    bound_ok = bool(np.all(p_n[2:] <= 2.0 * tail_log))
+    cum = np.cumsum(z / np.sqrt(p_n))
     lb_cum = np.cumsum(lb_terms)
-    bound_ok = bool(np.all(p_n[2:] <= 2.0 * tail * np.log(tail)))
 
     ladder = []
     m = 10

@@ -62,21 +62,22 @@ NORMS_TRUNCATION_LIMIT = 4 * 10**6
 # norms' largest --p: a call does p/2 - 1 products, and a small product costs
 # about 30 us of call overhead whatever its size.
 NORMS_P_LIMIT = 64
-# norms' largest len(ks) x (p/2 - 1) x output truncation for p >= 4.  The
-# products run once per call and only the weighting once per k, so the
-# len(ks) factor over-counts.  The slowest in-bound calls, on dense inputs
-# (numpy backend, 2 cores): --p 26 --k 1 at 4*10^6 takes 6.5 s, --p 4
-# --k 1..12 at 4*10^6 0.4 s, --p 64 --k 1..1000 at 1612 0.4 s.
+# norms' largest (p/2 - 1) products x output truncation, and len(ks) x the
+# slots each k weighs (the output truncation; the input's for p = 2).  On a
+# dense 1000-term input (numpy backend, 2 cores) --p 26 --k 1 at 4*10^6
+# takes 6.5-7.8 s, --p 6 --k 1..87 at 4*10^6 4.0 s, and --p 26 --k 1..87
+# at 4*10^6, both limits at once, 9.3 s.
 NORMS_WORK_LIMIT = 5 * 10**7
+NORMS_WEIGH_LIMIT = 35 * 10**7
 # compose's largest output truncation: at 10^6 a dense input takes about 7 s
 # end to end, most of it JSON, and peaks near 300 MB.
 COMPOSE_TRUNCATION_LIMIT = 10**6
 
 # superpose's largest (--kmax + 1) x truncation, and superpose-exp's largest
-# len(--m-list) x (--kmax + 1) x --truncation: a run keeps all K + 1 powers
-# and their K tails, 32 B a slot, and forms one product per power.  A dense
-# 10^6-term input at --kmax 7 takes about 9 s end to end and peaks near
-# 330 MB.
+# len(--m-list) x (--kmax + 1) x --truncation: a run forms one product per
+# power and keeps at most K + 1 arrays, a_k D^k for k = 0..K, 16 B a slot.
+# A dense 10^6-term input at --kmax 7 takes 6.5-9 s end to end and peaks
+# near 355 MB, most of it the JSON of the input and the output.
 SUPERPOSE_WORK_LIMIT = 8 * 10**6
 # bohr-parseval's largest --samples x --trials: about 0.6 s per 10^6 samples
 # at its defaults (3 variables, 20 terms).
@@ -219,16 +220,14 @@ def _cmd_norms(args) -> int:
         raise BeyondDeskScale(f"--p {p} is beyond desk scale (limit {NORMS_P_LIMIT})")
     d = load_series(args.infile)
     out_trunc = _out_truncation(args, d, NORMS_TRUNCATION_LIMIT)
-    if len(ks) * (p // 2 - 1) * out_trunc > NORMS_WORK_LIMIT:
+    weighed = d.truncation if p == 2 else out_trunc
+    if (p // 2 - 1) * out_trunc > NORMS_WORK_LIMIT or len(ks) * weighed > NORMS_WEIGH_LIMIT:
         raise BeyondDeskScale(
-            f"{len(ks)} k values x {p // 2 - 1} products at truncation {out_trunc}; "
-            f"beyond desk scale (limit {NORMS_WORK_LIMIT})"
+            f"{p // 2 - 1} products at truncation {out_trunc} and {len(ks)} k values weighing "
+            f"{weighed} slots; beyond desk scale (limits {NORMS_WORK_LIMIT}, {NORMS_WEIGH_LIMIT})"
         )
-    if p == 2:
-        rows = [f"{k},{p},{seminorm_2(d, k)!r},true" for k in ks]
-    else:
-        vals = seminorm_even(d, p // 2, ks, out_trunc)
-        rows = [f"{k},{p},{v.value!r},{str(v.exact).lower()}" for k, v in zip(ks, vals)]
+    vals = seminorm_even(d, p // 2, ks, out_trunc)
+    rows = [f"{k},{p},{v.value!r},{str(v.exact).lower()}" for k, v in zip(ks, vals)]
     text = _csv_text("k,p,value,exact", rows)
     if args.out:
         _atomic_write_text(args.out, text)
@@ -338,12 +337,14 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
     out_trunc = support * support
     chain_rows, algebra_rows, power_rows = [], [], []
     polys = [_random_polynomial(rng, support) for _ in range(count)]
-    ks = (1, 2, 3, 4)
+    ks, norm_ks = (1, 2, 3, 4), (1, 2, 3, 4, 6, 8)
+    norms = []  # norms[i][k] = ||polys[i]||_{2,k}, the bits of seminorm_2(polys[i], k)
     for i, d in enumerate(polys):
+        norms.append({k: v.value for k, v in zip(norm_ks, seminorm_even(d, 1, norm_ks, support))})
         for k, mid in zip(ks, seminorm_even(d, 2, ks, out_trunc)):
-            lhs = seminorm_2(d, k)
+            lhs = norms[i][k]
             c = seminorm_comparison_constant(k, 2, 4)
-            rhs = c * seminorm_2(d, 2 * k)
+            rhs = c * norms[i][2 * k]
             ok = lhs <= mid.value * (1 + 1e-9) and mid.value <= rhs * (1 + 1e-9)
             chain_rows.append(
                 f"{i},{k},{lhs!r},{mid.value!r},{c!r},{rhs!r},{str(ok).lower()}"
@@ -353,18 +354,14 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
         prod = multiply(p_s, q_s)
         for m in (1, 2):
             lhs = seminorm_2(prod, m)
-            rhs = (
-                seminorm_comparison_constant(m, 1, 2)
-                * seminorm_2(polys[i], 2 * m)
-                * seminorm_2(polys[i + 1], 2 * m)
-            )
+            rhs = seminorm_comparison_constant(m, 1, 2) * norms[i][2 * m] * norms[i + 1][2 * m]
             ok = lhs <= rhs * (1 + 1e-9)
             algebra_rows.append(f"{i},{m},{lhs!r},{rhs!r},{str(ok).lower()}")
     small_support = 30
     for i in range(min(count, 50)):
         base = _random_polynomial(rng, small_support)
-        for k in (2, 3, 4):
-            chk = superposition.power_norm_chain_check(base, 1, k, small_support**k)
+        checks = superposition.power_norm_chain_check(base, 1, (2, 3, 4), small_support**4)
+        for k, chk in zip((2, 3, 4), checks):
             ok = chk.lhs <= chk.rhs * (1 + 1e-9)
             power_rows.append(f"{i},{k},{chk.lhs!r},{chk.rhs!r},{chk.slack!r},{str(ok).lower()}")
 

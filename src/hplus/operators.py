@@ -23,7 +23,6 @@ from .errors import MissingCutoff, NonzeroConstantTerm, SpectrumPoint, TableTooS
 from .numtheory import PrimeTable, prime_pi
 from .series import (
     DirichletSeries,
-    evaluate,
     multiply,
     series_from_json,
     series_to_json,
@@ -52,12 +51,6 @@ class Symbol:
     @property
     def c1(self) -> complex:
         return complex(self.varphi.coeffs[0])
-
-    def eval_varphi(self, s: complex) -> complex:
-        return evaluate(self.varphi, s)
-
-    def eval(self, s: complex) -> complex:
-        return self.c0 * complex(s) + self.eval_varphi(s)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ guessing.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import numbers
@@ -191,13 +192,12 @@ def multiply(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
 def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
     """k-fold convolution power of the polynomial d, truncated at out_truncation.
 
-    power(d, 0) is the convolution unit 1^{-s}.  Coefficients are exact up to
-    the output truncation whenever support(d)^k fits below it; otherwise they
-    are the truncated prefix of the formal power.  The k - 1 products run on
-    supports while nnz_a * nnz_b <= out_truncation, and the dense array is
-    built once at the end; from the first product that breaks the rule on,
-    they run densely.  Either way the coefficients equal, bit for bit, those
-    of k - 1 successive ``multiply`` calls.
+    power(d, 0) is the convolution unit 1^{-s} and power(d, 1) is d at
+    out_truncation.  Coefficients are exact up to the output truncation
+    whenever support(d)^k fits below it; otherwise they are the truncated
+    prefix of the formal power.  For k >= 2 the power is rung k of the
+    ``_power_ladder`` of d's support, laid out densely at the end, bit for
+    bit the coefficients of k - 1 successive ``multiply`` calls.
     """
     if k < 0:
         raise ValueError(f"power exponent must be >= 0, got {k}")
@@ -207,34 +207,45 @@ def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
         return DirichletSeries.monomial(1, 1.0, out_truncation)
     if k == 1:
         return with_truncation(d, out_truncation)
-    idx, vals = _power_terms(*_kernels.support(d.coeffs, out_truncation), k, out_truncation)
+    idx, vals = _power_rung(d.coeffs, k, out_truncation)
     if idx is not None:
         vals = _kernels.from_support(idx, vals, out_truncation)
     return DirichletSeries(vals)
 
 
-def _power_terms(
-    ia: np.ndarray, va: np.ndarray, k: int, out_len: int
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """k-th convolution power (k >= 1) of the support (ia, va) at out_len.
+def _power_ladder(base, out_len: int, rung=None):
+    """The convolution powers of ``base`` at out_len, without end.
 
-    Returns (indices, values), the ascending 1-based support of the power
-    and its coefficients, while every product satisfies nnz_a * nnz_b <=
-    out_len; from the first one that does not, the rest run on dense arrays
-    and the result is (None, coefficient array).  A product that leaves the
-    float range raises ``CoefficientOverflow``, as ``multiply`` does.
+    ``base`` and ``rung`` are (ascending 1-based indices, values) supports
+    or (None, coefficient array) pairs.  The first rung is the base itself,
+    or base * rung for a given ``rung``; each later one is base * (the rung
+    before), base the left operand.  Products run on the supports while
+    both operands are supports with nnz_a * nnz_b <= out_len; from the first
+    that is not, both are laid out densely and every product goes through
+    ``_kernels.dirichlet_convolve``.  A caller passes each rung it reads
+    through ``_finite_product``.
     """
-    ib, vb = ia, va
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k > 1 and len(ia) * len(ib) <= out_len:
-            ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
-            k -= 1
-        if k > 1:
-            base = _kernels.from_support(ia, va, out_len)
-            ib, vb = None, _kernels.from_support(ib, vb, out_len)
-            for _ in range(k - 1):
-                vb = _kernels.dirichlet_convolve(base, vb, out_len)
-    return ib, _finite_product(vb)
+    (ia, va), (ib, vb) = base, rung or base
+    if rung is None:
+        yield ib, vb
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ia is not None and ib is not None and len(ia) * len(ib) <= out_len:
+                ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
+            else:
+                if ia is not None:
+                    ia, va = None, _kernels.from_support(ia, va, out_len)
+                if ib is not None:
+                    ib, vb = None, _kernels.from_support(ib, vb, out_len)
+                vb = _kernels.dirichlet_convolve(va, vb, out_len)
+        yield ib, vb
+
+
+def _power_rung(coeffs: np.ndarray, k: int, out_len: int):
+    """Rung k >= 1 of the ladder of the support of coeffs[:out_len], checked finite."""
+    ladder = _power_ladder(_kernels.support(coeffs, out_len), out_len)
+    idx, vals = next(itertools.islice(ladder, k - 1, None))
+    return idx, _finite_product(vals)
 
 
 def _finite_product(coeffs: np.ndarray) -> np.ndarray:
@@ -253,11 +264,6 @@ def evaluate(d: DirichletSeries, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 # seminorms
 # ---------------------------------------------------------------------------
-
-def _weighted_l2_norm(idx: np.ndarray | None, vals: np.ndarray, k: int) -> float:
-    """(sum |v_i|^2 idx_i^{-2/k})^{1/2}; see ``_weighted_l2_roots``."""
-    return _weighted_l2_roots(idx, vals, [k], 1)[0]
-
 
 def _weighted_l2_roots(
     idx: np.ndarray | None, vals: np.ndarray, ks: Sequence[int], q: int
@@ -308,7 +314,7 @@ def seminorm_2(d: DirichletSeries, k: int) -> float:
     """The Hilbert seminorm (sum |a_n|^2 n^{-2/k})^{1/2}."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _weighted_l2_norm(None, d.coeffs, k)
+    return _weighted_l2_roots(None, d.coeffs, [k], 1)[0]
 
 
 def seminorm_even(
@@ -319,15 +325,15 @@ def seminorm_even(
     ||D||_{2q,k} = || translate(D, 1/k)^q ||_{H^2}^{1/q}.  Translation is
     multiplicative, [translate(D, 1/k)^q]_N = N^{-1/k} [D^q]_N, and commutes
     with truncation, so ||D||_{2q,k}^{2q} = sum_N |[D^q]_N|^2 N^{-2/k}: D^q
-    is formed once, at ``out_truncation``, and weighed for every k.  With
-    an int k the result is one ``SeminormValue``; with a sequence of ints it
-    is the list of their values in the same order, each entry the bits of
-    the single-k call.  A value is exact when the support of the q-th power
-    fits below the truncation (support(D)^q <= out_truncation); otherwise it
-    is a certified lower bound and ``exact`` is False.  The sum runs over
-    the power's support while it stays sparse (see ``power``), so no array
-    of out_truncation slots is built for a sparse D.  For q = 1 the values
-    are those of ``seminorm_2``.
+    is rung q of ``_power_ladder`` at ``out_truncation``, formed once and
+    weighed for every k.  With an int k the result is one ``SeminormValue``;
+    with a sequence of ints it is the list of their values in the same
+    order, each entry the bits of the single-k call.  A value is exact when
+    the support of the q-th power fits below the truncation (support(D)^q <=
+    out_truncation); otherwise it is a certified lower bound and ``exact``
+    is False.  The sum runs over the rung's support while it is one, so no
+    array of out_truncation slots is built for a sparse D.  For q = 1 D
+    itself is weighed, and the values are the bits of ``seminorm_2``.
     """
     single = isinstance(k, numbers.Integral)
     ks = [k] if single else list(k)
@@ -339,7 +345,7 @@ def seminorm_even(
     if q == 1:
         idx, vals, exact = None, d.coeffs, True
     else:
-        idx, vals = _power_terms(*_kernels.support(d.coeffs, out_truncation), q, out_truncation)
+        idx, vals = _power_rung(d.coeffs, q, out_truncation)
         exact = d.support_max() ** q <= out_truncation
     values = [SeminormValue(v, exact) for v in _weighted_l2_roots(idx, vals, ks, q)]
     return values[0] if single else values

@@ -11,7 +11,9 @@ never materializing the underlying integers.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,12 +25,11 @@ from .numtheory import PrimeTable, chebyshev_theta, euler_product, prime_pi, sie
 from .series import (
     DirichletSeries,
     _atomic_write_text,
-    _power_terms,
-    _weighted_l2_norm,
-    multiply,
+    _finite_product,
+    _power_ladder,
+    _weighted_l2_roots,
     seminorm_2,
     seminorm_comparison_constant,
-    with_truncation,
 )
 
 
@@ -155,18 +156,26 @@ class ExponentTable:
 # superposition operators
 # ---------------------------------------------------------------------------
 
+def _terms(d: DirichletSeries, coeffs: Sequence[complex]):
+    """a_k D^k for k < len(coeffs) at d's truncation, None where a_k = 0.
+
+    D^0 is the unit and D^k for k >= 1 is rung k of the ``_power_ladder``
+    of D's coefficient array started from it: each power one dense product
+    D * D^{k-1}, D^1 = D * 1 included, as ``multiply`` forms it.  Every
+    power is checked finite.
+    """
+    n_trunc = d.truncation
+    unit = DirichletSeries.monomial(1, 1.0, n_trunc).coeffs
+    powers = _power_ladder((None, d.coeffs), n_trunc, (None, unit))
+    for a_k, (_, vals) in zip(coeffs, itertools.chain([(None, unit)], powers)):
+        vals = _finite_product(vals)
+        yield DirichletSeries(a_k * vals) if a_k != 0 else None
+
+
 def superpose_poly(d: DirichletSeries, b: Sequence[complex]) -> DirichletSeries:
     """Polynomial superposition sum_j b_j D^j at the series' own truncation."""
-    n_trunc = d.truncation
-    out = DirichletSeries.zero(n_trunc)
-    cur = DirichletSeries.monomial(1, 1.0, n_trunc)
-    base = with_truncation(d, n_trunc)
-    for j, bj in enumerate(b):
-        if j > 0:
-            cur = multiply(base, cur)
-        if bj != 0:
-            out = out + complex(bj) * cur
-    return out
+    terms = _terms(d, [complex(bj) for bj in b])
+    return sum((t for t in terms if t is not None), DirichletSeries.zero(d.truncation))
 
 
 def superpose_entire(
@@ -201,33 +210,22 @@ def superpose_entire(
             log_terms.append(log_c_m + k * (log_prod + math.log(base_norm)) + ec.log_abs(k))
         log_terms.reverse()
     n_trunc = d.truncation
-    powers = [DirichletSeries.monomial(1, 1.0, n_trunc)]
-    base = with_truncation(d, n_trunc)
-    for _ in range(big_k):
-        powers.append(multiply(base, powers[-1]))
-
     coeffs = [complex(ec.coeff(k)) for k in range(big_k + 1)]
-    total = DirichletSeries.zero(n_trunc)
-    for k in range(big_k + 1):
-        if coeffs[k] != 0:
-            total = total + coeffs[k] * powers[k]
-
+    # terms[k] = a_k D^k, None where a_k = 0: the sums start at +0.0 and so
+    # never hold -0.0, and adding 0 * D^k to them would change no bit
+    terms = list(_terms(d, coeffs))
+    total = sum((t for t in terms if t is not None), DirichletSeries.zero(n_trunc))
     diagnostics = []
-    tail = DirichletSeries.zero(n_trunc)
-    tails: list[DirichletSeries] = [tail]
+    tail = DirichletSeries.zero(n_trunc)  # the tail past k - 1: sum_{k <= j <= K} a_j D^j
     for k in range(big_k, 0, -1):
-        tail = tail + coeffs[k] * powers[k]
-        tails.append(tail)
-    tails.reverse()  # tails[K'] = sum over K' < k <= K
-    for k_from in range(0, big_k):
-        delta = seminorm_2(tails[k_from], m_check)
+        tail = tail if terms[k] is None else tail + terms[k]
         log_maj = None
         if log_terms:
-            logs = log_terms[k_from:]
+            logs = log_terms[k - 1 :]
             top = max(logs)
             log_maj = top + math.log(sum(math.exp(v - top) for v in logs))
-        diagnostics.append(TailDiagnostic(k_from, delta, log_maj))
-    return total, diagnostics
+        diagnostics.append(TailDiagnostic(k - 1, seminorm_2(tail, m_check), log_maj))
+    return total, diagnostics[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -244,52 +242,54 @@ def composition_criterion(d: DirichletSeries, m: int, k_max: int) -> GrowthRepor
     n_trunc = d.truncation
     ks = np.arange(1, k_max + 1)
     norms = np.empty(k_max, dtype=np.float64)
-    cur = with_truncation(d, n_trunc)
-    base = cur
-    for k in range(1, k_max + 1):
-        if k > 1:
-            cur = multiply(base, cur)
-        norms[k - 1] = seminorm_2(cur, m)
+    # D^1 = D and D^k = D * D^{k-1}, each weighed densely, as seminorm_2
+    # weighs: a sum over a support can move the last ulp
+    for k, (_, vals) in zip(ks, _power_ladder((None, d.coeffs), n_trunc)):
+        norms[k - 1] = _weighted_l2_roots(None, _finite_product(vals), [m], 1)[0]
     roots = norms ** (1.0 / ks)
     return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=norms, roots=roots)
 
 
 def power_norm_chain_check(
-    p_series: DirichletSeries, m: int, k: int, out_truncation: int | None = None
-) -> ChainCheck:
-    """Verify ||P^k||_{2,m} <= C_m * prod^k * ||P||_{2,4m}^k on a polynomial.
+    p_series: DirichletSeries,
+    m: int,
+    k: int | Sequence[int],
+    out_truncation: int | None = None,
+) -> ChainCheck | list[ChainCheck]:
+    """Verify ||P^k||_{2,m} <= C_m * prod^k * ||P||_{2,4m}^k on a polynomial,
+    at one k or at each of a list (then a list of checks, in its order).
 
-    The power is computed at the working truncation ``out_truncation``
-    (default: P's own truncation), which must contain the full support of
-    P^k (support(P)^k <= out_truncation), else InexactPower is raised.  Both
-    norms are summed over supports (see ``power``), so P need not be padded
-    to the working truncation, and a padded P costs what its nonzero terms
-    cost.
+    The powers P^k are rungs of one ``_power_ladder`` at the working
+    truncation ``out_truncation`` (default: P's own truncation), which must
+    hold support(P)^k, else InexactPower is raised for the largest k before
+    any power is formed.  Every check has the bits of its single-k call.
+    Both norms are summed over supports while the rungs are supports, so a
+    P padded to the working truncation costs what its nonzero terms cost.
     """
-    if m < 1 or k < 1:
+    single = isinstance(k, numbers.Integral)
+    ks = [k] if single else list(k)
+    if m < 1 or min(ks, default=1) < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     n_trunc = p_series.truncation if out_truncation is None else out_truncation
     if n_trunc < 1:
         raise ValueError(f"out_truncation must be >= 1, got {n_trunc}")
     idx, vals = support(p_series.coeffs, p_series.truncation)
     sup = int(idx[-1]) if len(idx) else 0
-    if sup**k > n_trunc:
+    k_top = max(ks, default=0)
+    if sup**k_top > n_trunc:
         raise InexactPower(
-            f"support {sup}^{k} exceeds working truncation {n_trunc}; power inexact"
+            f"support {sup}^{k_top} exceeds working truncation {n_trunc}; power inexact"
         )
-    lhs = _weighted_l2_norm(*_power_terms(idx, vals, k, n_trunc), m)
+    rungs = zip(range(1, k_top + 1), _power_ladder((idx, vals), n_trunc))
+    lhs = {r: _weighted_l2_roots(ri, _finite_product(rv), [m], 1)[0]
+           for r, (ri, rv) in rungs if r in ks}
     c_m = seminorm_comparison_constant(m, 1, 2)
-    j_cut, prod, _ = euler_product(4 * m, math.sqrt(2.0 / k))
-    base = _weighted_l2_norm(idx, vals, 4 * m)
-    rhs = c_m * prod**k * base**k
-    return ChainCheck(
-        lhs=lhs,
-        rhs=rhs,
-        c_m=c_m,
-        prime_product=prod,
-        j_cut=j_cut,
-        base_norm=base,
-    )
+    base = _weighted_l2_roots(idx, vals, [4 * m], 1)[0]
+    checks = []
+    for kk in ks:
+        j_cut, prod, _ = euler_product(4 * m, math.sqrt(2.0 / kk))
+        checks.append(ChainCheck(lhs[kk], c_m * prod**kk * base**kk, c_m, prod, j_cut, base))
+    return checks[0] if single else checks
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,12 @@ powers of the symbol, with one expansion per n in float64, and
 ``np.clongdouble``, the reference within rounding for both.
 ``seminorm_even_translated`` is ``series.seminorm_even`` as it was before
 it weighed one untranslated power for every k: it translates D by 1/k and
-raises the translate to the q-th power for each k.
+raises the translate to the q-th power for each k.  ``power_terms_loop``,
+``superpose_poly_loop``, ``superpose_entire_loop`` and
+``composition_criterion_loop`` are the four loops that formed D^k, each on
+its own, before they shared ``series._power_ladder``; they are the
+bit-for-bit references for ``power``, ``seminorm_even``, the two
+superpositions and the composition criterion.
 """
 
 from __future__ import annotations
@@ -468,7 +473,6 @@ def seminorm_even_translated(d, q: int, k: int, out_truncation: int):
     from hplus.series import (
         _SAFE_SQUARE_SUM_MIN,
         SeminormValue,
-        _power_terms,
         _rescaled_l2_norm,
         seminorm_2,
         translate,
@@ -477,7 +481,7 @@ def seminorm_even_translated(d, q: int, k: int, out_truncation: int):
     if q == 1:
         return SeminormValue(seminorm_2(d, k), True)
     shifted = translate(d, 1.0 / k)
-    _, vals = _power_terms(*_kernels.support(shifted.coeffs, out_truncation), q, out_truncation)
+    _, vals = power_terms_loop(*_kernels.support(shifted.coeffs, out_truncation), q, out_truncation)
     with np.errstate(over="ignore", under="ignore"):
         l2 = np.sum(vals.real**2 + vals.imag**2)
     if _SAFE_SQUARE_SUM_MIN <= l2 < math.inf:
@@ -486,3 +490,101 @@ def seminorm_even_translated(d, q: int, k: int, out_truncation: int):
         scale, norm = _rescaled_l2_norm(np.abs(vals))
         value = scale ** (1.0 / q) * norm ** (1.0 / q)
     return SeminormValue(value, d.support_max() ** q <= out_truncation)
+
+
+def power_terms_loop(ia, va, k: int, out_len: int):
+    """k-th convolution power (k >= 1) of the support (ia, va) at out_len.
+
+    (indices, values) while every product has nnz_a * nnz_b <= out_len,
+    else (None, coefficient array); raises CoefficientOverflow past the
+    float range.
+    """
+    from hplus import _kernels
+    from hplus.series import _finite_product
+
+    ib, vb = ia, va
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k > 1 and len(ia) * len(ib) <= out_len:
+            ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
+            k -= 1
+        if k > 1:
+            base = _kernels.from_support(ia, va, out_len)
+            ib, vb = None, _kernels.from_support(ib, vb, out_len)
+            for _ in range(k - 1):
+                vb = _kernels.dirichlet_convolve(base, vb, out_len)
+    return ib, _finite_product(vb)
+
+
+def superpose_poly_loop(d, b):
+    """sum_j b_j D^j, each power one ``multiply`` by D from the unit."""
+    from hplus.series import DirichletSeries, multiply, with_truncation
+
+    n_trunc = d.truncation
+    out = DirichletSeries.zero(n_trunc)
+    cur = DirichletSeries.monomial(1, 1.0, n_trunc)
+    base = with_truncation(d, n_trunc)
+    for j, bj in enumerate(b):
+        if j > 0:
+            cur = multiply(base, cur)
+        if bj != 0:
+            out = out + complex(bj) * cur
+    return out
+
+
+def superpose_entire_loop(d, ec, big_k: int, m_check: int):
+    """sum_{k<=K} a_k D^k and its tail diagnostics, with all K + 1 powers and
+    all K + 1 tails kept."""
+    from hplus.numtheory import euler_product
+    from hplus.series import DirichletSeries, multiply, seminorm_2, with_truncation
+    from hplus.superposition import TailDiagnostic
+
+    base_norm = seminorm_2(d, 4 * m_check)
+    log_terms = []
+    if ec.log_abs is not None and base_norm > 0:
+        log_c_m = euler_product(2 * m_check, math.sqrt(1 / 2))[2]
+        for k in range(big_k, 0, -1):
+            log_prod = euler_product(4 * m_check, math.sqrt(2.0 / k))[2]
+            log_terms.append(log_c_m + k * (log_prod + math.log(base_norm)) + ec.log_abs(k))
+        log_terms.reverse()
+    n_trunc = d.truncation
+    powers = [DirichletSeries.monomial(1, 1.0, n_trunc)]
+    base = with_truncation(d, n_trunc)
+    for _ in range(big_k):
+        powers.append(multiply(base, powers[-1]))
+    coeffs = [complex(ec.coeff(k)) for k in range(big_k + 1)]
+    total = DirichletSeries.zero(n_trunc)
+    for k in range(big_k + 1):
+        if coeffs[k] != 0:
+            total = total + coeffs[k] * powers[k]
+    diagnostics = []
+    tail = DirichletSeries.zero(n_trunc)
+    tails = [tail]
+    for k in range(big_k, 0, -1):
+        tail = tail + coeffs[k] * powers[k]
+        tails.append(tail)
+    tails.reverse()
+    for k_from in range(0, big_k):
+        delta = seminorm_2(tails[k_from], m_check)
+        log_maj = None
+        if log_terms:
+            logs = log_terms[k_from:]
+            top = max(logs)
+            log_maj = top + math.log(sum(math.exp(v - top) for v in logs))
+        diagnostics.append(TailDiagnostic(k_from, delta, log_maj))
+    return total, diagnostics
+
+
+def composition_criterion_loop(d, m: int, k_max: int):
+    """(norms, roots): ||D^k||_{2,m} and its k-th root for k = 1..k_max, each
+    power one ``multiply`` by D from the one before."""
+    from hplus.series import multiply, seminorm_2, with_truncation
+
+    ks = np.arange(1, k_max + 1)
+    norms = np.empty(k_max, dtype=np.float64)
+    cur = with_truncation(d, d.truncation)
+    base = cur
+    for k in range(1, k_max + 1):
+        if k > 1:
+            cur = multiply(base, cur)
+        norms[k - 1] = seminorm_2(cur, m)
+    return norms, norms ** (1.0 / ks)

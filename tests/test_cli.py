@@ -22,6 +22,7 @@ from hplus.cli import (
     K_RANGE_LIMIT,
     NORMS_P_LIMIT,
     NORMS_TRUNCATION_LIMIT,
+    NORMS_WEIGH_LIMIT,
     NORMS_WORK_LIMIT,
     SUITE_COEFF_LIMIT,
     SUITE_SUPPORT_LIMIT,
@@ -125,18 +126,27 @@ def test_norms_rejects_k_lists_past_the_limit(series_file, tmp_path, k):
     assert not out.exists()
 
 
+def _norms_sizes(limit, factor_max):
+    """(factor, truncation) with factor x truncation = limit, the truncation in range."""
+    return next(
+        (n, limit // n) for n in range(1, factor_max + 1)
+        if limit % n == 0 and limit // n <= NORMS_TRUNCATION_LIMIT
+    )
+
+
 @pytest.mark.parametrize("p", [4, 8])
 def test_norms_rejects_work_past_the_limit(series_file, tmp_path, p):
-    # len(ks) x (p/2 - 1) x truncation = NORMS_WORK_LIMIT + 1, each factor in range
+    # len(ks) x truncation = NORMS_WEIGH_LIMIT + 1 at this p, and
+    # (p/2 - 1) x truncation = NORMS_WORK_LIMIT + 1 at a larger p
     d, path = series_file
-    work = NORMS_WORK_LIMIT + 1
-    n = next(
-        n for n in range(1, INT_LIST_LIMIT + 1)
-        if work % (n * (p // 2 - 1)) == 0 and work // (n * (p // 2 - 1)) <= NORMS_TRUNCATION_LIMIT
-    )
     out = tmp_path / "norms.csv"
+    n, trunc = _norms_sizes(NORMS_WEIGH_LIMIT + 1, INT_LIST_LIMIT)
     argv = ["norms", "--in", str(path), "--p", str(p), "--k", f"1..{n}",
-            "--truncation", str(work // (n * (p // 2 - 1))), "--out", str(out)]
+            "--truncation", str(trunc), "--out", str(out)]
+    assert main(argv) == 3
+    products, trunc = _norms_sizes(NORMS_WORK_LIMIT + 1, NORMS_P_LIMIT // 2 - 1)
+    argv = ["norms", "--in", str(path), "--p", str(2 * products + 2), "--k", "1",
+            "--truncation", str(trunc), "--out", str(out)]
     assert main(argv) == 3
     argv = ["norms", "--in", str(path), "--p", str(NORMS_P_LIMIT + 2), "--k", "1",
             "--out", str(out)]
@@ -144,13 +154,50 @@ def test_norms_rejects_work_past_the_limit(series_file, tmp_path, p):
     assert not out.exists()
 
 
+def test_norms_runs_at_each_work_limit(tmp_path):
+    # a one-term input keeps every power one term long, so the calls at the
+    # limits are quick; one slot past either limit is refused
+    path = tmp_path / "one.json"
+    save_series(DirichletSeries.monomial(1, 0.5 - 0.25j, 1), str(path))
+    out = tmp_path / "norms.csv"
+    n, trunc = _norms_sizes(NORMS_WEIGH_LIMIT, INT_LIST_LIMIT)
+    argv = ["norms", "--in", str(path), "--p", "4", "--k", f"1..{n}", "--out", str(out)]
+    assert main([*argv, "--truncation", str(trunc)]) == 0
+    assert len(out.read_text().splitlines()) == n + 1
+    assert main([*argv, "--truncation", str(trunc + 1)]) == 3
+    products, trunc = _norms_sizes(NORMS_WORK_LIMIT, NORMS_P_LIMIT // 2 - 1)
+    argv = ["norms", "--in", str(path), "--p", str(2 * products + 2), "--k", "1,2",
+            "--out", str(out)]
+    assert main([*argv, "--truncation", str(trunc)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("1", "true"), ("2", "true")]
+    assert all(abs(float(row[2]) - abs(0.5 - 0.25j)) <= 1e-15 for row in rows)
+    assert main([*argv, "--truncation", str(trunc + 1)]) == 3
+
+
+def test_norms_bounds_products_and_weighing_apart(tmp_path, rng):
+    # p/2 - 1 = 1 product at 4 * 10^6 and 13 weighings of it: once refused
+    # as 13 x 1 x 4 * 10^6 > NORMS_WORK_LIMIT, now inside both bounds
+    assert 13 * NORMS_TRUNCATION_LIMIT <= NORMS_WEIGH_LIMIT
+    assert NORMS_TRUNCATION_LIMIT <= NORMS_WORK_LIMIT < 13 * NORMS_TRUNCATION_LIMIT
+    path = tmp_path / "poly.json"
+    save_series(DirichletSeries(rng.normal(size=30) + 1j * rng.normal(size=30)), str(path))
+    out = tmp_path / "norms.csv"
+    argv = ["norms", "--in", str(path), "--p", "4", "--k", "1..13",
+            "--truncation", str(NORMS_TRUNCATION_LIMIT), "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 14
+
+
 def test_default_lists_lie_inside_the_bounds():
     assert len(_parse_int_list("1..8")) <= INT_LIST_LIMIT
     assert len(_parse_int_list("1,2,4")) <= INT_LIST_LIMIT
     # the sparse-algebra benchmark: norms --p 8 --k 1..8 at 30^4
-    assert 8 * 3 * 30**4 <= NORMS_WORK_LIMIT and 8 <= NORMS_P_LIMIT
+    assert 3 * 30**4 <= NORMS_WORK_LIMIT and 8 * 30**4 <= NORMS_WEIGH_LIMIT
+    assert 8 <= NORMS_P_LIMIT
     # the default k list at p = 4 and the largest output truncation
-    assert 8 * NORMS_TRUNCATION_LIMIT <= NORMS_WORK_LIMIT
+    assert NORMS_TRUNCATION_LIMIT <= NORMS_WORK_LIMIT
+    assert 8 * NORMS_TRUNCATION_LIMIT <= NORMS_WEIGH_LIMIT
 
 
 def test_superpose_exp_rejects_m_lists_past_the_limit(tmp_path):

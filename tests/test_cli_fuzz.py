@@ -36,7 +36,7 @@ from hplus.cli import (
     K_RANGE_LIMIT,
     NORMS_P_LIMIT,
     NORMS_TRUNCATION_LIMIT,
-    NORMS_WORK_LIMIT,
+    NORMS_WEIGH_LIMIT,
     SUITE_COEFF_LIMIT,
     SUITE_SUPPORT_LIMIT,
     SUPERPOSE_WORK_LIMIT,
@@ -50,10 +50,10 @@ EXISTING_DIR = "<existing dir>"
 MISSING_FILE = "<missing file>"
 BAD = ["0", "-3", "abc"]
 LONG_LIST = [f"1..{INT_LIST_LIMIT + 1}", ",".join(["1"] * (INT_LIST_LIMIT + 1))]
-# --k 1..n at --truncation t with n * t = NORMS_WORK_LIMIT + 1 (p = 4 in the base case)
+# --k 1..n at --truncation t with n * t = NORMS_WEIGH_LIMIT + 1 (each k weighs t slots)
 _N_WORK = next(
     n for n in range(2, INT_LIST_LIMIT + 1)
-    if (NORMS_WORK_LIMIT + 1) % n == 0 and (NORMS_WORK_LIMIT + 1) // n <= NORMS_TRUNCATION_LIMIT
+    if (NORMS_WEIGH_LIMIT + 1) % n == 0 and (NORMS_WEIGH_LIMIT + 1) // n <= NORMS_TRUNCATION_LIMIT
 )
 
 # subcommand -> (fixed arguments, {flag: (base value, values to draw)})
@@ -61,7 +61,7 @@ COMMANDS = {
     "norms": (["--in", "{series}"], {
         "--k": ("1..3", ["2", "1,2,4", "3..1", f"1..{_N_WORK}", *LONG_LIST, *BAD]),
         "--p": ("4", ["2", "8", "3", str(NORMS_P_LIMIT + 2), *BAD]),
-        "--truncation": ("64", ["1", str((NORMS_WORK_LIMIT + 1) // _N_WORK),
+        "--truncation": ("64", ["1", str((NORMS_WEIGH_LIMIT + 1) // _N_WORK),
                                 str(NORMS_TRUNCATION_LIMIT + 1), *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
     }),
