@@ -21,6 +21,7 @@ import os
 import shutil
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,80 +42,6 @@ from .series import (
     with_truncation,
 )
 
-# inequality-suite's largest --support: its even seminorms form support^2
-# index products each, and its products run at truncation support^2; at
-# 2 000 a --count 2 run peaks near 260 MB of RSS.
-SUITE_SUPPORT_LIMIT = 2000
-# inequality-suite's largest --count x --support: all polynomials are drawn
-# before the first row, 16 B per coefficient (16 MB at this limit).
-SUITE_COEFF_LIMIT = 10**6
-# ejemplo-growth's largest --truncation: the series takes 16 B a slot, and
-# one dense product at 10^6 peaks near 90 MB of RSS.
-EJEMPLO_TRUNCATION_LIMIT = 10**6
-# ejemplo-growth's largest --kmax x --truncation: it forms one dense product
-# per k, about 11 ms each at truncation 10^5 and 0.15 s at 10^6.
-EJEMPLO_WORK_LIMIT = 2 * 10**7
-# norms' largest output truncation: for p >= 4 a call raises the input to
-# the p/2-th power at it once, and on a dense 1000-term input --p 26 --k 1
-# at 4*10^6 (12 products) takes about 6.5 s and peaks near 245 MB (the
-# truncation of inequality-suite's products at its largest --support).
-NORMS_TRUNCATION_LIMIT = 4 * 10**6
-# norms' largest --p: a call does p/2 - 1 products, and a small product costs
-# about 30 us of call overhead whatever its size.
-NORMS_P_LIMIT = 64
-# norms' largest (p/2 - 1) products x output truncation, and len(ks) x the
-# slots each k weighs (the output truncation; the input's for p = 2).  On a
-# dense 1000-term input (numpy backend, 2 cores) --p 26 --k 1 at 4*10^6
-# takes 6.5-7.8 s, --p 6 --k 1..87 at 4*10^6 4.0 s, and --p 26 --k 1..87
-# at 4*10^6, both limits at once, 9.3 s.
-NORMS_WORK_LIMIT = 5 * 10**7
-NORMS_WEIGH_LIMIT = 35 * 10**7
-# compose's largest output truncation: at 10^6 a dense input takes about 7 s
-# end to end, most of it JSON, and peaks near 300 MB.
-COMPOSE_TRUNCATION_LIMIT = 10**6
-
-# superpose's largest (--kmax + 1) x truncation, and superpose-exp's largest
-# len(--m-list) x (--kmax + 1) x --truncation: a run forms one product per
-# power and keeps at most K + 1 arrays, a_k D^k for k = 0..K, 16 B a slot.
-# A dense 10^6-term input at --kmax 7 takes 6.5-9 s end to end and peaks
-# near 355 MB, most of it the JSON of the input and the output.
-SUPERPOSE_WORK_LIMIT = 8 * 10**6
-# bohr-parseval's largest --samples x --trials: about 0.6 s per 10^6 samples
-# at its defaults (3 variables, 20 terms).
-BOHR_SAMPLE_LIMIT = 10**7
-# bohr-parseval's largest --n-vars: it sieves for that many primes, and each
-# sample takes one exponential and one row of powers per variable (10^7
-# samples of a 1-term polynomial in 8 variables take 5-7 s).
-BOHR_VARS_LIMIT = 8
-# bohr-parseval's largest --trials x --terms: each term is drawn in a
-# Python-level loop, each trial makes one estimate, and the Monte Carlo
-# multiplies (terms x 1024-sample) arrays, about 32 KB a term.  One trial of
-# 4 096 terms in 8 variables at 12 207 samples takes 3.8 s and peaks near
-# 170 MB; 4 096 one-term trials take 1.3 s.
-BOHR_TERMS_LIMIT = 4096
-# bohr-parseval's largest --samples x --trials x --terms, the monomials its
-# Monte Carlo evaluates (2 * 10^7 at the defaults): 10^7 samples of 5 terms
-# in 8 variables, the slowest in-bound call, take about 8.6 s.
-BOHR_MONOMIAL_LIMIT = 5 * 10**7
-# The largest k of noncomposition (--kmax) and of ejemplo-growth's witness
-# (--witness-kmax): they sieve to k^C' and k^(1 + delta), below 10^8 for
-# C' < 2 and delta < 1, which takes about 2 s and 155 MB.
-K_RANGE_LIMIT = 10**4
-
-# The longest integer list (norms --k, superpose-exp --m-list): each value
-# is one seminorm of the input, or one superpose_entire run (about 4 ms at
-# superpose-exp's defaults).
-INT_LIST_LIMIT = 1000
-
-EXPERIMENTS = (
-    "inequality-suite",
-    "bohr-parseval",
-    "nonextension",
-    "ejemplo-growth",
-    "noncomposition",
-    "superpose-exp",
-)
-
 
 def _csv_text(header: str, rows) -> str:
     lines = [header]
@@ -122,60 +49,154 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str) -> list[int] | range:
     """Accept '4', '1,2,3', or '1..8'; a list that selects nothing is an error.
 
-    A list longer than INT_LIST_LIMIT is beyond desk scale; a range's length
-    is checked before the range is built.
+    A range 'a..b' is returned unbuilt, so that its length can be bounded
+    before it is built.
     """
     text = text.strip()
     if ".." in text:
         lo, hi = map(int, text.split("..", 1))
-        length, values = hi - lo + 1, range(lo, hi + 1)
+        values = range(lo, hi + 1)
     else:
         values = [int(tok) for tok in text.split(",") if tok]
-        length = len(values)
-    if length < 1:
+    if not values:
         raise ValueError(f"integer list {text!r} selects no values")
-    if length > INT_LIST_LIMIT:
-        raise BeyondDeskScale(
-            f"integer list {text!r} holds {length} values; beyond desk scale "
-            f"(limit {INT_LIST_LIMIT})"
-        )
-    return list(values)
+    return values
 
 
-def _out_truncation(args, d: DirichletSeries, limit: int) -> int:
-    """--truncation when given (it must be >= 1), else the input's truncation.
+def _count(text: str) -> int:
+    values = _parse_int_list(text)  # len() of a range fails past 2^63 values
+    return values.stop - values.start if isinstance(values, range) else len(values)
 
-    Either must be at most limit, checked before any work on the input.
+
+def _out_truncation(args, truncation: int) -> int:
+    """--truncation when given, else the input's truncation."""
+    return truncation if args.truncation is None else args.truncation
+
+
+class Bound(NamedTuple):
+    """A run of command (an experiment's name for an experiment) whose
+    size(args, input truncation or None) passes limit exits 3; flags names
+    the size by the flags it reads."""
+
+    name: str
+    command: str
+    flags: str
+    size: Callable[[argparse.Namespace, int | None], int]
+    limit: int
+
+
+# Every exit-3 size limit of the CLI, in the order _check_bounds checks them.
+# --truncation of norms and compose is the output truncation, the input's
+# when the flag is omitted.
+BOUNDS = (
+    # The longest integer list (norms --k, superpose-exp --m-list): each value
+    # is one seminorm of the input, or one superpose_entire run (about 4 ms at
+    # superpose-exp's defaults).
+    Bound("norms-k", "norms", "len(--k)", lambda a, t: _count(a.k), 1000),
+    # norms' largest --p, 64: a call does p/2 - 1 products, and a small product
+    # costs about 30 us of call overhead whatever its size.
+    Bound("norms-p", "norms", "--p/2", lambda a, t: a.p // 2, 32),
+    # norms' largest output truncation: for p >= 4 a call raises the input to
+    # the p/2-th power at it once, and on a dense 1000-term input --p 26 --k 1
+    # at 4*10^6 (12 products) takes about 6.5 s and peaks near 245 MB (the
+    # truncation of inequality-suite's products at its largest --support).
+    Bound("norms-truncation", "norms", "--truncation", _out_truncation, 4 * 10**6),
+    # norms' largest (p/2 - 1) products x output truncation, and len(ks) x the
+    # slots each k weighs (the output truncation; the input's for p = 2).  On a
+    # dense 1000-term input (numpy backend, 2 cores) --p 26 --k 1 at 4*10^6
+    # takes 6.5-7.8 s, --p 6 --k 1..87 at 4*10^6 4.0 s, and --p 26 --k 1..87
+    # at 4*10^6, both limits at once, 9.3 s.
+    Bound("norms-work", "norms", "(--p/2 - 1) x --truncation",
+          lambda a, t: (a.p // 2 - 1) * _out_truncation(a, t), 5 * 10**7),
+    Bound("norms-weigh", "norms", "len(--k) x --truncation (--in's at --p 2)",
+          lambda a, t: _count(a.k) * (t if a.p == 2 else _out_truncation(a, t)), 35 * 10**7),
+    # compose's largest output truncation: at 10^6 a dense input takes about 7 s
+    # end to end, most of it JSON, and peaks near 300 MB.
+    Bound("compose-truncation", "compose", "--truncation", _out_truncation, 10**6),
+    # superpose's largest powers x input truncation, and superpose-exp's largest
+    # len(--m-list) x (--kmax + 1) x --truncation: a run forms one product per
+    # power and keeps at most K + 1 arrays, a_k D^k for k = 0..K, 16 B a slot.
+    # A dense 10^6-term input at --kmax 7 takes 6.5-11 s end to end and peaks
+    # near 355 MB, most of it the JSON of the input and the output; 8 --coeffs
+    # on it take 10 s and peak near 305 MB.  One argument holds at most 128 KiB,
+    # about 65 000 coefficients: 60 000 on a 1-term input take 5 s.
+    Bound("superpose-powers", "superpose", "(len(--coeffs) or --kmax + 1) x --in truncation",
+          lambda a, t: (len(a.coeffs.split(";")) if a.coeffs else a.kmax + 1) * t,
+          8 * 10**6),
+    # inequality-suite's largest --support: its even seminorms form support^2
+    # index products each, and its products run at truncation support^2; at
+    # 2 000 a --count 2 run peaks near 260 MB of RSS.
+    Bound("suite-support", "inequality-suite", "--support", lambda a, t: a.support, 2000),
+    # inequality-suite's largest --count x --support: all polynomials are drawn
+    # before the first row, 16 B per coefficient (16 MB at this limit).
+    Bound("suite-coeffs", "inequality-suite", "--count x --support",
+          lambda a, t: a.count * a.support, 10**6),
+    # bohr-parseval's largest --n-vars: it sieves for that many primes, and each
+    # sample takes one exponential and one row of powers per variable (10^7
+    # samples of a 1-term polynomial in 8 variables take 5-7 s).
+    Bound("bohr-vars", "bohr-parseval", "--n-vars", lambda a, t: a.n_vars, 8),
+    # bohr-parseval's largest --samples x --trials: about 0.6 s per 10^6 samples
+    # at its defaults (3 variables, 20 terms).
+    Bound("bohr-samples", "bohr-parseval", "--samples x --trials",
+          lambda a, t: a.samples * a.trials, 10**7),
+    # bohr-parseval's largest --trials x --terms: each term is drawn in a
+    # Python-level loop, each trial makes one estimate, and the Monte Carlo
+    # multiplies (terms x 1024-sample) arrays, about 32 KB a term.  One trial of
+    # 4 096 terms in 8 variables at 12 207 samples takes 3.8 s and peaks near
+    # 170 MB; 4 096 one-term trials take 1.3 s.
+    Bound("bohr-terms", "bohr-parseval", "--trials x --terms",
+          lambda a, t: a.trials * a.terms, 4096),
+    # bohr-parseval's largest --samples x --trials x --terms, the monomials its
+    # Monte Carlo evaluates (2 * 10^7 at the defaults): 10^7 samples of 5 terms
+    # in 8 variables, the slowest in-bound call, take about 8.6 s.
+    Bound("bohr-monomials", "bohr-parseval", "--samples x --trials x --terms",
+          lambda a, t: a.samples * a.trials * a.terms, 5 * 10**7),
+    # nonextension's largest --nmax: its sieve reaches past the nmax-th prime,
+    # about 70 MB of RSS per 10^6; at 5*10^6 a run takes 1.8-2.0 s and peaks
+    # near 380 MB (at the default 10^6, 0.46 s and 100 MB).
+    Bound("nonextension-nmax", "nonextension", "--nmax", lambda a, t: a.nmax, 5 * 10**6),
+    # ejemplo-growth's largest --truncation: the series takes 16 B a slot, and
+    # one dense product at 10^6 peaks near 90 MB of RSS.
+    Bound("ejemplo-truncation", "ejemplo-growth", "--truncation", lambda a, t: a.truncation, 10**6),
+    # ejemplo-growth's largest --kmax x --truncation: it forms one dense product
+    # per k, about 11 ms each at truncation 10^5 and 0.15 s at 10^6.
+    Bound("ejemplo-work", "ejemplo-growth", "--kmax x --truncation",
+          lambda a, t: a.kmax * a.truncation, 2 * 10**7),
+    # The largest k of ejemplo-growth's witness and of noncomposition: they
+    # sieve to k^(1 + delta) and k^C', below 10^8 for delta < 1 and C' < 2,
+    # which takes about 2 s and 155 MB.
+    Bound("ejemplo-witness-k", "ejemplo-growth", "--witness-kmax",
+          lambda a, t: a.witness_kmax, 10**4),
+    Bound("noncomposition-k", "noncomposition", "--kmax", lambda a, t: a.kmax, 10**4),
+    # as norms-k and superpose-powers
+    Bound("superpose-exp-m-list", "superpose-exp", "len(--m-list)",
+          lambda a, t: _count(a.m_list), 1000),
+    Bound("superpose-exp-powers", "superpose-exp", "len(--m-list) x (--kmax + 1) x --truncation",
+          lambda a, t: _count(a.m_list) * (a.kmax + 1) * a.truncation, 8 * 10**6),
+)
+
+
+def _check_bounds(args, truncation: int | None = None) -> None:
+    """Refuse the command's first row of BOUNDS whose size passes its limit.
+
+    Each command calls it after its usage checks and before any work.
     """
-    out_trunc = d.truncation if args.truncation is None else args.truncation
-    if out_trunc < 1:
-        raise ValueError(f"--truncation must be >= 1, got {args.truncation}")
-    if out_trunc > limit:
-        raise BeyondDeskScale(
-            f"output truncation {out_trunc} is beyond desk scale (limit {limit})"
-        )
-    return out_trunc
+    command = args.name if args.command == "experiment" else args.command
+    for row in BOUNDS:
+        if row.command == command:
+            size = row.size(args, truncation)
+            if size > row.limit:
+                raise BeyondDeskScale(
+                    f"{row.flags} = {size} is beyond desk scale (limit {row.limit})"
+                )
 
 
-def _check_superpose_work(runs: int, kmax: int, truncation: int) -> None:
-    """Refuse runs x (kmax + 1) x truncation power slots past SUPERPOSE_WORK_LIMIT."""
-    if runs * (kmax + 1) * truncation > SUPERPOSE_WORK_LIMIT:
-        raise BeyondDeskScale(
-            f"{runs} x (--kmax {kmax} + 1) x truncation {truncation} power slots; "
-            f"beyond desk scale (limit {SUPERPOSE_WORK_LIMIT})"
-        )
-
-
-def _check_k_range(flag: str, kmin: int, kmax: int, least: int) -> None:
-    """Refuse the k range of the flags <flag>kmin..<flag>kmax, before it is built,
-    when it starts below least or ends past K_RANGE_LIMIT."""
-    if kmin < least:
-        raise ValueError(f"{flag}kmin must be >= {least}, got {kmin}")
-    if kmax > K_RANGE_LIMIT:
-        raise BeyondDeskScale(f"{flag}kmax {kmax} is beyond desk scale (limit {K_RANGE_LIMIT})")
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _finite_float(text: str) -> float:
@@ -216,16 +237,11 @@ def _cmd_norms(args) -> int:
     p = args.p
     if p < 2 or p % 2 != 0:
         raise ValueError(f"--p must be an even integer >= 2 for exact norms, got {p}")
-    if p > NORMS_P_LIMIT:
-        raise BeyondDeskScale(f"--p {p} is beyond desk scale (limit {NORMS_P_LIMIT})")
     d = load_series(args.infile)
-    out_trunc = _out_truncation(args, d, NORMS_TRUNCATION_LIMIT)
-    weighed = d.truncation if p == 2 else out_trunc
-    if (p // 2 - 1) * out_trunc > NORMS_WORK_LIMIT or len(ks) * weighed > NORMS_WEIGH_LIMIT:
-        raise BeyondDeskScale(
-            f"{p // 2 - 1} products at truncation {out_trunc} and {len(ks)} k values weighing "
-            f"{weighed} slots; beyond desk scale (limits {NORMS_WORK_LIMIT}, {NORMS_WEIGH_LIMIT})"
-        )
+    out_trunc = _out_truncation(args, d.truncation)
+    _at_least("--truncation", out_trunc, 1)
+    _check_bounds(args, d.truncation)
+    ks = list(ks)
     vals = seminorm_even(d, p // 2, ks, out_trunc)
     rows = [f"{k},{p},{v.value!r},{str(v.exact).lower()}" for k, v in zip(ks, vals)]
     text = _csv_text("k,p,value,exact", rows)
@@ -240,7 +256,9 @@ def _cmd_compose(args) -> int:
     d = load_series(args.infile)
     with open(args.symbol) as f:
         phi = operators.symbol_from_json(json.load(f))
-    out_trunc = _out_truncation(args, d, COMPOSE_TRUNCATION_LIMIT)
+    out_trunc = _out_truncation(args, d.truncation)
+    _at_least("--truncation", out_trunc, 1)
+    _check_bounds(args, d.truncation)
     result = operators.compose_general(d, phi, out_trunc, n_cutoff=args.cutoff)
     doc = series_to_json(result.series)
     doc["exact"] = result.exact
@@ -267,18 +285,18 @@ def _cmd_superpose(args) -> int:
     d = load_series(args.infile)
     if args.coeffs:
         b = [_parse_complex(tok) for tok in args.coeffs.split(";")]
-        result = superposition.superpose_poly(d, b)
-        diagnostics = []
+    elif args.entire == "exp-kk":
+        ec = superposition.EntireCoeffs.exp_neg_k_to_k()
+    elif args.entire == "exp-kC":
+        ec = superposition.EntireCoeffs.exp_neg_k_to_c(args.cc)
+    elif args.entire == "inv-factorial":
+        ec = superposition.EntireCoeffs.inverse_factorial()
     else:
-        if args.entire == "exp-kk":
-            ec = superposition.EntireCoeffs.exp_neg_k_to_k()
-        elif args.entire == "exp-kC":
-            ec = superposition.EntireCoeffs.exp_neg_k_to_c(args.cc)
-        elif args.entire == "inv-factorial":
-            ec = superposition.EntireCoeffs.inverse_factorial()
-        else:
-            raise ValueError(f"unknown entire-coefficient tag {args.entire!r}")
-        _check_superpose_work(1, args.kmax, d.truncation)
+        raise ValueError(f"unknown entire-coefficient tag {args.entire!r}")
+    _check_bounds(args, d.truncation)
+    if args.coeffs:
+        result, diagnostics = superposition.superpose_poly(d, b), []
+    else:
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
     _atomic_write_json(args.out, series_to_json(result))
     if args.diagnostics and diagnostics:
@@ -321,18 +339,8 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
     count, support = args.count, args.support
     if count < 2:
         raise ValueError(f"--count must be >= 2 (the products pair polynomials), got {count}")
-    if support < 1:
-        raise ValueError(f"--support must be >= 1, got {support}")
-    if support > SUITE_SUPPORT_LIMIT:
-        raise BeyondDeskScale(
-            f"--support {support} forms {support}^2 products per seminorm; "
-            f"beyond desk scale (limit {SUITE_SUPPORT_LIMIT})"
-        )
-    if count * support > SUITE_COEFF_LIMIT:
-        raise BeyondDeskScale(
-            f"--count {count} x --support {support} coefficients are drawn up front; "
-            f"beyond desk scale (limit {SUITE_COEFF_LIMIT})"
-        )
+    _at_least("--support", support, 1)
+    _check_bounds(args)
     rng = np.random.default_rng(args.seed)
     out_trunc = support * support
     chain_rows, algebra_rows, power_rows = [], [], []
@@ -379,28 +387,14 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
 def _exp_bohr_parseval(args, outdir: str) -> dict:
     # exponents are drawn from {0..3}^n_vars: at most 4^n_vars distinct terms,
     # and terms <= 4^n_vars  <=>  (terms - 1).bit_length() <= 2 n_vars
-    if args.n_vars < 1:
-        raise ValueError(f"--n-vars must be >= 1, got {args.n_vars}")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _at_least("--n-vars", args.n_vars, 1)
+    _at_least("--samples", args.samples, 1)
+    _at_least("--trials", args.trials, 1)
     if args.terms < 1 or (args.terms - 1).bit_length() > 2 * args.n_vars:
         raise ValueError(
             f"--terms must lie in 1..4^{args.n_vars} (distinct exponents), got {args.terms}"
         )
-    for size, flags, limit in (
-        (args.n_vars, f"--n-vars {args.n_vars}", BOHR_VARS_LIMIT),
-        (args.samples * args.trials, f"--samples {args.samples} x --trials {args.trials}",
-         BOHR_SAMPLE_LIMIT),
-        (args.trials * args.terms, f"--trials {args.trials} x --terms {args.terms}",
-         BOHR_TERMS_LIMIT),
-        (args.samples * args.trials * args.terms,
-         f"--samples {args.samples} x --trials {args.trials} x --terms {args.terms}",
-         BOHR_MONOMIAL_LIMIT),
-    ):
-        if size > limit:
-            raise BeyondDeskScale(f"{flags} is beyond desk scale (limit {limit})")
+    _check_bounds(args)
     rng = np.random.default_rng(args.seed)
     table = bohr.sieve_for_n_primes(args.n_vars)
     rows = []
@@ -432,6 +426,7 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
 
 
 def _exp_nonextension(args, outdir: str) -> dict:
+    _check_bounds(args)
     n_max = args.nmax
     # p_n < n (ln n + ln ln n) for n >= 6
     limit = max(100, int(n_max * (math.log(max(n_max, 6)) + math.log(math.log(max(n_max, 6)))) * 1.05))
@@ -456,19 +451,11 @@ def _exp_nonextension(args, outdir: str) -> dict:
 
 
 def _exp_ejemplo_growth(args, outdir: str) -> dict:
-    kmax = args.kmax if args.kmax is not None else 6
-    delta = args.delta if args.delta is not None else 0.3
-    truncation = args.truncation if args.truncation is not None else 100000
-    if truncation > EJEMPLO_TRUNCATION_LIMIT:
-        raise BeyondDeskScale(
-            f"--truncation {truncation} is beyond desk scale (limit {EJEMPLO_TRUNCATION_LIMIT})"
-        )
-    if kmax * truncation > EJEMPLO_WORK_LIMIT:
-        raise BeyondDeskScale(
-            f"--kmax {kmax} x --truncation {truncation} forms one product per k; "
-            f"beyond desk scale (limit {EJEMPLO_WORK_LIMIT})"
-        )
-    _check_k_range("--witness-", args.witness_kmin, args.witness_kmax, 2)
+    kmax, delta, truncation = args.kmax, args.delta, args.truncation
+    _at_least("--truncation", truncation, 1)
+    _at_least("--kmax", kmax, 2)
+    _at_least("--witness-kmin", args.witness_kmin, 2)
+    _check_bounds(args)
     d = translate(DirichletSeries.ones(truncation), 0.5)
     report = superposition.composition_criterion(d, args.m, kmax)
     growth_rows = [
@@ -503,9 +490,9 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
 
 
 def _exp_noncomposition(args, outdir: str) -> dict:
-    kmax = args.kmax if args.kmax is not None else 200
-    delta = args.delta if args.delta is not None else 0.05
-    _check_k_range("--", args.kmin, kmax, 1)
+    kmax, delta = args.kmax, args.delta
+    _at_least("--kmin", args.kmin, 1)
+    _check_bounds(args)
     main = superposition.noncomposition_exponent(
         args.cc, args.cprime, args.epsilon, delta, range(args.kmin, kmax + 1)
     )
@@ -546,12 +533,12 @@ def _exp_noncomposition(args, outdir: str) -> dict:
 
 
 def _exp_superpose_exp(args, outdir: str) -> dict:
-    kmax = args.kmax if args.kmax is not None else 8
-    truncation = args.truncation if args.truncation is not None else 2000
+    kmax, truncation = args.kmax, args.truncation
     m_checks = _parse_int_list(args.m_list)
-    if kmax < 1:
-        raise ValueError(f"--kmax must be >= 1, got {kmax}")
-    _check_superpose_work(len(m_checks), kmax, truncation)
+    _at_least("--kmax", kmax, 1)
+    _at_least("--truncation", truncation, 1)
+    _check_bounds(args)
+    m_checks = list(m_checks)
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     outputs = []
@@ -574,6 +561,17 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     return _manifest("superpose-exp", params, outputs)
 
 
+# Each experiment's runner, and its own defaults for the flags experiments share.
+EXPERIMENTS = {
+    "inequality-suite": (_exp_inequality_suite, {}),
+    "bohr-parseval": (_exp_bohr_parseval, {}),
+    "nonextension": (_exp_nonextension, {}),
+    "ejemplo-growth": (_exp_ejemplo_growth, {"kmax": 6, "delta": 0.3, "truncation": 100000}),
+    "noncomposition": (_exp_noncomposition, {"kmax": 200, "delta": 0.05}),
+    "superpose-exp": (_exp_superpose_exp, {"kmax": 8, "truncation": 2000}),
+}
+
+
 def _cmd_experiment(args) -> int:
     """Run one experiment in a temporary directory, then move its files into --out-dir.
 
@@ -587,17 +585,9 @@ def _cmd_experiment(args) -> int:
     where = outdir
     while not os.path.isdir(where):
         where = os.path.dirname(where)
-    runners = {
-        "inequality-suite": _exp_inequality_suite,
-        "bohr-parseval": _exp_bohr_parseval,
-        "nonextension": _exp_nonextension,
-        "ejemplo-growth": _exp_ejemplo_growth,
-        "noncomposition": _exp_noncomposition,
-        "superpose-exp": _exp_superpose_exp,
-    }
     staging = tempfile.mkdtemp(prefix=".hplus-experiment-", dir=where)
     try:
-        manifest = runners[args.name](args, staging)
+        manifest = EXPERIMENTS[args.name][0](args, staging)
         _atomic_write_json(os.path.join(staging, "manifest.json"), manifest)
         os.makedirs(outdir, exist_ok=True)
         for name in sorted(os.listdir(staging), key=lambda n: n == "manifest.json"):
@@ -689,9 +679,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line, with the running experiment's own defaults."""
+    args = build_parser().parse_args(argv)
+    defaults = EXPERIMENTS[args.name][1] if args.command == "experiment" else {}
+    for flag, value in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (HplusError, OverflowError) as exc:  # OverflowError: past the float range

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,27 +11,9 @@ import numpy as np
 import pytest
 
 import hplus
-from hplus import __version__, bohr
-from hplus.cli import (
-    BOHR_MONOMIAL_LIMIT,
-    BOHR_SAMPLE_LIMIT,
-    BOHR_TERMS_LIMIT,
-    BOHR_VARS_LIMIT,
-    COMPOSE_TRUNCATION_LIMIT,
-    EJEMPLO_TRUNCATION_LIMIT,
-    EJEMPLO_WORK_LIMIT,
-    INT_LIST_LIMIT,
-    K_RANGE_LIMIT,
-    NORMS_P_LIMIT,
-    NORMS_TRUNCATION_LIMIT,
-    NORMS_WEIGH_LIMIT,
-    NORMS_WORK_LIMIT,
-    SUITE_COEFF_LIMIT,
-    SUITE_SUPPORT_LIMIT,
-    SUPERPOSE_WORK_LIMIT,
-    _parse_int_list,
-    main,
-)
+from cli_bounds import TERMS, edge, message, refusal, size_flags, with_flag
+from hplus import __version__, bohr, cli
+from hplus.cli import BOUNDS, _parse_int_list, main
 from hplus.operators import Symbol, character_to_json, symbol_to_json
 from hplus.series import (
     DirichletSeries,
@@ -41,6 +25,8 @@ from hplus.series import (
 )
 from hplus.superposition import composition_criterion
 
+LIMIT = {row.name: row.limit for row in BOUNDS}
+P_MAX = 2 * LIMIT["norms-p"]  # norms' largest --p
 
 def save_series(d, path):
     with open(path, "w") as f:
@@ -113,7 +99,7 @@ def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
 
 @pytest.mark.parametrize(
     "k",
-    [f"1..{INT_LIST_LIMIT + 1}", ",".join(["1"] * (INT_LIST_LIMIT + 1)), "1..100000000"],
+    [f"1..{LIMIT['norms-k'] + 1}", ",".join(["1"] * (LIMIT["norms-k"] + 1)), "1..100000000"],
     ids=["range", "list", "huge-range"],
 )
 def test_norms_rejects_k_lists_past_the_limit(series_file, tmp_path, k):
@@ -130,25 +116,25 @@ def _norms_sizes(limit, factor_max):
     """(factor, truncation) with factor x truncation = limit, the truncation in range."""
     return next(
         (n, limit // n) for n in range(1, factor_max + 1)
-        if limit % n == 0 and limit // n <= NORMS_TRUNCATION_LIMIT
+        if limit % n == 0 and limit // n <= LIMIT["norms-truncation"]
     )
 
 
 @pytest.mark.parametrize("p", [4, 8])
 def test_norms_rejects_work_past_the_limit(series_file, tmp_path, p):
-    # len(ks) x truncation = NORMS_WEIGH_LIMIT + 1 at this p, and
-    # (p/2 - 1) x truncation = NORMS_WORK_LIMIT + 1 at a larger p
+    # len(ks) x truncation = the norms-weigh limit + 1 at this p, and
+    # (p/2 - 1) x truncation = the norms-work limit + 1 at a larger p
     d, path = series_file
     out = tmp_path / "norms.csv"
-    n, trunc = _norms_sizes(NORMS_WEIGH_LIMIT + 1, INT_LIST_LIMIT)
+    n, trunc = _norms_sizes(LIMIT["norms-weigh"] + 1, LIMIT["norms-k"])
     argv = ["norms", "--in", str(path), "--p", str(p), "--k", f"1..{n}",
             "--truncation", str(trunc), "--out", str(out)]
     assert main(argv) == 3
-    products, trunc = _norms_sizes(NORMS_WORK_LIMIT + 1, NORMS_P_LIMIT // 2 - 1)
+    products, trunc = _norms_sizes(LIMIT["norms-work"] + 1, P_MAX // 2 - 1)
     argv = ["norms", "--in", str(path), "--p", str(2 * products + 2), "--k", "1",
             "--truncation", str(trunc), "--out", str(out)]
     assert main(argv) == 3
-    argv = ["norms", "--in", str(path), "--p", str(NORMS_P_LIMIT + 2), "--k", "1",
+    argv = ["norms", "--in", str(path), "--p", str(P_MAX + 2), "--k", "1",
             "--out", str(out)]
     assert main(argv) == 3
     assert not out.exists()
@@ -160,12 +146,12 @@ def test_norms_runs_at_each_work_limit(tmp_path):
     path = tmp_path / "one.json"
     save_series(DirichletSeries.monomial(1, 0.5 - 0.25j, 1), str(path))
     out = tmp_path / "norms.csv"
-    n, trunc = _norms_sizes(NORMS_WEIGH_LIMIT, INT_LIST_LIMIT)
+    n, trunc = _norms_sizes(LIMIT["norms-weigh"], LIMIT["norms-k"])
     argv = ["norms", "--in", str(path), "--p", "4", "--k", f"1..{n}", "--out", str(out)]
     assert main([*argv, "--truncation", str(trunc)]) == 0
     assert len(out.read_text().splitlines()) == n + 1
     assert main([*argv, "--truncation", str(trunc + 1)]) == 3
-    products, trunc = _norms_sizes(NORMS_WORK_LIMIT, NORMS_P_LIMIT // 2 - 1)
+    products, trunc = _norms_sizes(LIMIT["norms-work"], P_MAX // 2 - 1)
     argv = ["norms", "--in", str(path), "--p", str(2 * products + 2), "--k", "1,2",
             "--out", str(out)]
     assert main([*argv, "--truncation", str(trunc)]) == 0
@@ -177,33 +163,33 @@ def test_norms_runs_at_each_work_limit(tmp_path):
 
 def test_norms_bounds_products_and_weighing_apart(tmp_path, rng):
     # p/2 - 1 = 1 product at 4 * 10^6 and 13 weighings of it: once refused
-    # as 13 x 1 x 4 * 10^6 > NORMS_WORK_LIMIT, now inside both bounds
-    assert 13 * NORMS_TRUNCATION_LIMIT <= NORMS_WEIGH_LIMIT
-    assert NORMS_TRUNCATION_LIMIT <= NORMS_WORK_LIMIT < 13 * NORMS_TRUNCATION_LIMIT
+    # as 13 x 1 x 4 * 10^6 > the norms-work limit, now inside both bounds
+    assert 13 * LIMIT["norms-truncation"] <= LIMIT["norms-weigh"]
+    assert LIMIT["norms-truncation"] <= LIMIT["norms-work"] < 13 * LIMIT["norms-truncation"]
     path = tmp_path / "poly.json"
     save_series(DirichletSeries(rng.normal(size=30) + 1j * rng.normal(size=30)), str(path))
     out = tmp_path / "norms.csv"
     argv = ["norms", "--in", str(path), "--p", "4", "--k", "1..13",
-            "--truncation", str(NORMS_TRUNCATION_LIMIT), "--out", str(out)]
+            "--truncation", str(LIMIT["norms-truncation"]), "--out", str(out)]
     assert main(argv) == 0
     assert len(out.read_text().splitlines()) == 14
 
 
 def test_default_lists_lie_inside_the_bounds():
-    assert len(_parse_int_list("1..8")) <= INT_LIST_LIMIT
-    assert len(_parse_int_list("1,2,4")) <= INT_LIST_LIMIT
+    assert len(_parse_int_list("1..8")) <= LIMIT["norms-k"]
+    assert len(_parse_int_list("1,2,4")) <= LIMIT["superpose-exp-m-list"]
     # the sparse-algebra benchmark: norms --p 8 --k 1..8 at 30^4
-    assert 3 * 30**4 <= NORMS_WORK_LIMIT and 8 * 30**4 <= NORMS_WEIGH_LIMIT
-    assert 8 <= NORMS_P_LIMIT
+    assert 3 * 30**4 <= LIMIT["norms-work"] and 8 * 30**4 <= LIMIT["norms-weigh"]
+    assert 8 <= P_MAX
     # the default k list at p = 4 and the largest output truncation
-    assert NORMS_TRUNCATION_LIMIT <= NORMS_WORK_LIMIT
-    assert 8 * NORMS_TRUNCATION_LIMIT <= NORMS_WEIGH_LIMIT
+    assert LIMIT["norms-truncation"] <= LIMIT["norms-work"]
+    assert 8 * LIMIT["norms-truncation"] <= LIMIT["norms-weigh"]
 
 
 def test_superpose_exp_rejects_m_lists_past_the_limit(tmp_path):
     out_dir = tmp_path / "se"
     argv = ["experiment", "superpose-exp", "--out-dir", str(out_dir),
-            "--m-list", ",".join(["1"] * (INT_LIST_LIMIT + 1))]
+            "--m-list", ",".join(["1"] * (LIMIT["superpose-exp-m-list"] + 1))]
     assert main(argv) == 3
     assert not any(tmp_path.iterdir())
 
@@ -231,9 +217,14 @@ def test_output_onto_a_directory_leaves_nothing_behind(series_file, tmp_path):
         ["experiment", "noncomposition", "--epsilon", "nan"],
         ["experiment", "noncomposition", "--delta", "inf"],
         ["experiment", "bohr-parseval", "--p", "1e400"],
+        # once exit 3: the product of two negative sizes passed for a large one
+        ["experiment", "ejemplo-growth", "--truncation", "-1000000", "--kmax", "-1000"],
+        # once numpy's "negative dimensions are not allowed"
+        ["experiment", "ejemplo-growth", "--truncation", "-3"],
+        ["experiment", "superpose-exp", "--truncation", "-3"],
     ],
 )
-def test_experiments_reject_empty_and_non_finite_values(tmp_path, argv):
+def test_experiments_reject_empty_and_non_finite_values(tmp_path, capsys, argv):
     # each of these once ran to exit 0 with an empty or nan table
     out_dir = tmp_path / "run"
     try:
@@ -241,6 +232,7 @@ def test_experiments_reject_empty_and_non_finite_values(tmp_path, argv):
     except SystemExit as exc:  # argparse rejects the flag itself
         rc = exc.code
     assert rc == 2
+    assert argv[2] in capsys.readouterr().err  # the message names the flag
     assert not any(tmp_path.iterdir())
 
 
@@ -303,17 +295,17 @@ def test_norms_and_compose_reject_truncation_past_their_limits(series_file, tmp_
     d, path = series_file
     out = tmp_path / "out.csv"
     argv = ["norms", "--in", str(path), "--p", "4", "--truncation",
-            str(NORMS_TRUNCATION_LIMIT + 1), "--out", str(out)]
+            str(LIMIT["norms-truncation"] + 1), "--out", str(out)]
     assert main(argv) == 3
     sym_path = tmp_path / "symbol.json"
     phi = Symbol(1, DirichletSeries(np.array([0.2 + 0.1j, 0.05], dtype=np.complex128)))
     sym_path.write_text(json.dumps(symbol_to_json(phi)))
     argv = ["compose", "--in", str(path), "--symbol", str(sym_path),
-            "--truncation", str(COMPOSE_TRUNCATION_LIMIT + 1), "--out", str(out)]
+            "--truncation", str(LIMIT["compose-truncation"] + 1), "--out", str(out)]
     assert main(argv) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "symbol.json"]
     # the sparse-algebra benchmark runs norms at 30^4
-    assert 30**4 <= NORMS_TRUNCATION_LIMIT
+    assert 30**4 <= LIMIT["norms-truncation"]
 
 
 def test_compose_flat_symbol_at_full_cutoff_is_fast(tmp_path, rng):
@@ -354,41 +346,41 @@ def _fail_at_sieve(n_primes):
 
 
 def _monomials_past_the_limit():
-    """(samples, trials, terms): samples x trials x terms = BOHR_MONOMIAL_LIMIT + 1, the
-    other two bounds kept."""
-    work = BOHR_MONOMIAL_LIMIT + 1
-    for terms in range(2, BOHR_TERMS_LIMIT + 1):
-        for trials in range(1, BOHR_TERMS_LIMIT // terms + 1):
-            if work % (terms * trials) == 0 and work // terms <= BOHR_SAMPLE_LIMIT:
+    """(samples, trials, terms): samples x trials x terms = the bohr-monomials limit + 1,
+    the other two bounds kept."""
+    work = LIMIT["bohr-monomials"] + 1
+    for terms in range(2, LIMIT["bohr-terms"] + 1):
+        for trials in range(1, LIMIT["bohr-terms"] // terms + 1):
+            if work % (terms * trials) == 0 and work // terms <= LIMIT["bohr-samples"]:
                 return work // (terms * trials), trials, terms
-    raise AssertionError("no factorization of BOHR_MONOMIAL_LIMIT + 1 fits")
+    raise AssertionError("no factorization of the bohr-monomials limit + 1 fits")
 
 
 @pytest.mark.parametrize(
     "flags,inside",
     [
-        ([("--n-vars", BOHR_VARS_LIMIT), ("--terms", 3)], True),
-        ([("--n-vars", BOHR_VARS_LIMIT + 1), ("--terms", 3)], False),
+        ([("--n-vars", LIMIT["bohr-vars"]), ("--terms", 3)], True),
+        ([("--n-vars", LIMIT["bohr-vars"] + 1), ("--terms", 3)], False),
         # once drawing terms for more than 8 s
         ([("--n-vars", 20), ("--terms", 100_000_000), ("--samples", 1), ("--trials", 1)], False),
         # once sieving up to about 10^9 before it failed
         ([("--n-vars", 10**9), ("--samples", 1), ("--trials", 1)], False),
-        ([("--n-vars", 8), ("--samples", 1), ("--trials", 2), ("--terms", BOHR_TERMS_LIMIT // 2)],
-         True),
-        ([("--n-vars", 8), ("--samples", 1), ("--trials", 1), ("--terms", BOHR_TERMS_LIMIT + 1)],
-         False),
+        ([("--n-vars", 8), ("--samples", 1), ("--trials", 2),
+          ("--terms", LIMIT["bohr-terms"] // 2)], True),
+        ([("--n-vars", 8), ("--samples", 1), ("--trials", 1),
+          ("--terms", LIMIT["bohr-terms"] + 1)], False),
         # samples x trials and samples x trials x terms both at their limits
-        ([("--samples", BOHR_SAMPLE_LIMIT // 10), ("--trials", 10),
-          ("--terms", BOHR_MONOMIAL_LIMIT // BOHR_SAMPLE_LIMIT)], True),
-        ([("--samples", BOHR_SAMPLE_LIMIT + 1), ("--trials", 1), ("--terms", 1)], False),
+        ([("--samples", LIMIT["bohr-samples"] // 10), ("--trials", 10),
+          ("--terms", LIMIT["bohr-monomials"] // LIMIT["bohr-samples"])], True),
+        ([("--samples", LIMIT["bohr-samples"] + 1), ("--trials", 1), ("--terms", 1)], False),
         (list(zip(("--samples", "--trials", "--terms"), _monomials_past_the_limit())), False),
     ],
 )
 def test_bohr_parseval_sizes_at_and_past_their_limits(tmp_path, monkeypatch, flags, inside):
     # the sieve is the first work: a run inside every bound reaches it, a run
     # past one exits 3 before it and before any draw
-    assert BOHR_TERMS_LIMIT % 2 == 0 and BOHR_SAMPLE_LIMIT % 10 == 0
-    assert BOHR_MONOMIAL_LIMIT % BOHR_SAMPLE_LIMIT == 0
+    assert LIMIT["bohr-terms"] % 2 == 0 and LIMIT["bohr-samples"] % 10 == 0
+    assert LIMIT["bohr-monomials"] % LIMIT["bohr-samples"] == 0
     monkeypatch.setattr(bohr, "sieve_for_n_primes", _fail_at_sieve)
     out_dir = tmp_path / "bp"
     argv = ["experiment", "bohr-parseval", "--out-dir", str(out_dir)]
@@ -600,8 +592,8 @@ def test_experiment_inequality_suite_small(tmp_path):
         (["--count", "1"], 2),
         (["--count", "0"], 2),
         (["--support", "0"], 2),
-        (["--support", str(SUITE_SUPPORT_LIMIT + 1)], 3),
-        (["--count", str(SUITE_COEFF_LIMIT // 100 + 1), "--support", "100"], 3),
+        (["--support", str(LIMIT["suite-support"] + 1)], 3),
+        (["--count", str(LIMIT["suite-coeffs"] // 100 + 1), "--support", "100"], 3),
     ],
 )
 def test_inequality_suite_rejects_sizes_before_any_work(tmp_path, flags, code):
@@ -638,14 +630,14 @@ def test_experiment_nonextension_small(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--truncation", str(EJEMPLO_TRUNCATION_LIMIT + 1), "--kmax", "2"],
+        ["--truncation", str(LIMIT["ejemplo-truncation"] + 1), "--kmax", "2"],
         ["--kmax", "100000"],  # at the default truncation 10^5
-        ["--kmax", str(EJEMPLO_WORK_LIMIT // 1000 + 1), "--truncation", "1000"],
+        ["--kmax", str(LIMIT["ejemplo-work"] // 1000 + 1), "--truncation", "1000"],
     ],
 )
 def test_ejemplo_growth_rejects_sizes_before_any_work(tmp_path, flags):
     # the defaults, kmax 6 at truncation 10^5, lie inside both bounds
-    assert 100_000 <= EJEMPLO_TRUNCATION_LIMIT and 6 * 100_000 <= EJEMPLO_WORK_LIMIT
+    assert 100_000 <= LIMIT["ejemplo-truncation"] and 6 * 100_000 <= LIMIT["ejemplo-work"]
     out_dir = tmp_path / "eg"
     proc = _run_cli("experiment", "ejemplo-growth", "--out-dir", str(out_dir), *flags)
     assert proc.returncode == 3, proc.stderr
@@ -658,27 +650,27 @@ def test_ejemplo_growth_rejects_sizes_before_any_work(tmp_path, flags):
     [
         # once a MemoryError traceback (exit 1) allocating 10^9 slots
         ["superpose-exp", "--truncation", "1000000000"],
-        # 1 run x (2 + 1) powers x truncation = SUPERPOSE_WORK_LIMIT + 1
+        # 1 run x (2 + 1) powers x truncation = the superpose-exp-powers limit + 1
         ["superpose-exp", "--m-list", "1", "--kmax", "2",
-         "--truncation", str((SUPERPOSE_WORK_LIMIT + 1) // 3)],
+         "--truncation", str((LIMIT["superpose-exp-powers"] + 1) // 3)],
         # once a MemoryError traceback building the k list
         ["noncomposition", "--kmax", "1000000000"],
-        ["noncomposition", "--kmax", str(K_RANGE_LIMIT + 1)],
-        ["ejemplo-growth", "--witness-kmax", str(K_RANGE_LIMIT + 1)],
-        ["bohr-parseval", "--samples", str(BOHR_SAMPLE_LIMIT + 1), "--trials", "1"],
-        ["bohr-parseval", "--samples", str((BOHR_SAMPLE_LIMIT + 10) // 10)],  # 10 trials
+        ["noncomposition", "--kmax", str(LIMIT["noncomposition-k"] + 1)],
+        ["ejemplo-growth", "--witness-kmax", str(LIMIT["ejemplo-witness-k"] + 1)],
+        ["bohr-parseval", "--samples", str(LIMIT["bohr-samples"] + 1), "--trials", "1"],
+        ["bohr-parseval", "--samples", str((LIMIT["bohr-samples"] + 10) // 10)],  # 10 trials
     ],
 )
 def test_experiment_sizes_past_their_limits_exit_3_before_any_work(tmp_path, argv):
-    assert (SUPERPOSE_WORK_LIMIT + 1) % 3 == 0 and BOHR_SAMPLE_LIMIT % 10 == 0
+    assert (LIMIT["superpose-exp-powers"] + 1) % 3 == 0 and LIMIT["bohr-samples"] % 10 == 0
     # the defaults and the benchmark's calls lie inside every bound: superpose-exp
     # 3 runs x 9 powers at 2 000, noncomposition k <= 1 000 (its factorial
     # ladder), the witness k <= 60, bohr-parseval 10 x 10^5 samples of 20 terms
     # in 3 variables
-    assert 3 * 9 * 2000 <= SUPERPOSE_WORK_LIMIT and 1000 <= K_RANGE_LIMIT
-    assert 60 <= K_RANGE_LIMIT and 10 * 100_000 <= BOHR_SAMPLE_LIMIT
-    assert 3 <= BOHR_VARS_LIMIT and 10 * 20 <= BOHR_TERMS_LIMIT
-    assert 10 * 100_000 * 20 <= BOHR_MONOMIAL_LIMIT
+    assert 3 * 9 * 2000 <= LIMIT["superpose-exp-powers"] and 1000 <= LIMIT["noncomposition-k"]
+    assert 60 <= LIMIT["ejemplo-witness-k"] and 10 * 100_000 <= LIMIT["bohr-samples"]
+    assert 3 <= LIMIT["bohr-vars"] and 10 * 20 <= LIMIT["bohr-terms"]
+    assert 10 * 100_000 * 20 <= LIMIT["bohr-monomials"]
     out_dir = tmp_path / "run"
     proc = _run_cli("experiment", *argv, "--out-dir", str(out_dir))
     assert proc.returncode == 3, proc.stderr
@@ -702,14 +694,14 @@ def test_experiment_k_ranges_are_checked_before_they_are_built(tmp_path, argv, c
 
 
 def test_superpose_rejects_powers_past_the_limit(tmp_path):
-    # a 1-term input at --kmax SUPERPOSE_WORK_LIMIT: (kmax + 1) x 1 slots is
-    # the limit + 1; the default --kmax 8 holds 8 x 10^5 input terms
-    assert 9 * 800_000 <= SUPERPOSE_WORK_LIMIT
+    # a 1-term input at --kmax the superpose-powers limit: (kmax + 1) x 1 slots
+    # is the limit + 1; the default --kmax 8 holds 8 x 10^5 input terms
+    assert 9 * 800_000 <= LIMIT["superpose-powers"]
     path = tmp_path / "one.json"
     save_series(DirichletSeries(np.array([0.5 + 0j])), str(path))
     out = tmp_path / "sup.json"
     argv = ["superpose", "--in", str(path), "--entire", "inv-factorial",
-            "--kmax", str(SUPERPOSE_WORK_LIMIT), "--out", str(out)]
+            "--kmax", str(LIMIT["superpose-powers"]), "--out", str(out)]
     proc = _run_cli(*argv)
     assert proc.returncode == 3, proc.stderr
     assert "beyond desk scale" in proc.stderr
@@ -719,11 +711,155 @@ def test_superpose_rejects_powers_past_the_limit(tmp_path):
 
 
 def test_nonextension_past_the_sieve_range_is_domain_error(tmp_path):
-    # the sieve for 10^11 primes would reach past 2^31, the int32 range of spf
+    # the sieve for 10^11 primes would reach past 2^31, the int32 range of spf;
+    # the nonextension-nmax row refuses it before the sieve
     out_dir = tmp_path / "ne"
     proc = _run_cli(
         "experiment", "nonextension", "--nmax", "100000000000", "--out-dir", str(out_dir)
     )
     assert proc.returncode == 3, proc.stderr
-    assert "int32" in proc.stderr
+    assert "--nmax = 100000000000 is beyond desk scale" in proc.stderr
     assert not any(tmp_path.iterdir())
+
+
+class _Checked(Exception):
+    pass
+
+
+def _stop_after(check):
+    """check, then stop the run: a run that raises _Checked passed every bound."""
+    def checked(*args):
+        check(*args)
+        raise _Checked
+
+    return checked
+
+
+def test_superpose_coeffs_count_against_the_power_slots(series_file, tmp_path, monkeypatch):
+    # --coeffs once had no bound: len(b) x the input's truncation is checked
+    # as (--kmax + 1) x truncation is on the --entire path
+    d, path = series_file
+    out = tmp_path / "sup.json"
+    at = LIMIT["superpose-powers"] // d.truncation
+    argv = ["superpose", "--in", str(path), "--out", str(out), "--coeffs"]
+    assert main([*argv, ";".join(["0.5"] * (at + 1))]) == 3
+    monkeypatch.setattr(cli, "_check_bounds", _stop_after(cli._check_bounds))
+    with pytest.raises(_Checked):
+        main([*argv, ";".join(["0.5"] * at)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json"]
+
+
+# Command lines per command: each row is isolated from one of them by one flag.
+BASES = {
+    "norms": [["norms", "--in", "{series}", "--p", p, "--k", k, "--truncation", "64",
+               "--out", "{out}"]
+              for p, k in (("4", "1..3"), (str(P_MAX), "1..3"), ("4", "1..1000"))],
+    "compose": [["compose", "--in", "{series}", "--symbol", "{symbol}", "--truncation", "64",
+                 "--out", "{out}"]],
+    "superpose": [["superpose", "--in", "{series}", "--entire", "inv-factorial", "--kmax", "4",
+                   "--out", "{out}"]],
+    "inequality-suite": [["--count", "2", "--support", "5"]],
+    "bohr-parseval": [["--samples", "64", "--trials", "1", "--n-vars", "2", "--terms", terms]
+                      for terms in ("3", "16")],
+    "nonextension": [["--nmax", "1000"]],
+    "ejemplo-growth": [["--truncation", "200", "--kmax", "2"]],
+    "noncomposition": [["--kmin", "40", "--kmax", "45"]],
+    "superpose-exp": [["--truncation", "50", "--kmax", "4", "--m-list", "1,2"]],
+}
+for _name in cli.EXPERIMENTS:
+    BASES[_name] = [["experiment", _name, *flags, "--out-dir", "{out}"] for flags in BASES[_name]]
+
+
+def _edge(row):
+    """(argv at the limit, argv one step past it): one size flag of a base
+    command line set by cli_bounds.edge, with every other row inside its limit."""
+    for base in BASES[row.command]:
+        for flag in size_flags(row):
+            values = edge(row, base, flag)
+            if values is None:
+                continue
+            at, past = (with_flag(base, flag, value) for value in values)
+            if refusal(at) is None and refusal(past) == message(row, past):
+                return at, past
+    raise AssertionError(f"no command line of BASES isolates {row.name}")
+
+
+@pytest.fixture()
+def bound_inputs(tmp_path, rng):
+    names = {"series": str(tmp_path / "series.json"), "symbol": str(tmp_path / "symbol.json"),
+             "out": str(tmp_path / "out")}
+    save_series(DirichletSeries(rng.normal(size=TERMS) + 1j * rng.normal(size=TERMS)),
+                names["series"])
+    phi = Symbol(1, DirichletSeries(np.array([0.2 + 0.1j, 0.05], dtype=np.complex128)))
+    with open(names["symbol"], "w") as f:
+        json.dump(symbol_to_json(phi), f)
+    return names
+
+
+@pytest.mark.parametrize("row", BOUNDS, ids=[row.name for row in BOUNDS])
+def test_every_bound_passes_its_limit_and_refuses_one_step_past(
+    row, bound_inputs, tmp_path, monkeypatch, capsys
+):
+    at, past = ([arg.format(**bound_inputs) for arg in argv] for argv in _edge(row))
+    assert main(past) == 3
+    assert capsys.readouterr().err == f"error: {message(row, past)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "symbol.json"]
+    monkeypatch.setattr(cli, "_check_bounds", _stop_after(cli._check_bounds))
+    with pytest.raises(_Checked):
+        main(at)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "symbol.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,truncation",
+    [
+        # the benchmark's calls: norms on 30-term inputs, compose on 4096 terms
+        (["norms", "--in", "x", "--p", "8", "--k", "1..8", "--truncation", str(30**4)], 30),
+        (["compose", "--in", "x", "--symbol", "y", "--out", "z"], 4096),
+        # every experiment at its defaults
+        *[(["experiment", name], None) for name in cli.EXPERIMENTS],
+    ],
+)
+def test_defaults_and_benchmark_calls_lie_inside_every_bound(argv, truncation):
+    assert refusal(argv, truncation) is None
+
+
+def _readme_number(text):
+    """'1 000', '10⁶' or '3.5·10⁸' as a number."""
+    power = re.fullmatch(r"(?:([\d.]+)·)?10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)", text)
+    if power is None:
+        return int(text.replace(" ", ""))
+    exponent = int(power[2].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+    return float(power[1] or 1) * 10**exponent
+
+
+def test_readme_lists_every_bound_with_its_limit():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        rows = [line.split("|")[1:-1] for line in f if line.startswith("| `")]
+    table = {cells[0].strip().strip("`"): [c.strip().strip("`") for c in cells[1:]]
+             for cells in rows}
+    for row in BOUNDS:
+        assert row.name in table, row.name
+        listed_command, flags, limit = table[row.name]
+        assert listed_command.split()[-1] == row.command
+        assert flags == row.flags
+        assert _readme_number(limit) == row.limit, row.name
+
+
+def test_cli_has_one_raise_of_beyond_desk_scale_and_no_limit_constants():
+    # every size bound is a row of BOUNDS, checked by _check_bounds alone
+    with open(cli.__file__) as f:
+        tree = ast.parse(f.read())
+    raised = [
+        node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        for node in ast.walk(tree) if isinstance(node, ast.Raise)
+    ]
+    raises = [exc for exc in raised if getattr(exc, "id", None) == "BeyondDeskScale"]
+    assert len(raises) == 1
+    constants = [
+        target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z0-9_]*_LIMIT", target.id)
+    ]
+    assert constants == []

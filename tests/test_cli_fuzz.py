@@ -5,13 +5,16 @@ with a timeout.  A case starts from a small valid command line and replaces
 one or two of its flags with values drawn around the places where hplus
 stops: small valid sizes, each exit-3 limit + 1, 0, negatives, empty
 ranges, non-numbers, a superposition past the float range and outputs onto
-an existing directory.  No drawn
-value asks for much memory: every size past a limit is refused before any
-work.  Every case must exit 0, 2 or 3 without a traceback and leave no
+an existing directory.  The values past the limits come from the rows of
+``hplus.cli.BOUNDS``, so a new row is drawn without a new case here.  No
+drawn value asks for much memory: every size past a limit is refused before
+any work.  Every case must exit 0, 2 or 3 without a traceback and leave no
 temp file or staging directory, and a failed case leaves its directory as
 it found it: no output and no new --out-dir.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -24,23 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hplus
-from hplus.cli import (
-    BOHR_MONOMIAL_LIMIT,
-    BOHR_SAMPLE_LIMIT,
-    BOHR_TERMS_LIMIT,
-    BOHR_VARS_LIMIT,
-    COMPOSE_TRUNCATION_LIMIT,
-    EJEMPLO_TRUNCATION_LIMIT,
-    EJEMPLO_WORK_LIMIT,
-    INT_LIST_LIMIT,
-    K_RANGE_LIMIT,
-    NORMS_P_LIMIT,
-    NORMS_TRUNCATION_LIMIT,
-    NORMS_WEIGH_LIMIT,
-    SUITE_COEFF_LIMIT,
-    SUITE_SUPPORT_LIMIT,
-    SUPERPOSE_WORK_LIMIT,
-)
+from cli_bounds import edge, size_flags, text
+from hplus.cli import BOUNDS
 from hplus.operators import Character, Symbol, character_to_json, symbol_to_json
 from hplus.series import DirichletSeries, series_to_json
 
@@ -49,32 +37,34 @@ SRC = os.path.dirname(os.path.dirname(hplus.__file__))
 EXISTING_DIR = "<existing dir>"
 MISSING_FILE = "<missing file>"
 BAD = ["0", "-3", "abc"]
-LONG_LIST = [f"1..{INT_LIST_LIMIT + 1}", ",".join(["1"] * (INT_LIST_LIMIT + 1))]
-# --k 1..n at --truncation t with n * t = NORMS_WEIGH_LIMIT + 1 (each k weighs t slots)
+LIMIT = {row.name: row.limit for row in BOUNDS}
+LONG_LIST = [f"1..{LIMIT['norms-k'] + 1}", ",".join(["1"] * (LIMIT["norms-k"] + 1))]
+# --k 1..n at --truncation t with n * t = the norms-weigh limit + 1 (each k weighs t slots)
 _N_WORK = next(
-    n for n in range(2, INT_LIST_LIMIT + 1)
-    if (NORMS_WEIGH_LIMIT + 1) % n == 0 and (NORMS_WEIGH_LIMIT + 1) // n <= NORMS_TRUNCATION_LIMIT
+    n for n in range(2, LIMIT["norms-k"] + 1)
+    if (LIMIT["norms-weigh"] + 1) % n == 0
+    and (LIMIT["norms-weigh"] + 1) // n <= LIMIT["norms-truncation"]
 )
 
 # subcommand -> (fixed arguments, {flag: (base value, values to draw)})
 COMMANDS = {
     "norms": (["--in", "{series}"], {
         "--k": ("1..3", ["2", "1,2,4", "3..1", f"1..{_N_WORK}", *LONG_LIST, *BAD]),
-        "--p": ("4", ["2", "8", "3", str(NORMS_P_LIMIT + 2), *BAD]),
-        "--truncation": ("64", ["1", str((NORMS_WEIGH_LIMIT + 1) // _N_WORK),
-                                str(NORMS_TRUNCATION_LIMIT + 1), *BAD]),
+        "--p": ("4", ["2", "8", "3", str(2 * LIMIT["norms-p"] + 2), *BAD]),
+        "--truncation": ("64", ["1", str((LIMIT["norms-weigh"] + 1) // _N_WORK),
+                                str(LIMIT["norms-truncation"] + 1), *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
     }),
     "compose": (["--in", "{series}", "--symbol", "{symbol}"], {
-        "--truncation": ("64", ["1", str(COMPOSE_TRUNCATION_LIMIT + 1), *BAD]),
+        "--truncation": ("64", ["1", str(LIMIT["compose-truncation"] + 1), *BAD]),
         "--cutoff": ("8", ["1", *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
     }),
     "superpose": (["--in", "{series}"], {
         "--entire": ("exp-kk", ["exp-kC", "inv-factorial", "abc"]),
         "--coeffs": (None, ["1,0;0,0;1,0", "2", "1;abc"]),
-        # (kmax + 1) x the input's 20 terms past SUPERPOSE_WORK_LIMIT
-        "--kmax": ("4", ["1", "1000", str(SUPERPOSE_WORK_LIMIT // 20), *BAD]),
+        # (kmax + 1) x the input's 20 terms past the superpose-powers limit
+        "--kmax": ("4", ["1", "1000", str(LIMIT["superpose-powers"] // 20), *BAD]),
         "--m": ("1", ["2", *BAD]),
         "--cc": ("1.2", ["0.5", "nan", *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
@@ -92,18 +82,19 @@ COMMANDS = {
         "--out": ("{out}", [EXISTING_DIR]),
     }),
     "experiment inequality-suite": ([], {
-        "--count": ("2", ["3", str(SUITE_COEFF_LIMIT + 1), *BAD]),
-        "--support": ("5", ["1", str(SUITE_SUPPORT_LIMIT + 1), *BAD]),
+        "--count": ("2", ["3", str(LIMIT["suite-coeffs"] + 1), *BAD]),
+        "--support": ("5", ["1", str(LIMIT["suite-support"] + 1), *BAD]),
         "--seed": ("1", BAD),
     }),
     "experiment bohr-parseval": ([], {
-        # with --terms 16, the most 2 variables hold, past BOHR_MONOMIAL_LIMIT
-        "--samples": ("64", ["1", str(BOHR_MONOMIAL_LIMIT // 16 + 1),
-                             str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
-        # x the base 3 terms past BOHR_TERMS_LIMIT
-        "--trials": ("1", ["2", str(BOHR_TERMS_LIMIT // 3 + 1), str(BOHR_SAMPLE_LIMIT + 1), *BAD]),
-        "--n-vars": ("2", ["1", str(BOHR_VARS_LIMIT), str(BOHR_VARS_LIMIT + 1), *BAD]),
-        "--terms": ("3", ["1", "16", "17", str(BOHR_TERMS_LIMIT + 1), *BAD]),
+        # with --terms 16, the most 2 variables hold, past the bohr-monomials limit
+        "--samples": ("64", ["1", str(LIMIT["bohr-monomials"] // 16 + 1),
+                             str(LIMIT["bohr-samples"] + 1), *BAD]),
+        # x the base 3 terms past the bohr-terms limit
+        "--trials": ("1", ["2", str(LIMIT["bohr-terms"] // 3 + 1),
+                           str(LIMIT["bohr-samples"] + 1), *BAD]),
+        "--n-vars": ("2", ["1", str(LIMIT["bohr-vars"]), str(LIMIT["bohr-vars"] + 1), *BAD]),
+        "--terms": ("3", ["1", "16", "17", str(LIMIT["bohr-terms"] + 1), *BAD]),
         "--k": ("1", ["2", *BAD]),
         "--p": ("2", ["4", "nan", *BAD]),
     }),
@@ -111,25 +102,25 @@ COMMANDS = {
         "--nmax": ("1000", ["1", str(2**31), *BAD]),  # 2^31 primes reach past the sieve range
     }),
     "experiment ejemplo-growth": ([], {
-        "--truncation": ("200", ["1", str(EJEMPLO_TRUNCATION_LIMIT + 1), *BAD]),
-        "--kmax": ("2", ["1", str(EJEMPLO_WORK_LIMIT + 1), *BAD]),
+        "--truncation": ("200", ["1", str(LIMIT["ejemplo-truncation"] + 1), *BAD]),
+        "--kmax": ("2", ["1", str(LIMIT["ejemplo-work"] + 1), *BAD]),
         "--m": ("2", ["1", *BAD]),
         "--witness-m": ("1", ["2", *BAD]),
         "--witness-kmin": ("20", ["2", "30", *BAD]),
-        "--witness-kmax": ("22", ["21", str(K_RANGE_LIMIT + 1), *BAD]),
+        "--witness-kmax": ("22", ["21", str(LIMIT["ejemplo-witness-k"] + 1), *BAD]),
         "--delta": ("0.3", ["0.9", "1.5", *BAD]),
     }),
     "experiment noncomposition": ([], {
         "--kmin": ("40", ["1", *BAD]),
-        "--kmax": ("45", ["40", "39", str(K_RANGE_LIMIT + 1), *BAD]),
+        "--kmax": ("45", ["40", "39", str(LIMIT["noncomposition-k"] + 1), *BAD]),
         "--cc": ("1.2", ["1.9", "nan", *BAD]),
         "--cprime": ("1.6", ["1.1", "1.9", *BAD]),
         "--epsilon": ("0.05", ["0.5", *BAD]),
         "--delta": ("0.05", ["0.5", *BAD]),
     }),
     "experiment superpose-exp": ([], {
-        # 1 run x (1 + 1) powers, the least drawn, past SUPERPOSE_WORK_LIMIT
-        "--truncation": ("50", ["1", str(SUPERPOSE_WORK_LIMIT // 2 + 1), *BAD]),
+        # 1 run x (1 + 1) powers, the least drawn, past the superpose-exp-powers limit
+        "--truncation": ("50", ["1", str(LIMIT["superpose-exp-powers"] // 2 + 1), *BAD]),
         "--kmax": ("4", ["1", "40", *BAD]),
         "--m-list": ("1,2", ["1", "4", "3..1", *LONG_LIST, *BAD]),
     }),
@@ -137,6 +128,41 @@ COMMANDS = {
 for _name, (_fixed, _flags) in COMMANDS.items():
     if _name.startswith("experiment"):
         _flags["--out-dir"] = ("{out}", [EXISTING_DIR, "{out}/nested/deeper", "{series}"])
+
+
+def _past_every_draw(command, fixed, flags):
+    """{flag: values}: for each row of command and each flag it reads, the
+    least value past the row's limit whatever another flag it reads is drawn
+    as (a drawn value that is a usage error is skipped)."""
+    base = command.split() + fixed
+    base += [arg for flag, (value, _) in flags.items() if value is not None for arg in (flag, value)]
+    found = {}
+    for row in BOUNDS:
+        if row.command != command.split()[-1]:
+            continue
+        # a flag written with characters per value (--coeffs) cannot hold a
+        # value past a limit in one argument
+        drawn = [f for f in size_flags(row) if f in flags and len(text(f, 2**20)) < 1000]
+        for flag in drawn:
+            values = []
+            for other in [None] + [f for f in drawn if f != flag]:
+                for value in flags[other][1] if other else [None]:
+                    argv = base + [other, value] if other else base
+                    try:
+                        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage
+                            at_past = edge(row, argv, flag)
+                    except (SystemExit, ValueError):
+                        continue
+                    if at_past is not None:
+                        values.append(at_past[1])
+            if values:
+                found.setdefault(flag, []).append(text(flag, max(values)))
+    return found
+
+
+for _name, (_fixed, _flags) in COMMANDS.items():
+    for _flag, _values in _past_every_draw(_name, _fixed, _flags).items():
+        _flags[_flag][1][:] = dict.fromkeys(_flags[_flag][1] + _values)
 
 LEFTOVER_MARKS = (".tmp-", ".part", ".hplus-experiment-")
 
