@@ -126,6 +126,12 @@ BOUNDS = (
     Bound("superpose-powers", "superpose", "(len(--coeffs) or --kmax + 1) x --in truncation",
           lambda a, t: (len(a.coeffs.split(";")) if a.coeffs else a.kmax + 1) * t,
           8 * 10**6),
+    # superpose --entire's largest --kmax: the tail majorant sums the whole tail
+    # at each k, K^2 / 2 terms in Python.  At 10^4 a 1-term input takes 6-8 s
+    # end to end, and the largest input superpose-powers admits there, 799
+    # dense terms, 7.7 s (inv-factorial) and 8.9 s with 194 MB (exp-kC, C 0.5).
+    Bound("superpose-kmax", "superpose", "--kmax",
+          lambda a, t: a.kmax if a.entire else 0, 10**4),
     # inequality-suite's largest --support: its even seminorms form support^2
     # index products each, and its products run at truncation support^2; at
     # 2 000 a --count 2 run peaks near 260 MB of RSS.
@@ -282,19 +288,19 @@ def _tail_rows(diagnostics) -> list[tuple]:
 
 
 def _cmd_superpose(args) -> int:
+    if args.coeffs is not None and args.diagnostics is not None:
+        raise ValueError("--diagnostics needs --entire: --coeffs has no tail diagnostics")
     d = load_series(args.infile)
-    if args.coeffs:
+    if args.coeffs is not None:
         b = [_parse_complex(tok) for tok in args.coeffs.split(";")]
     elif args.entire == "exp-kk":
         ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     elif args.entire == "exp-kC":
         ec = superposition.EntireCoeffs.exp_neg_k_to_c(args.cc)
-    elif args.entire == "inv-factorial":
-        ec = superposition.EntireCoeffs.inverse_factorial()
     else:
-        raise ValueError(f"unknown entire-coefficient tag {args.entire!r}")
+        ec = superposition.EntireCoeffs.inverse_factorial()
     _check_bounds(args, d.truncation)
-    if args.coeffs:
+    if args.coeffs is not None:
         result, diagnostics = superposition.superpose_poly(d, b), []
     else:
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
@@ -399,12 +405,12 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
     table = bohr.sieve_for_n_primes(args.n_vars)
     rows = []
     for trial in range(args.trials):
-        terms = {}
+        terms = {}  # keyed by exponent tuple; one MultiIndex per distinct term
         while len(terms) < args.terms:
-            alpha = MultiIndex(tuple(int(e) for e in rng.integers(0, 4, size=args.n_vars)))
+            alpha = tuple(int(e) for e in rng.integers(0, 4, size=args.n_vars))
             c = complex(rng.normal(), rng.normal())
             terms[alpha] = terms.get(alpha, 0j) + c
-        poly = bohr.MultiPoly(args.n_vars, terms)
+        poly = bohr.MultiPoly(args.n_vars, {MultiIndex(a): c for a, c in terms.items()})
         est = bohr.rho_estimate(
             poly, args.k, args.p, args.samples, seed=args.seed + trial, table=table
         )
@@ -561,14 +567,27 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     return _manifest("superpose-exp", params, outputs)
 
 
-# Each experiment's runner, and its own defaults for the flags experiments share.
+# Each experiment's runner and the flags it reads, as (flag, type, default);
+# its sub-parser takes --out-dir and these alone.  bohr-parseval's --p
+# defaults to the int 2, which its manifest and estimates.csv write as 2.
 EXPERIMENTS = {
-    "inequality-suite": (_exp_inequality_suite, {}),
-    "bohr-parseval": (_exp_bohr_parseval, {}),
-    "nonextension": (_exp_nonextension, {}),
-    "ejemplo-growth": (_exp_ejemplo_growth, {"kmax": 6, "delta": 0.3, "truncation": 100000}),
-    "noncomposition": (_exp_noncomposition, {"kmax": 200, "delta": 0.05}),
-    "superpose-exp": (_exp_superpose_exp, {"kmax": 8, "truncation": 2000}),
+    "inequality-suite": (_exp_inequality_suite, (
+        ("--seed", int, 1234), ("--count", int, 100), ("--support", int, 100))),
+    "bohr-parseval": (_exp_bohr_parseval, (
+        ("--seed", int, 1234), ("--samples", int, 100000), ("--trials", int, 10),
+        ("--n-vars", int, 3), ("--terms", int, 20), ("--k", int, 1),
+        ("--p", _finite_float, 2))),
+    "nonextension": (_exp_nonextension, (("--nmax", int, 1000000),)),
+    "ejemplo-growth": (_exp_ejemplo_growth, (
+        ("--truncation", int, 100000), ("--m", int, 4), ("--kmax", int, 6),
+        ("--delta", _finite_float, 0.3), ("--witness-m", int, 1),
+        ("--witness-kmin", int, 20), ("--witness-kmax", int, 60))),
+    "noncomposition": (_exp_noncomposition, (
+        ("--kmin", int, 40), ("--kmax", int, 200), ("--delta", _finite_float, 0.05),
+        ("--epsilon", _finite_float, 0.05), ("--cc", _finite_float, 1.2),
+        ("--cprime", _finite_float, 1.6))),
+    "superpose-exp": (_exp_superpose_exp, (
+        ("--truncation", int, 2000), ("--kmax", int, 8), ("--m-list", str, "1,2,4"))),
 }
 
 
@@ -601,13 +620,18 @@ def _cmd_experiment(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """A parser that takes no abbreviation of its flags."""
+    return argparse.ArgumentParser(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _parser(
         prog="hplus",
         description="Computational toolkit for translated Dirichlet series.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     p = sub.add_parser("norms", help="seminorm table of a series")
     p.add_argument("--in", dest="infile", required=True)
@@ -627,13 +651,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("superpose", help="apply a superposition operator")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--coeffs", default=None, help="polynomial coefficients 'b0;b1;...'")
-    p.add_argument("--entire", default=None, choices=("exp-kk", "exp-kC", "inv-factorial"))
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--coeffs", help="polynomial coefficients 'b0;b1;...'")
+    mode.add_argument("--entire", choices=("exp-kk", "exp-kC", "inv-factorial"))
     p.add_argument("--cc", type=_finite_float, default=1.2, help="C for --entire exp-kC")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--m", type=int, default=1, help="seminorm index for diagnostics")
     p.add_argument("--out", required=True)
-    p.add_argument("--diagnostics", default=None)
+    p.add_argument("--diagnostics", default=None, help="tail table; --entire only")
     p.set_defaults(func=_cmd_superpose)
 
     p = sub.add_parser("spectrum", help="apply the resolvent of differentiation")
@@ -650,43 +675,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vertical_limit)
 
     p = sub.add_parser("experiment", help="run a named experiment")
-    p.add_argument("name", choices=EXPERIMENTS)
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--support", type=int, default=100)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--n-vars", type=int, default=3)
-    p.add_argument("--terms", type=int, default=20)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p", type=_finite_float, default=2)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--m-list", default="1,2,4")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--kmin", type=int, default=40)
-    p.add_argument("--witness-m", type=int, default=1)
-    p.add_argument("--witness-kmin", type=int, default=20)
-    p.add_argument("--witness-kmax", type=int, default=60)
-    p.add_argument("--delta", type=_finite_float, default=None)
-    p.add_argument("--epsilon", type=_finite_float, default=0.05)
-    p.add_argument("--cc", type=_finite_float, default=1.2, help="exponent C")
-    p.add_argument("--cprime", type=_finite_float, default=1.6, help="exponent C'")
-    p.add_argument("--nmax", type=int, default=1000000)
+    names = p.add_subparsers(dest="name", required=True, parser_class=_parser)
+    for name, (_, flags) in EXPERIMENTS.items():
+        e = names.add_parser(name)
+        e.add_argument("--out-dir", default=".")
+        for flag, kind, default in flags:
+            e.add_argument(flag, type=kind, default=default)
     p.set_defaults(func=_cmd_experiment)
 
     return parser
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """The parsed command line, with the running experiment's own defaults."""
-    args = build_parser().parse_args(argv)
-    defaults = EXPERIMENTS[args.name][1] if args.command == "experiment" else {}
-    for flag, value in defaults.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, value)
-    return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -756,7 +756,10 @@ BASES = {
               for p, k in (("4", "1..3"), (str(P_MAX), "1..3"), ("4", "1..1000"))],
     "compose": [["compose", "--in", "{series}", "--symbol", "{symbol}", "--truncation", "64",
                  "--out", "{out}"]],
-    "superpose": [["superpose", "--in", "{series}", "--entire", "inv-factorial", "--kmax", "4",
+    # --coeffs first: on --entire, superpose-kmax refuses a --kmax long before
+    # superpose-powers does
+    "superpose": [["superpose", "--in", "{series}", "--coeffs", "1;1", "--out", "{out}"],
+                  ["superpose", "--in", "{series}", "--entire", "inv-factorial", "--kmax", "4",
                    "--out", "{out}"]],
     "inequality-suite": [["--count", "2", "--support", "5"]],
     "bohr-parseval": [["--samples", "64", "--trials", "1", "--n-vars", "2", "--terms", terms]
@@ -816,12 +819,99 @@ def test_every_bound_passes_its_limit_and_refuses_one_step_past(
         # the benchmark's calls: norms on 30-term inputs, compose on 4096 terms
         (["norms", "--in", "x", "--p", "8", "--k", "1..8", "--truncation", str(30**4)], 30),
         (["compose", "--in", "x", "--symbol", "y", "--out", "z"], 4096),
+        # superpose at its default --kmax 8 on 8 x 10^5 input terms
+        (["superpose", "--in", "x", "--entire", "exp-kk", "--out", "z"], 800_000),
         # every experiment at its defaults
         *[(["experiment", name], None) for name in cli.EXPERIMENTS],
     ],
 )
 def test_defaults_and_benchmark_calls_lie_inside_every_bound(argv, truncation):
     assert refusal(argv, truncation) is None
+
+
+# each experiment's flags at their defaults, with the types the shared
+# parser of all experiments once gave them
+DEFAULTS = {
+    "inequality-suite": {"seed": 1234, "count": 100, "support": 100},
+    "bohr-parseval": {"seed": 1234, "samples": 100000, "trials": 10, "n_vars": 3, "terms": 20,
+                      "k": 1, "p": 2},
+    "nonextension": {"nmax": 1000000},
+    "ejemplo-growth": {"truncation": 100000, "m": 4, "kmax": 6, "delta": 0.3, "witness_m": 1,
+                       "witness_kmin": 20, "witness_kmax": 60},
+    "noncomposition": {"kmin": 40, "kmax": 200, "delta": 0.05, "epsilon": 0.05, "cc": 1.2,
+                       "cprime": 1.6},
+    "superpose-exp": {"truncation": 2000, "kmax": 8, "m_list": "1,2,4"},
+}
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_an_experiment_parses_its_own_flags_at_their_defaults(name):
+    args = vars(cli.parse_args(["experiment", name]))
+    assert args.pop("func") is cli._cmd_experiment
+    want = {"command": "experiment", "name": name, "out_dir": ".", **DEFAULTS[name]}
+    assert {k: (v, type(v)) for k, v in args.items()} == {k: (v, type(v)) for k, v in want.items()}
+
+
+# every flag some experiment reads, with its default there
+EXPERIMENT_FLAGS = {flag: str(default) for _, flags in cli.EXPERIMENTS.values()
+                    for flag, _, default in flags}
+FOREIGN = [(name, flag) for name, (_, flags) in cli.EXPERIMENTS.items()
+           for flag in EXPERIMENT_FLAGS if flag not in [row[0] for row in flags]]
+
+
+@pytest.mark.parametrize("name,flag", FOREIGN, ids=[f"{name}{flag}" for name, flag in FOREIGN])
+def test_an_experiment_refuses_a_flag_it_does_not_read(tmp_path, capsys, name, flag):
+    # the 105 pairs of 6 experiments x 22 flags that no run read once exited 0
+    assert len(FOREIGN) == 105
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", name, flag, EXPERIMENT_FLAGS[flag], "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "nonextension", "--nm", "1000"],  # once read as --nmax
+        ["experiment", "ejemplo-growth", "--witness-kma", "30"],
+        ["experiment", "--nmax", "1000", "nonextension"],
+        ["experiment", "--out-dir", "{out}", "nonextension", "--nmax", "1000"],
+        ["norms", "--in", "{series}", "--trunc", "64", "--out", "{out}"],
+        ["superpose", "--in", "{series}", "--coeff", "1;1", "--out", "{out}"],
+    ],
+)
+def test_abbreviated_and_misplaced_flags_are_usage_errors(series_file, tmp_path, capsys, argv):
+    d, path = series_file
+    names = {"series": str(path), "out": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**names) for arg in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["series.json"]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ["--coeffs", "1;1", "--entire", "exp-kk"],  # once ran --coeffs alone, exit 0
+        [],  # once exit 2 with "unknown entire-coefficient tag None"
+        ["--coeffs", "1;1", "--diagnostics", "{out}.csv"],  # once exit 0 with no table
+    ],
+)
+def test_superpose_takes_one_mode_and_diagnostics_only_with_entire(
+    series_file, tmp_path, capsys, mode
+):
+    d, path = series_file
+    out = str(tmp_path / "out")
+    argv = ["superpose", "--in", str(path), *[arg.format(out=out) for arg in mode], "--out", out]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses the modes themselves
+        rc = exc.code
+    assert rc == 2
+    assert ("--entire" if mode else "--coeffs") in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["series.json"]
 
 
 def _readme_number(text):
@@ -845,6 +935,18 @@ def test_readme_lists_every_bound_with_its_limit():
         assert listed_command.split()[-1] == row.command
         assert flags == row.flags
         assert _readme_number(limit) == row.limit, row.name
+
+
+def test_readme_lists_every_experiment_with_its_flags_and_defaults():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("### Experiments", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    listed = {cells[0].strip().strip("`"): re.findall(r"`(--[a-z-]+) ([^`]+)`", cells[1])
+              for cells in rows}
+    assert list(listed) == list(cli.EXPERIMENTS)
+    for name, (_, flags) in cli.EXPERIMENTS.items():
+        assert listed[name] == [(flag, str(default)) for flag, _, default in flags], name
 
 
 def test_cli_has_one_raise_of_beyond_desk_scale_and_no_limit_constants():

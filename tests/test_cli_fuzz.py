@@ -4,9 +4,11 @@ Each case runs ``python -m hplus.cli`` as its own subprocess, one at a time,
 with a timeout.  A case starts from a small valid command line and replaces
 one or two of its flags with values drawn around the places where hplus
 stops: small valid sizes, each exit-3 limit + 1, 0, negatives, empty
-ranges, non-numbers, a superposition past the float range and outputs onto
-an existing directory.  The values past the limits come from the rows of
-``hplus.cli.BOUNDS``, so a new row is drawn without a new case here.  No
+ranges, non-numbers, a superposition past the float range, outputs onto
+an existing directory and, for each experiment, a flag of another
+experiment, which it must refuse with exit 2.  The values past the limits
+come from the rows of ``hplus.cli.BOUNDS``, so a new row is drawn without a
+new case here.  No
 drawn value asks for much memory: every size past a limit is refused before
 any work.  Every case must exit 0, 2 or 3 without a traceback and leave no
 temp file or staging directory, and a failed case leaves its directory as
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 import hplus
 from cli_bounds import edge, size_flags, text
-from hplus.cli import BOUNDS
+from hplus.cli import BOUNDS, EXPERIMENTS
 from hplus.operators import Character, Symbol, character_to_json, symbol_to_json
 from hplus.series import DirichletSeries, series_to_json
 
@@ -62,6 +64,7 @@ COMMANDS = {
     }),
     "superpose": (["--in", "{series}"], {
         "--entire": ("exp-kk", ["exp-kC", "inv-factorial", "abc"]),
+        # drawn alone, --coeffs takes the place of --entire and --diagnostics
         "--coeffs": (None, ["1,0;0,0;1,0", "2", "1;abc"]),
         # (kmax + 1) x the input's 20 terms past the superpose-powers limit
         "--kmax": ("4", ["1", "1000", str(LIMIT["superpose-powers"] // 20), *BAD]),
@@ -125,6 +128,17 @@ COMMANDS = {
         "--m-list": ("1,2", ["1", "4", "3..1", *LONG_LIST, *BAD]),
     }),
 }
+# a drawn flag that takes the place of these base flags, unless they are drawn too
+REPLACES = {"--coeffs": ("--entire", "--diagnostics")}
+# experiment -> the one flag of the next experiment in cli.EXPERIMENTS it does not read
+FOREIGN = {}
+_names = list(EXPERIMENTS)
+for _name, _next in zip(_names, _names[1:] + _names[:1]):
+    _own = [flag for flag, _, _ in EXPERIMENTS[_name][1]]
+    _flag, _value = next((flag, str(default)) for flag, _, default in EXPERIMENTS[_next][1]
+                         if flag not in _own)
+    FOREIGN[f"experiment {_name}"] = _flag
+    COMMANDS[f"experiment {_name}"][1][_flag] = (None, [_value])
 for _name, (_fixed, _flags) in COMMANDS.items():
     if _name.startswith("experiment"):
         _flags["--out-dir"] = ("{out}", [EXISTING_DIR, "{out}/nested/deeper", "{series}"])
@@ -191,23 +205,25 @@ def _entries(root):
                   for d, dirs, files in os.walk(root) for n in dirs + files)
 
 
-@settings(max_examples=32, derandomize=True, deadline=None, database=None)
-@given(data=st.data())
-def test_cli_ends_cleanly_on_drawn_flags(inputs, data):
-    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
-    fixed, flags = COMMANDS[command]
-    changed = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2, unique=True),
-                        label="flags")
-    values = {flag: base for flag, (base, _) in flags.items()}
-    for flag in changed:
-        values[flag] = data.draw(st.sampled_from(flags[flag][1]), label=flag)
+def _drawn(command, changed):
+    """{flag: value} of command's base line with the flags of changed replaced."""
+    values = {flag: base for flag, (base, _) in COMMANDS[command][1].items()}
+    for flag, value in changed.items():
+        values[flag] = value
+        for base in REPLACES.get(flag, ()):
+            if base not in changed:
+                values[base] = None
+    return values
 
+
+def _run_case(inputs, command, values):
+    """Run one command line; check that it ends cleanly and return its exit code."""
     with tempfile.TemporaryDirectory() as case:
         existing = os.path.join(case, "existing")
         os.mkdir(existing)
         names = dict(inputs, out=os.path.join(case, "out"))
         special = {EXISTING_DIR: existing, MISSING_FILE: os.path.join(case, "missing.json")}
-        argv = command.split() + [arg.format(**names) for arg in fixed]
+        argv = command.split() + [arg.format(**names) for arg in COMMANDS[command][0]]
         for flag, value in values.items():
             if value is not None:
                 argv += [flag, special.get(value, value).format(**names)]
@@ -218,7 +234,27 @@ def test_cli_ends_cleanly_on_drawn_flags(inputs, data):
 
         assert proc.returncode in (0, 2, 3), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        if values.get(FOREIGN.get(command)) is not None:
+            assert proc.returncode == 2, (argv, proc.stderr)
         after = _entries(case)
         assert not [e for e in after if any(m in e for m in LEFTOVER_MARKS)], (argv, after)
         if proc.returncode != 0:
             assert after == before, (argv, proc.stderr, after)  # no output, no new --out-dir
+    return proc.returncode
+
+
+@settings(max_examples=32, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_ends_cleanly_on_drawn_flags(inputs, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    flags = COMMANDS[command][1]
+    changed = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2, unique=True),
+                        label="flags")
+    _run_case(inputs, command, _drawn(command, {
+        flag: data.draw(st.sampled_from(flags[flag][1]), label=flag) for flag in changed
+    }))
+
+
+def test_a_drawn_coeffs_alone_runs_the_coeffs_path(inputs):
+    # the drawn cases above need not pick superpose's --coeffs alone
+    assert _run_case(inputs, "superpose", _drawn("superpose", {"--coeffs": "1,0;0,0;1,0"})) == 0
