@@ -14,7 +14,6 @@ from .bohr import (
     MultiPoly,
     NonextensionTable,
     RhoEstimate,
-    TorusSample,
     lift,
     nonextension_partial_sums,
     rho_estimate,

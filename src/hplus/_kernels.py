@@ -239,7 +239,13 @@ def dirichlet_convolve(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray
 # Divisor-sum transform on exact uint64 tables: out[n-1] = sum_{d | n} t[d-1]
 # ---------------------------------------------------------------------------
 
-def _divisor_sum_u64_numpy(t: np.ndarray) -> tuple[np.ndarray, bool]:
+def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One Dirichlet-convolution step against the all-ones vector, uint64 exact.
+
+    Returns (table, overflowed).  The table is exact modulo 2^64, and the
+    flag is set iff some entry's true sum reached 2^64.
+    """
+    t = np.ascontiguousarray(t, dtype=np.uint64)
     n = len(t)
     out = np.zeros(n, dtype=np.uint64)
     overflow = False
@@ -259,16 +265,6 @@ def _divisor_sum_u64_numpy(t: np.ndarray) -> tuple[np.ndarray, bool]:
         if np.any(sl < add):
             overflow = True
     return out, overflow
-
-
-def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One Dirichlet-convolution step against the all-ones vector, uint64 exact.
-
-    Returns (table, overflowed).  The table is exact modulo 2^64, and the
-    flag is set iff some entry's true sum reached 2^64.
-    """
-    t = np.ascontiguousarray(t, dtype=np.uint64)
-    return _divisor_sum_u64_numpy(t)
 
 
 # ---------------------------------------------------------------------------

@@ -56,50 +56,6 @@ class MultiPoly:
             total += prod
         return total
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if other.n_vars != self.n_vars:
-            raise ValueError("cannot add polynomials in different variable counts")
-        merged = dict(self.terms)
-        for alpha, c in other.terms.items():
-            merged[alpha] = merged.get(alpha, 0j) + c
-        return MultiPoly(self.n_vars, merged)
-
-
-@dataclass(frozen=True)
-class TorusSample:
-    """A point on the n_vars-torus: unimodular coordinates."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.ascontiguousarray(self.z, dtype=np.complex128)
-        if z.ndim != 1 or len(z) < 1:
-            raise ValueError("torus sample must be a non-empty 1-d array")
-        if np.max(np.abs(np.abs(z) - 1.0)) > 1e-9:
-            raise ValueError("torus coordinates must be unimodular")
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.z)
-
-    @staticmethod
-    def draw(n_vars: int, count: int, seed: int) -> list["TorusSample"]:
-        """Uniform i.i.d. samples from the torus (Philox stream keyed by seed)."""
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        theta = gen.uniform(0.0, 2.0 * np.pi, size=(count, n_vars))
-        return [TorusSample(np.exp(1j * row)) for row in theta]
-
-    def scaled(self, k: int, table: PrimeTable) -> np.ndarray:
-        """Coordinates pulled onto the prime-scaled polydisc: p_j^{-1/k} z_j."""
-        if len(table.primes) < self.n_vars:
-            raise TableTooSmall(
-                f"need {self.n_vars} primes, table has {len(table.primes)}"
-            )
-        radii = table.primes[: self.n_vars].astype(np.float64) ** (-1.0 / k)
-        return radii * self.z
-
 
 @dataclass(frozen=True)
 class LiftResult:
@@ -335,13 +291,14 @@ def parseval_rho2(f: MultiPoly, k: int, table: PrimeTable) -> float:
 
 
 def sieve_for_n_primes(n_primes: int) -> PrimeTable:
-    """A table guaranteed to hold at least n_primes primes."""
-    limit = 16
-    while True:
-        table = sieve(limit)
-        if len(table.primes) >= n_primes:
-            return table
-        limit *= 4
+    """A table holding at least the first n_primes primes, from one sieve.
+
+    p_n < n (ln n + ln ln n) for n >= 6 (Rosser and Schoenfeld 1962): the
+    limit is that bound, with ln n taken at max(n, 6), 5 % above it and
+    never below 100.
+    """
+    n = max(n_primes, 6)
+    return sieve(max(100, int(n_primes * (math.log(n) + math.log(math.log(n))) * 1.05)))
 
 
 def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:

@@ -222,18 +222,6 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected 're' or 're,im', got {text!r}")
 
 
-def _manifest(name: str, parameters: dict, outputs: list[str], **extra) -> dict:
-    doc = {
-        "experiment": name,
-        "version": __version__,
-        "backend": _kernels.BACKEND,
-        "parameters": parameters,
-        "outputs": sorted(outputs),
-    }
-    doc.update(extra)
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # plain subcommands
 # ---------------------------------------------------------------------------
@@ -379,15 +367,14 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
             ok = chk.lhs <= chk.rhs * (1 + 1e-9)
             power_rows.append(f"{i},{k},{chk.lhs!r},{chk.rhs!r},{chk.slack!r},{str(ok).lower()}")
 
-    files = {
-        "seminorm_chain.csv": _csv_text("poly,k,lhs_2k,mid_4k,constant,rhs,ok", chain_rows),
-        "algebra.csv": _csv_text("pair,m,lhs,rhs,ok", algebra_rows),
-        "power_chain.csv": _csv_text("poly,k,lhs,rhs,slack,ok", power_rows),
-    }
-    for name, text in files.items():
-        _atomic_write_text(os.path.join(outdir, name), text)
-    params = {"seed": args.seed, "count": count, "support": support, "out_truncation": out_trunc}
-    return _manifest("inequality-suite", params, list(files))
+    for name, header, rows in (
+        ("seminorm_chain.csv", "poly,k,lhs_2k,mid_4k,constant,rhs,ok", chain_rows),
+        ("algebra.csv", "pair,m,lhs,rhs,ok", algebra_rows),
+        ("power_chain.csv", "poly,k,lhs,rhs,slack,ok", power_rows),
+    ):
+        _atomic_write_text(os.path.join(outdir, name), _csv_text(header, rows))
+    return {"parameters": {
+        "seed": args.seed, "count": count, "support": support, "out_truncation": out_trunc}}
 
 
 def _exp_bohr_parseval(args, outdir: str) -> dict:
@@ -428,15 +415,13 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
         "p": args.p,
         "prng": bohr.MC_PRNG_NAME,
     }
-    return _manifest("bohr-parseval", params, ["estimates.csv"])
+    return {"parameters": params}
 
 
 def _exp_nonextension(args, outdir: str) -> dict:
     _check_bounds(args)
     n_max = args.nmax
-    # p_n < n (ln n + ln ln n) for n >= 6
-    limit = max(100, int(n_max * (math.log(max(n_max, 6)) + math.log(math.log(max(n_max, 6)))) * 1.05))
-    table = sieve(limit)
+    table = bohr.sieve_for_n_primes(n_max)
     result = bohr.nonextension_partial_sums(n_max, table)
     rows = [
         f"{int(m)},{float(s)!r},{float(lb)!r}"
@@ -445,15 +430,12 @@ def _exp_nonextension(args, outdir: str) -> dict:
     _atomic_write_text(
         os.path.join(outdir, "partial_sums.csv"), _csv_text("M,partial_sum,lower_bound", rows)
     )
-    params = {"nmax": n_max}
-    return _manifest(
-        "nonextension",
-        params,
-        ["partial_sums.csv"],
-        sieve_limit=table.limit,
-        constant=result.constant,
-        prime_bound_ok=result.prime_bound_ok,
-    )
+    return {
+        "parameters": {"nmax": n_max},
+        "sieve_limit": table.limit,
+        "constant": result.constant,
+        "prime_bound_ok": result.prime_bound_ok,
+    }
 
 
 def _exp_ejemplo_growth(args, outdir: str) -> dict:
@@ -486,13 +468,7 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
         "witness_delta": delta,
         "witness_k_range": [args.witness_kmin, args.witness_kmax],
     }
-    return _manifest(
-        "ejemplo-growth",
-        params,
-        ["growth.csv", "witness.csv"],
-        sieve_limit=witness.sieve_limit,
-        omega=witness.omega,
-    )
+    return {"parameters": params, "sieve_limit": witness.sieve_limit, "omega": witness.omega}
 
 
 def _exp_noncomposition(args, outdir: str) -> dict:
@@ -529,13 +505,7 @@ def _exp_noncomposition(args, outdir: str) -> dict:
         "k_range": [args.kmin, kmax],
         "factorial_ladder_max": int(max(extended)),
     }
-    return _manifest(
-        "noncomposition",
-        params,
-        ["exponent.csv", "factorial.csv"],
-        omega=main.omega,
-        sieve_limit=factorial.sieve_limit,
-    )
+    return {"parameters": params, "omega": main.omega, "sieve_limit": factorial.sieve_limit}
 
 
 def _exp_superpose_exp(args, outdir: str) -> dict:
@@ -547,29 +517,27 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     m_checks = list(m_checks)
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
-    outputs = []
     series_doc = None
     for m in m_checks:
         result, diags = superposition.superpose_entire(d, ec, kmax, m)
         if series_doc is None:
             series_doc = series_to_json(result)
-        name = f"tails_m{m}.csv"
-        superposition.write_growth_table(_tail_rows(diags), os.path.join(outdir, name))
-        outputs.append(name)
+        superposition.write_growth_table(_tail_rows(diags), os.path.join(outdir, f"tails_m{m}.csv"))
     _atomic_write_json(os.path.join(outdir, "superposed.json"), series_doc)
-    outputs.append("superposed.json")
     params = {
         "truncation": truncation,
         "kmax": kmax,
         "m_checks": m_checks,
         "coefficients": ec.tag,
     }
-    return _manifest("superpose-exp", params, outputs)
+    return {"parameters": params}
 
 
 # Each experiment's runner and the flags it reads, as (flag, type, default);
-# its sub-parser takes --out-dir and these alone.  bohr-parseval's --p
-# defaults to the int 2, which its manifest and estimates.csv write as 2.
+# its sub-parser takes --out-dir and these alone.  A runner writes its files
+# into the directory it is given and returns its manifest's "parameters" and
+# any further manifest fields.  bohr-parseval's --p defaults to the int 2,
+# which its manifest and estimates.csv write as 2.
 EXPERIMENTS = {
     "inequality-suite": (_exp_inequality_suite, (
         ("--seed", int, 1234), ("--count", int, 100), ("--support", int, 100))),
@@ -598,7 +566,8 @@ def _cmd_experiment(args) -> int:
     path to --out-dir (--out-dir itself when it exists), and --out-dir is
     created only once the experiment has succeeded.  A run that fails
     deletes the temporary directory: it leaves no file and creates no
-    directory.  The manifest is moved last.
+    directory.  The manifest lists every file in the temporary directory
+    and is moved last.
     """
     outdir = os.path.abspath(args.out_dir)
     where = outdir
@@ -606,7 +575,14 @@ def _cmd_experiment(args) -> int:
         where = os.path.dirname(where)
     staging = tempfile.mkdtemp(prefix=".hplus-experiment-", dir=where)
     try:
-        manifest = EXPERIMENTS[args.name][0](args, staging)
+        fields = EXPERIMENTS[args.name][0](args, staging)
+        manifest = {
+            "experiment": args.name,
+            "version": __version__,
+            "backend": _kernels.BACKEND,
+            "outputs": sorted(os.listdir(staging)),
+            **fields,
+        }
         _atomic_write_json(os.path.join(staging, "manifest.json"), manifest)
         os.makedirs(outdir, exist_ok=True)
         for name in sorted(os.listdir(staging), key=lambda n: n == "manifest.json"):

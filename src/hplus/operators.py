@@ -23,6 +23,7 @@ from .errors import MissingCutoff, NonzeroConstantTerm, SpectrumPoint, TableTooS
 from .numtheory import PrimeTable, prime_pi
 from .series import (
     DirichletSeries,
+    _complex_pairs,
     multiply,
     series_from_json,
     series_to_json,
@@ -64,8 +65,9 @@ class Character:
         vals = np.ascontiguousarray(self.prime_values, dtype=np.complex128)
         if vals.ndim != 1 or len(vals) < 1:
             raise ValueError("prime_values must be a non-empty 1-d array")
-        if np.max(np.abs(np.abs(vals) - 1.0)) > UNIMODULAR_TOL:
-            raise ValueError("character values must be unimodular")
+        # not (... <= tol), so that a nan value is refused too
+        if not np.all(np.abs(np.abs(vals) - 1.0) <= UNIMODULAR_TOL):
+            raise ValueError("character values must be finite and unimodular")
         vals.flags.writeable = False
         object.__setattr__(self, "prime_values", vals)
 
@@ -435,10 +437,4 @@ def character_to_json(chi: Character) -> dict:
 def character_from_json(obj: dict) -> Character:
     if not isinstance(obj, dict) or "prime_values" not in obj:
         raise ValueError("character JSON must hold field 'prime_values'")
-    try:
-        vals = np.array(
-            [complex(re, im) for re, im in obj["prime_values"]], dtype=np.complex128
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field 'prime_values' must hold [re, im] pairs: {exc}") from None
-    return Character(vals)
+    return Character(_complex_pairs(obj, "prime_values"))

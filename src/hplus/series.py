@@ -11,6 +11,7 @@ guessing.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import itertools
 import json
@@ -135,13 +136,20 @@ class AbscissaReport:
 # ---------------------------------------------------------------------------
 
 def add(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
-    """Pointwise sum at the shorter truncation."""
+    """Pointwise sum at the shorter truncation; past the float range raises
+    ``CoefficientOverflow``."""
     n = min(d.truncation, e.truncation)
-    return DirichletSeries(d.coeffs[:n] + e.coeffs[:n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = d.coeffs[:n] + e.coeffs[:n]
+    return DirichletSeries(_in_float_range(coeffs))
 
 
 def scale(c: complex, d: DirichletSeries) -> DirichletSeries:
-    return DirichletSeries(complex(c) * d.coeffs)
+    """c * d; with a finite c, past the float range raises ``CoefficientOverflow``."""
+    c = complex(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = c * d.coeffs
+    return DirichletSeries(_in_float_range(coeffs) if cmath.isfinite(c) else coeffs)
 
 
 def with_truncation(d: DirichletSeries, truncation: int) -> DirichletSeries:
@@ -165,8 +173,7 @@ def with_truncation(d: DirichletSeries, truncation: int) -> DirichletSeries:
 def translate(d: DirichletSeries, delta: float) -> DirichletSeries:
     """Shift right by delta: b_n = a_n * n^{-delta}.
 
-    Negative delta is rejected; the backward shift exists only as a private
-    helper on finite supports inside the operators module.
+    Negative delta is rejected: hplus has no backward shift.
     """
     if delta < 0:
         raise ValueError(f"translation delta must be >= 0, got {delta}")
@@ -186,7 +193,7 @@ def multiply(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
     out_len = min(d.truncation, e.truncation)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _kernels.dirichlet_convolve(d.coeffs, e.coeffs, out_len)
-    return DirichletSeries(_finite_product(coeffs))
+    return DirichletSeries(_in_float_range(coeffs))
 
 
 def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
@@ -213,21 +220,19 @@ def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
     return DirichletSeries(vals)
 
 
-def _power_ladder(base, out_len: int, rung=None):
+def _power_ladder(base, out_len: int):
     """The convolution powers of ``base`` at out_len, without end.
 
-    ``base`` and ``rung`` are (ascending 1-based indices, values) supports
-    or (None, coefficient array) pairs.  The first rung is the base itself,
-    or base * rung for a given ``rung``; each later one is base * (the rung
-    before), base the left operand.  Products run on the supports while
-    both operands are supports with nnz_a * nnz_b <= out_len; from the first
-    that is not, both are laid out densely and every product goes through
-    ``_kernels.dirichlet_convolve``.  A caller passes each rung it reads
-    through ``_finite_product``.
+    ``base`` is an (ascending 1-based indices, values) support or a (None,
+    coefficient array) pair.  The first rung is the base itself; each later
+    one is base * (the rung before), base the left operand.  Products run on
+    the supports while both operands are supports with nnz_a * nnz_b <=
+    out_len; from the first that is not, both are laid out densely and every
+    product goes through ``_kernels.dirichlet_convolve``.  A caller passes
+    each rung it reads through ``_in_float_range``.
     """
-    (ia, va), (ib, vb) = base, rung or base
-    if rung is None:
-        yield ib, vb
+    ia, va = ib, vb = base
+    yield ib, vb
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             if ia is not None and ib is not None and len(ia) * len(ib) <= out_len:
@@ -245,13 +250,13 @@ def _power_rung(coeffs: np.ndarray, k: int, out_len: int):
     """Rung k >= 1 of the ladder of the support of coeffs[:out_len], checked finite."""
     ladder = _power_ladder(_kernels.support(coeffs, out_len), out_len)
     idx, vals = next(itertools.islice(ladder, k - 1, None))
-    return idx, _finite_product(vals)
+    return idx, _in_float_range(vals)
 
 
-def _finite_product(coeffs: np.ndarray) -> np.ndarray:
-    """coeffs, the product of finite coefficients, if it stayed in the float range."""
+def _in_float_range(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, computed from finite coefficients, if it stayed in the float range."""
     if not np.all(np.isfinite(coeffs.view(np.float64))):
-        raise CoefficientOverflow("product coefficients are not finite: past the float range")
+        raise CoefficientOverflow("coefficients are not finite: past the float range")
     return coeffs
 
 
@@ -435,11 +440,15 @@ def series_from_json(obj: dict) -> DirichletSeries:
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list) or len(coeffs) != int(obj["truncation"]):
         raise ValueError("field 'coeffs' must be a list of length 'truncation'")
+    return DirichletSeries(_complex_pairs(obj, "coeffs"))
+
+
+def _complex_pairs(obj: dict, field: str) -> np.ndarray:
+    """obj[field], a list of [re, im] pairs, as a complex array; else a ValueError naming field."""
     try:
-        arr = np.array([complex(re, im) for re, im in coeffs], dtype=np.complex128)
+        return np.array([complex(re, im) for re, im in obj[field]], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"field 'coeffs' must hold [re, im] pairs: {exc}") from None
-    return DirichletSeries(arr)
+        raise ValueError(f"field '{field}' must hold [re, im] pairs: {exc}") from None
 
 
 def load_series(path: str) -> DirichletSeries:

@@ -25,9 +25,10 @@ from .numtheory import PrimeTable, chebyshev_theta, euler_product, prime_pi, sie
 from .series import (
     DirichletSeries,
     _atomic_write_text,
-    _finite_product,
+    _in_float_range,
     _power_ladder,
     _weighted_l2_roots,
+    scale,
     seminorm_2,
     seminorm_comparison_constant,
 )
@@ -160,16 +161,16 @@ def _terms(d: DirichletSeries, coeffs: Sequence[complex]):
     """a_k D^k for k < len(coeffs) at d's truncation, None where a_k = 0.
 
     D^0 is the unit and D^k for k >= 1 is rung k of the ``_power_ladder``
-    of D's coefficient array started from it: each power one dense product
-    D * D^{k-1}, D^1 = D * 1 included, as ``multiply`` forms it.  Every
-    power is checked finite.
+    of D's coefficient array: D itself, then one dense product D * D^{k-1}
+    per power, as ``multiply`` forms it.  Every power and every a_k D^k is
+    checked to stay in the float range.  D^1 is D itself, signed zeros
+    included: the sums of the terms start at +0.0, so no output holds -0.0.
     """
-    n_trunc = d.truncation
-    unit = DirichletSeries.monomial(1, 1.0, n_trunc).coeffs
-    powers = _power_ladder((None, d.coeffs), n_trunc, (None, unit))
-    for a_k, (_, vals) in zip(coeffs, itertools.chain([(None, unit)], powers)):
-        vals = _finite_product(vals)
-        yield DirichletSeries(a_k * vals) if a_k != 0 else None
+    unit = (None, DirichletSeries.monomial(1, 1.0, d.truncation).coeffs)
+    powers = _power_ladder((None, d.coeffs), d.truncation)
+    for a_k, (_, vals) in zip(coeffs, itertools.chain([unit], powers)):
+        vals = _in_float_range(vals)
+        yield scale(a_k, DirichletSeries(vals)) if a_k != 0 else None
 
 
 def superpose_poly(d: DirichletSeries, b: Sequence[complex]) -> DirichletSeries:
@@ -245,7 +246,7 @@ def composition_criterion(d: DirichletSeries, m: int, k_max: int) -> GrowthRepor
     # D^1 = D and D^k = D * D^{k-1}, each weighed densely, as seminorm_2
     # weighs: a sum over a support can move the last ulp
     for k, (_, vals) in zip(ks, _power_ladder((None, d.coeffs), n_trunc)):
-        norms[k - 1] = _weighted_l2_roots(None, _finite_product(vals), [m], 1)[0]
+        norms[k - 1] = _weighted_l2_roots(None, _in_float_range(vals), [m], 1)[0]
     roots = norms ** (1.0 / ks)
     return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=norms, roots=roots)
 
@@ -281,7 +282,7 @@ def power_norm_chain_check(
             f"support {sup}^{k_top} exceeds working truncation {n_trunc}; power inexact"
         )
     rungs = zip(range(1, k_top + 1), _power_ladder((idx, vals), n_trunc))
-    lhs = {r: _weighted_l2_roots(ri, _finite_product(rv), [m], 1)[0]
+    lhs = {r: _weighted_l2_roots(ri, _in_float_range(rv), [m], 1)[0]
            for r, (ri, rv) in rungs if r in ks}
     c_m = seminorm_comparison_constant(m, 1, 2)
     base = _weighted_l2_roots(idx, vals, [4 * m], 1)[0]

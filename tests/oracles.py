@@ -8,7 +8,8 @@ after them are multiplicative extension and the Bohr lift as they were
 before they were vectorized; each is kept as the bit-for-bit reference for
 its replacement.  The last is the Monte Carlo rho estimator as it was
 before it built monomials from power tables, the reference within 1e-13
-relative for its replacement.  ``convolve_support_rows`` is the support
+relative for its replacement; ``rho_per_sample`` evaluates the polynomial
+point by point on the same draws.  ``convolve_support_rows`` is the support
 product as it was before its rows were built with one gather.
 ``euler_product_loop`` is the prime loop the comparison and chain constants
 each ran before they shared ``numtheory.euler_product``, and
@@ -312,6 +313,21 @@ def rho_estimate_phases(f, k: int, p: float, samples: int, seed: int, table=None
     return rho_from_values(rho_phase_values(f, k, samples, seed, table), k, p, seed)
 
 
+def rho_per_sample(f, k: int, p: float, samples: int, seed: int, table) -> float:
+    """The rho_{k,p} estimate from one ``MultiPoly.evaluate`` per draw of the Philox stream.
+
+    Each draw is pulled onto the polydisc variable by variable, p_j^{-1/k}
+    exp(i theta_j), and f is evaluated there: the product of the radii over
+    several variables comes out of the evaluation, not out of a per-term
+    radius table.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    theta = gen.uniform(0.0, 2.0 * np.pi, size=(samples, f.n_vars))
+    radii = table.primes[: f.n_vars].astype(np.float64) ** (-1.0 / k)
+    stat = [abs(f.evaluate(radii * np.exp(1j * row))) ** p for row in theta]
+    return (sum(stat) / samples) ** (1.0 / p)
+
+
 def compose_affine(d: DirichletSeries, c0: int, c1: complex) -> DirichletSeries:
     """Composition with the affine symbol c0*s + c1, c0 >= 1: reindexing n -> n^{c0}.
 
@@ -500,7 +516,7 @@ def power_terms_loop(ia, va, k: int, out_len: int):
     float range.
     """
     from hplus import _kernels
-    from hplus.series import _finite_product
+    from hplus.series import _in_float_range
 
     ib, vb = ia, va
     with np.errstate(over="ignore", invalid="ignore"):
@@ -512,7 +528,7 @@ def power_terms_loop(ia, va, k: int, out_len: int):
             ib, vb = None, _kernels.from_support(ib, vb, out_len)
             for _ in range(k - 1):
                 vb = _kernels.dirichlet_convolve(base, vb, out_len)
-    return ib, _finite_product(vb)
+    return ib, _in_float_range(vb)
 
 
 def superpose_poly_loop(d, b):

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hplus import bohr
 from hplus.bohr import (
     MultiPoly,
-    TorusSample,
     _term_arrays,
     lift,
     nonextension_partial_sums,
@@ -20,7 +20,13 @@ from hplus.numtheory import MultiIndex, sieve
 from hplus.operators import Character
 from hplus.series import DirichletSeries, evaluate, seminorm_2
 
-from oracles import lift_by_factorize, rho_estimate_phases, rho_from_values, rho_phase_values
+from oracles import (
+    lift_by_factorize,
+    rho_estimate_phases,
+    rho_from_values,
+    rho_per_sample,
+    rho_phase_values,
+)
 
 
 def parseval_value(poly: MultiPoly, k: int, table) -> float:
@@ -122,7 +128,8 @@ def test_lift_is_linear(table_200, rng):
     la = lift(a, 2, table_200).poly
     lb = lift(b, 2, table_200).poly
     lsum = lift(a + b, 2, table_200).poly
-    combined = la + lb
+    combined = MultiPoly(2, {alpha: la.terms.get(alpha, 0j) + lb.terms.get(alpha, 0j)
+                             for alpha in la.terms.keys() | lb.terms.keys()})
     assert set(lsum.terms) == set(combined.terms)
     for alpha, c in lsum.terms.items():
         assert c == pytest.approx(combined.terms[alpha], rel=1e-12)
@@ -162,17 +169,22 @@ def test_rho_matches_parseval_within_three_se(rng):
     assert abs(est.value - exact) <= 3 * est.std_error + 1e-9
 
 
-def test_torus_sample_validation():
-    with pytest.raises(ValueError):
-        TorusSample(np.array([0.5 + 0j]))
-    s = TorusSample(np.exp(1j * np.array([0.3, 1.2])))
-    assert s.n_vars == 2
+# every n up to 10^4, then a spread up to nonextension's largest --nmax
+FIRST_N_PRIMES = [*range(1, 10**4 + 1), 12_345, 10**5, 314_159, 10**6, 2 * 10**6,
+                  3_141_592, 4 * 10**6, 5 * 10**6]
 
 
-def test_torus_sample_scaling(table_200):
-    s = TorusSample(np.exp(1j * np.array([0.1, 0.2, 0.3])))
-    scaled = s.scaled(2, table_200)
-    assert np.allclose(np.abs(scaled), np.array([2.0, 3.0, 5.0]) ** -0.5, rtol=1e-14)
+def test_sieve_for_n_primes_sieves_once_past_the_nth_prime(monkeypatch):
+    limits = []
+    monkeypatch.setattr(bohr, "sieve", lambda limit: limits.append(limit) or limit)
+    for n in FIRST_N_PRIMES:
+        bohr.sieve_for_n_primes(n)
+    monkeypatch.undo()
+    assert len(limits) == len(FIRST_N_PRIMES)  # one sieve per call
+    held = np.searchsorted(sieve(max(limits)).primes, limits, side="right")
+    assert np.all(held >= FIRST_N_PRIMES)
+    # the limit nonextension's manifest records at its default --nmax 10^6
+    assert limits[FIRST_N_PRIMES.index(10**6)] == 17_263_367
 
 
 def test_rho_consistent_with_per_sample_path(rng):
@@ -182,9 +194,7 @@ def test_rho_consistent_with_per_sample_path(rng):
     poly = random_poly(rng, n_terms=8)
     count, seed, k, p = 400, 31, 2, 2.0
     est = rho_estimate(poly, k=k, p=p, samples=count, seed=seed, table=table)
-    samples = TorusSample.draw(3, count, seed)
-    stat = [abs(poly.evaluate(s.scaled(k, table))) ** p for s in samples]
-    naive = (sum(stat) / count) ** (1.0 / p)
+    naive = rho_per_sample(poly, k, p, count, seed, table)
     assert est.value == pytest.approx(naive, rel=1e-12)
 
 

@@ -258,10 +258,22 @@ def test_superpose_past_the_float_range_is_domain_error(series_file, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["superpose", "norms"])
+# --coeffs on the input 1e10 + 2^{-s}: a term a_k D^k, or a sum of terms
+# that each stay inside, leaves the float range
+COEFFS_PAST_THE_FLOAT_RANGE = {
+    "superpose-coeffs-term": "0;1e300",
+    "superpose-coeffs-terms": "1e308;1e308",
+    "superpose-coeffs-sum": "1.7e308;1e298",
+}
+
+
+@pytest.mark.parametrize("case", ["superpose", "norms", *COEFFS_PAST_THE_FLOAT_RANGE])
 def test_products_past_the_float_range_exit_3_without_a_warning(tmp_path, case):
     # once exit 2 ("coefficients must be finite") after numpy's RuntimeWarning
-    if case == "superpose":
+    if case in COEFFS_PAST_THE_FLOAT_RANGE:
+        coeffs = np.array([1e10, 1.0])
+        argv = ["superpose", "--coeffs", COEFFS_PAST_THE_FLOAT_RANGE[case]]
+    elif case == "superpose":
         # a_1 = 0.50 - 7.86i: a_1^k alone leaves the float range near k = 344
         rng = np.random.default_rng(0)
         n = np.arange(1, 4097)
@@ -492,6 +504,18 @@ def test_vertical_limit_command(series_file, tmp_path):
     assert rc == 0
     tw = load_series(str(out))
     assert seminorm_2(tw, 2) == pytest.approx(seminorm_2(d, 2), rel=1e-12)
+
+
+def test_vertical_limit_refuses_a_nan_character(series_file, tmp_path, capsys):
+    # refused when the character is read, not by the twisted output
+    d, path = series_file
+    chi_path = tmp_path / "chi.json"
+    chi_path.write_text(json.dumps({"prime_values": [[math.nan, 0.0], [1.0, 0.0]]}))
+    out = tmp_path / "twisted.json"
+    argv = ["vertical-limit", "--in", str(path), "--character", str(chi_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert "character values must be finite and unimodular" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_superpose_polynomial_command(series_file, tmp_path):

@@ -284,6 +284,13 @@ def test_character_rejects_nonunimodular():
         Character(np.array([0.5 + 0j]))
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.nan), math.inf])
+def test_character_rejects_non_finite_values(bad):
+    # |nan| - 1 compares False against the tolerance, so nan once passed
+    with pytest.raises(ValueError, match="finite and unimodular"):
+        Character(np.array([bad, 1.0]))
+
+
 def test_twist_symbol_trivial(table_200, rng):
     phi = random_symbol(rng, 1)
     assert twist_symbol(phi, trivial_character(4), table_200).varphi == phi.varphi

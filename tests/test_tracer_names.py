@@ -1,6 +1,11 @@
+import ast
 import importlib
 import os
 
+import pytest
+
+import hplus
+from hplus import cli
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -15,3 +20,34 @@ def test_every_traced_function_resolves(monkeypatch):
             module,
             function,
         )
+
+
+def _names_read(path: str):
+    """Each hplus name the file reads: ``from hplus... import`` names, and
+    attribute chains such as ``hplus._kernels.BACKEND`` or ``cli.main``
+    rooted at the names ``hplus`` and ``cli``."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hplus":
+            for alias in node.names:
+                yield importlib.import_module(node.module), [alias.name]
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in ("hplus", "cli"):
+            yield {"hplus": hplus, "cli": cli}[node.id], chain[::-1]
+
+
+@pytest.mark.parametrize("script", ["worker.py", "workloads.py"])
+def test_every_name_the_benchmark_reads_resolves(script):
+    # the benchmark's worker and workloads call into hplus by these names; a
+    # deleted one would otherwise surface only when the benchmark runs
+    names = list(_names_read(os.path.join(PERFBENCH, script)))
+    assert names
+    for root, chain in names:
+        obj = root
+        for attr in chain:
+            assert hasattr(obj, attr), (script, root.__name__, ".".join(chain))
+            obj = getattr(obj, attr)
