@@ -274,15 +274,21 @@ def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
 def sieve_primes(limit: int) -> np.ndarray:
     """Ascending primes up to limit >= 2, from a boolean sieve of the odd numbers.
 
-    Slot i stands for 2i + 1, so the sieve takes (limit + 1) // 2 bytes.
+    Slot i stands for 2i + 1, so the sieve takes (limit + 1) // 2 bytes;
+    slot 0, the number 1, stays marked and stands for 2.  The marked slots
+    become primes in place, so the peak is the sieve and one int64 array of
+    the primes (about 17 MiB at limit 1.73 * 10^7).
     """
     odd = np.ones((limit + 1) // 2, dtype=bool)
-    odd[0] = False  # 1
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
-    return np.concatenate([[2], 2 * np.flatnonzero(odd) + 1]).astype(np.int64, copy=False)
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +310,8 @@ def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
 # Completely multiplicative extension from values at the primes
 # ---------------------------------------------------------------------------
 
-# Slots per vectorized step of mult_extend: its temporaries take about 50
+# Slots per vectorized step of mult_extend, and per block of
+# bohr.nonextension_partial_sums: their temporaries take about 50 and 64
 # bytes a slot, so this bounds them to a few MB.
 _EXTEND_BLOCK = 1 << 16
 
@@ -315,12 +322,18 @@ def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarr
     prime_vals is indexed by integer value (prime_vals[p] for prime p).
     out[1] = 1; out[0] is a zero placeholder.  out[n] = out[n // p] * f(p)
     with p = spf[n], filled one dyadic block [2^j, 2^{j+1}) at a time: every
-    n // p in the block is below 2^j, so it is filled already.  The complex
+    n // p in the block is below 2^j, so it is filled already.
+
+    The output takes the dtype of prime_vals: float64 for real values (half
+    the memory of a complex table), complex128 otherwise.  The complex
     product is spelled out on the real and imaginary parts, which gives the
-    bits of numpy's scalar product in a per-n loop.
+    bits of numpy's scalar product in a per-n loop.  Where no f(n) is zero,
+    the float64 table of real values holds the bits of the real part of the
+    complex table of the same values.
     """
-    prime_vals = np.ascontiguousarray(prime_vals, dtype=np.complex128)
-    out = np.empty(n_max + 1, dtype=np.complex128)
+    real = not np.iscomplexobj(prime_vals)
+    prime_vals = np.ascontiguousarray(prime_vals, dtype=np.float64 if real else np.complex128)
+    out = np.empty(n_max + 1, dtype=prime_vals.dtype)
     out[0] = 0.0
     if n_max >= 1:
         out[1] = 1.0
@@ -332,7 +345,10 @@ def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarr
             p = spf[start:stop]
             a = out[np.arange(start, stop) // p]
             b = prime_vals[p]
-            out.real[start:stop] = a.real * b.real - a.imag * b.imag
-            out.imag[start:stop] = a.real * b.imag + a.imag * b.real
+            if real:
+                out[start:stop] = a * b
+            else:
+                out.real[start:stop] = a.real * b.real - a.imag * b.imag
+                out.imag[start:stop] = a.real * b.imag + a.imag * b.real
         lo = block_end
     return out

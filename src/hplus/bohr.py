@@ -314,12 +314,16 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     n_max = d.truncation
     if n_max > table.limit:
         raise TableTooSmall(f"truncation {n_max} exceeds sieve limit {table.limit}")
-    prime_vals = np.zeros(n_max + 1, dtype=np.complex128)
+    prime_vals = np.zeros(n_max + 1, dtype=np.float64)
     pr = table.primes[table.primes <= n_max]
     prime_vals[pr] = pr.astype(np.float64) ** (-2.0 / k)
-    weights = _kernels.mult_extend(table.spf_up_to(n_max), prime_vals, n_max).real
-    mags = d.coeffs.real**2 + d.coeffs.imag**2
-    return float(np.sqrt(np.sum(mags * weights[1:])))
+    weights = _kernels.mult_extend(table.spf_up_to(n_max), prime_vals, n_max)[1:]
+    del prime_vals
+    re, im = d.coeffs.real, d.coeffs.imag
+    for lo in range(0, n_max, _kernels._EXTEND_BLOCK):  # |a_n|^2 w_n, in place
+        hi = lo + _kernels._EXTEND_BLOCK
+        weights[lo:hi] *= re[lo:hi] ** 2 + im[lo:hi] ** 2
+    return float(np.sqrt(np.sum(weights)))
 
 
 def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTable:
@@ -329,6 +333,11 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
     divergence is triple-log slow; alongside S(M) the table carries the
     term-wise lower bound column (valid while p_n <= 2 n ln n, which is
     verified over the range and reported).
+
+    The n >= 3 are summed in blocks of ``_kernels._EXTEND_BLOCK``; each
+    block's cumsum starts from the running sum in its slot 0, so the sums
+    are added in the order of one cumsum over the whole range, and only the
+    checkpoints are kept.
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
@@ -336,22 +345,6 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
         raise TableTooSmall(
             f"need the first {n_max} primes, table holds {len(table.primes)}"
         )
-    tail = np.arange(3, n_max + 1, dtype=np.float64)  # the n >= 3
-    log_tail = np.log(tail)
-    tail_log = tail * log_tail  # n ln n
-    loglog_tail = np.log(log_tail, out=log_tail)  # ln ln n, over ln n
-    z = np.empty(n_max, dtype=np.float64)
-    z[:2] = 0.5
-    z[2:] = 1.0 / (np.sqrt(tail_log) * loglog_tail)
-    c_lb = 1.0 / math.sqrt(2.0)
-    lb_terms = np.zeros(n_max, dtype=np.float64)
-    lb_terms[2:] = c_lb / (tail_log * loglog_tail)
-    p_n = table.primes[:n_max].astype(np.float64)
-    # 2 (n ln n) has the bits of (2n) ln n, since doubling is exact
-    bound_ok = bool(np.all(p_n[2:] <= 2.0 * tail_log))
-    cum = np.cumsum(z / np.sqrt(p_n))
-    lb_cum = np.cumsum(lb_terms)
-
     ladder = []
     m = 10
     while m < n_max:
@@ -360,10 +353,36 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
     ladder.append(n_max)
     ladder = np.array(sorted(set(ladder)), dtype=np.int64)
 
+    c_lb = 1.0 / math.sqrt(2.0)
+    sums = np.empty(len(ladder), dtype=np.float64)
+    lower = np.empty(len(ladder), dtype=np.float64)
+    cum = 0.5 / math.sqrt(2.0) + 0.5 / math.sqrt(3.0)  # n = 1, 2: z_n = 1/2, p_n = 2, 3
+    lb_cum = 0.0
+    bound_ok = True
+    for lo in range(3, n_max + 1, _kernels._EXTEND_BLOCK):
+        hi = min(lo + _kernels._EXTEND_BLOCK, n_max + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        log_n = np.log(n)
+        n_log = n * log_n  # n ln n
+        loglog_n = np.log(log_n, out=log_n)  # ln ln n, over ln n
+        p_n = table.primes[lo - 1 : hi - 1].astype(np.float64)
+        # 2 (n ln n) has the bits of (2n) ln n, since doubling is exact
+        bound_ok &= bool(np.all(p_n <= 2.0 * n_log))
+        terms = 1.0 / (np.sqrt(n_log) * loglog_n) / np.sqrt(p_n)
+        lb_terms = c_lb / (n_log * loglog_n)
+        terms[0] += cum
+        lb_terms[0] += lb_cum
+        np.cumsum(terms, out=terms)
+        np.cumsum(lb_terms, out=lb_terms)
+        cum, lb_cum = terms[-1], lb_terms[-1]
+        here = (ladder >= lo) & (ladder < hi)
+        sums[here] = terms[ladder[here] - lo]
+        lower[here] = lb_terms[ladder[here] - lo]
+
     return NonextensionTable(
         checkpoints=ladder,
-        partial_sums=cum[ladder - 1],
-        lower_bound=lb_cum[ladder - 1],
+        partial_sums=sums,
+        lower_bound=lower,
         constant=c_lb,
         prime_bound_ok=bound_ok,
         notes="z_1=z_2=1/2; z_n = 1/(sqrt(n ln n) lnln n) for n >= 3",

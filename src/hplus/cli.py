@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, _kernels, bohr, operators, superposition
-from .errors import BeyondDeskScale, HplusError
+from .errors import BeyondDeskScale, CoefficientOverflow, HplusError
 from .numtheory import MultiIndex, sieve
 from .series import (
     DirichletSeries,
@@ -161,8 +161,9 @@ BOUNDS = (
     Bound("bohr-monomials", "bohr-parseval", "--samples x --trials x --terms",
           lambda a, t: a.samples * a.trials * a.terms, 5 * 10**7),
     # nonextension's largest --nmax: its sieve reaches past the nmax-th prime,
-    # about 70 MB of RSS per 10^6; at 5*10^6 a run takes 1.8-2.0 s and peaks
-    # near 380 MB (at the default 10^6, 0.46 s and 100 MB).
+    # and the sieve and its primes take about 18 MB of RSS per 10^6 (the sums
+    # go in blocks of 2^16).  At 5*10^6 a run's process takes 1.1-1.3 s and
+    # peaks near 118 MB; at the default 10^6, 0.23-0.34 s and 47 MB.
     Bound("nonextension-nmax", "nonextension", "--nmax", lambda a, t: a.nmax, 5 * 10**6),
     # ejemplo-growth's largest --truncation: the series takes 16 B a slot, and
     # one dense product at 10^6 peaks near 90 MB of RSS.
@@ -198,6 +199,21 @@ def _check_bounds(args, truncation: int | None = None) -> None:
                 raise BeyondDeskScale(
                     f"{row.flags} = {size} is beyond desk scale (limit {row.limit})"
                 )
+
+
+def _coeffs_in_float_range(ec: superposition.EntireCoeffs, kmax: int) -> None:
+    """Refuse a --kmax that reaches a k whose a_k or log|a_k| leaves the float
+    range (k^k does at k = 144), naming that first k."""
+    for k in range(kmax + 1):
+        try:
+            ec.coeff(k)
+            if ec.log_abs is not None:
+                ec.log_abs(k)
+        except OverflowError:
+            raise CoefficientOverflow(
+                f"--kmax = {kmax} reaches k = {k}, the first k where computing "
+                f"{ec.tag} leaves the float range"
+            ) from None
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
@@ -291,6 +307,7 @@ def _cmd_superpose(args) -> int:
     if args.coeffs is not None:
         result, diagnostics = superposition.superpose_poly(d, b), []
     else:
+        _coeffs_in_float_range(ec, args.kmax)
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
     _atomic_write_json(args.out, series_to_json(result))
     if args.diagnostics and diagnostics:
@@ -517,6 +534,7 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     m_checks = list(m_checks)
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
+    _coeffs_in_float_range(ec, kmax)
     series_doc = None
     for m in m_checks:
         result, diags = superposition.superpose_entire(d, ec, kmax, m)

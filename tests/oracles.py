@@ -26,7 +26,10 @@ raises the translate to the q-th power for each k.  ``power_terms_loop``,
 ``composition_criterion_loop`` are the four loops that formed D^k, each on
 its own, before they shared ``series._power_ladder``; they are the
 bit-for-bit references for ``power``, ``seminorm_even``, the two
-superpositions and the composition criterion.
+superpositions and the composition criterion.  ``nonextension_one_pass``
+is the non-extension table as it was before its sums were taken in blocks,
+with whole-range arrays and one cumsum, the bit-for-bit reference for
+``bohr.nonextension_partial_sums``.
 """
 
 from __future__ import annotations
@@ -112,6 +115,35 @@ def nonextension_increment_bracket(a: int, b: int) -> tuple[float, float]:
         lnln = math.log(ln)
         lo_terms.append(1.0 / (math.sqrt(n * ln) * lnln * math.sqrt(n * (ln + lnln))))
     return math.fsum(lo_terms), hi
+
+
+def nonextension_one_pass(n_max: int, primes: np.ndarray):
+    """(checkpoints, partial_sums, lower_bound, prime_bound_ok) of the
+    non-extension table from whole-range arrays and one cumsum each."""
+    tail = np.arange(3, n_max + 1, dtype=np.float64)  # the n >= 3
+    log_tail = np.log(tail)
+    tail_log = tail * log_tail  # n ln n
+    loglog_tail = np.log(log_tail, out=log_tail)  # ln ln n, over ln n
+    z = np.empty(n_max, dtype=np.float64)
+    z[:2] = 0.5
+    z[2:] = 1.0 / (np.sqrt(tail_log) * loglog_tail)
+    c_lb = 1.0 / math.sqrt(2.0)
+    lb_terms = np.zeros(n_max, dtype=np.float64)
+    lb_terms[2:] = c_lb / (tail_log * loglog_tail)
+    p_n = primes[:n_max].astype(np.float64)
+    # 2 (n ln n) has the bits of (2n) ln n, since doubling is exact
+    bound_ok = bool(np.all(p_n[2:] <= 2.0 * tail_log))
+    cum = np.cumsum(z / np.sqrt(p_n))
+    lb_cum = np.cumsum(lb_terms)
+
+    ladder = []
+    m = 10
+    while m < n_max:
+        ladder.append(m)
+        m *= 10
+    ladder.append(n_max)
+    ladder = np.array(sorted(set(ladder)), dtype=np.int64)
+    return ladder, cum[ladder - 1], lb_cum[ladder - 1], bound_ok
 
 
 def dict_compose(coeffs: dict[int, complex], c0: int, varphi: dict[int, complex],

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hplus import bohr
+from hplus import _kernels, bohr
 from hplus.bohr import (
     MultiPoly,
     _term_arrays,
@@ -22,6 +22,7 @@ from hplus.series import DirichletSeries, evaluate, seminorm_2
 
 from oracles import (
     lift_by_factorize,
+    nonextension_one_pass,
     rho_estimate_phases,
     rho_from_values,
     rho_per_sample,
@@ -407,3 +408,48 @@ def test_nonextension_term_bound_directly():
 def test_nonextension_requires_enough_primes(table_200):
     with pytest.raises(TableTooSmall):
         nonextension_partial_sums(10_000, table_200)
+
+
+@pytest.fixture(scope="module")
+def first_million_primes():
+    return sieve_for_n_primes(10**6)
+
+
+BLOCK = _kernels._EXTEND_BLOCK
+
+
+# the blocks of n >= 3 start at 3, BLOCK + 3, 2 BLOCK + 3, ...: BLOCK + 2 ends
+# the first and 2 BLOCK + 3 is alone in the third
+@pytest.mark.parametrize("n_max", [3, 9, 10, 11, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 3, 10**6])
+def test_nonextension_bits_match_one_pass(n_max, first_million_primes):
+    t = nonextension_partial_sums(n_max, first_million_primes)
+    ladder, sums, lower, bound_ok = nonextension_one_pass(n_max, first_million_primes.primes)
+    assert t.checkpoints.tobytes() == ladder.tobytes()
+    assert t.partial_sums.tobytes() == sums.tobytes()
+    assert t.lower_bound.tobytes() == lower.tobytes()
+    assert t.prime_bound_ok is bound_ok
+
+
+def test_nonextension_bounded_memory(first_million_primes):
+    # the sums are taken in blocks: the whole-range arrays took 61 MiB at 10^6
+    tracemalloc.start()
+    try:
+        nonextension_partial_sums(10**6, first_million_primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_weighted_h2_norm_bounded_memory():
+    # float64 weights, |a_n|^2 w_n formed in them: complex weights took 50 MiB
+    # at 10^6; the peak now is the extension's two float64 tables and the
+    # smallest-prime-factor table it sieves
+    d, table = DirichletSeries.ones(10**6), sieve(10**6)
+    tracemalloc.start()
+    try:
+        weighted_h2_norm(d, 2, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23 * 2**20

@@ -14,9 +14,11 @@ import hplus
 from cli_bounds import TERMS, edge, message, refusal, size_flags, with_flag
 from hplus import __version__, bohr, cli
 from hplus.cli import BOUNDS, _parse_int_list, main
-from hplus.operators import Symbol, character_to_json, symbol_to_json
+from hplus.numtheory import sieve
+from hplus.operators import Character, Symbol, character_to_json, symbol_to_json
 from hplus.series import (
     DirichletSeries,
+    _atomic_write_json,
     load_series,
     seminorm_2,
     series_from_json,
@@ -24,6 +26,8 @@ from hplus.series import (
     translate,
 )
 from hplus.superposition import composition_criterion
+
+from oracles import mult_extend_loop
 
 LIMIT = {row.name: row.limit for row in BOUNDS}
 P_MAX = 2 * LIMIT["norms-p"]  # norms' largest --p
@@ -248,14 +252,28 @@ def test_spectrum_rejects_non_finite_shift_and_negative_tolerance(series_file, t
     assert not out.exists()
 
 
-def test_superpose_past_the_float_range_is_domain_error(series_file, tmp_path):
-    # exp(-k^k) leaves the float range at k = 144: once an OverflowError traceback
+def test_superpose_past_the_float_range_is_domain_error(series_file, tmp_path, capsys):
+    # exp(-k^k) leaves the float range at k = 144: once an OverflowError
+    # traceback, then "(34, 'Numerical result out of range')"
     d, path = series_file
     out = tmp_path / "sup.json"
     argv = ["superpose", "--in", str(path), "--entire", "exp-kk", "--kmax", "1000",
             "--out", str(out)]
     assert main(argv) == 3
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--kmax = 1000 reaches k = 144," in err
+    assert "out of range" not in err
+
+
+def test_superpose_exp_past_the_float_range_is_domain_error(tmp_path, capsys):
+    argv = ["experiment", "superpose-exp", "--out-dir", str(tmp_path / "se"),
+            "--m-list", "1", "--kmax", "144", "--truncation", "5"]
+    assert main(argv) == 3
+    assert not any(tmp_path.iterdir())
+    assert "--kmax = 144 reaches k = 144," in capsys.readouterr().err
+    argv[-3] = "143"
+    assert main(argv) == 0
 
 
 # --coeffs on the input 1e10 + 2^{-s}: a term a_k D^k, or a sum of terms
@@ -493,8 +511,6 @@ def test_vertical_limit_command(series_file, tmp_path):
     d, path = series_file
     chi_path = tmp_path / "chi.json"
     vals = np.exp(1j * np.linspace(0.1, 1.0, 10))
-    from hplus.operators import Character
-
     chi_path.write_text(json.dumps(character_to_json(Character(vals))))
     out = tmp_path / "twisted.json"
     rc = main([
@@ -504,6 +520,28 @@ def test_vertical_limit_command(series_file, tmp_path):
     assert rc == 0
     tw = load_series(str(out))
     assert seminorm_2(tw, 2) == pytest.approx(seminorm_2(d, 2), rel=1e-12)
+
+
+def test_twisted_json_holds_the_per_n_complex_twist(tmp_path, rng):
+    # the H^2 weights are extended in float64; a character keeps the complex
+    # extension, whose bits are those of one complex product per n
+    n = 5000
+    d = DirichletSeries(rng.normal(size=n) + 1j * rng.normal(size=n))
+    path = tmp_path / "series.json"
+    save_series(d, str(path))
+    table = sieve(n)
+    chi = Character(np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(table.primes))))
+    chi_path = tmp_path / "chi.json"
+    chi_path.write_text(json.dumps(character_to_json(chi)))
+    out = tmp_path / "twisted.json"
+    argv = ["vertical-limit", "--in", str(path), "--character", str(chi_path), "--out", str(out)]
+    assert main(argv) == 0
+    dense = np.zeros(n + 1, dtype=np.complex128)
+    dense[table.primes] = chi.prime_values
+    twisted = DirichletSeries(d.coeffs * mult_extend_loop(table.spf, dense, n)[1:])
+    want = tmp_path / "want.json"
+    _atomic_write_json(str(want), series_to_json(twisted))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_vertical_limit_refuses_a_nan_character(series_file, tmp_path, capsys):

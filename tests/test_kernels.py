@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,21 @@ def test_sieve_primes_matches_trial_division(limit):
     assert primes.tolist() == trial_division_primes(limit)
 
 
+def test_sieve_primes_bounded_memory():
+    # the marked slots become primes in place: the peak is the sieve (8.25 MiB)
+    # and one int64 array of the 1.1 * 10^6 primes (8.46 MiB); prepending 2 to
+    # 2 * flatnonzero(odd) + 1 took 25 MiB
+    tracemalloc.start()
+    try:
+        primes = _kernels.sieve_primes(17_300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**20
+    assert primes[:4].tolist() == [2, 3, 5, 7]
+    assert len(primes) == 1_109_288  # pi(1.73 * 10^7), as sieve_spf counts
+
+
 @pytest.mark.parametrize(
     "n_max", [0, 1, 2, 3, 15, 16, 17, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 2**18 + 1]
 )
@@ -439,6 +456,24 @@ def test_mult_extend_bits_match_loop(n_max, kind):
         vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
     out = _kernels.mult_extend(spf, vals, n_max)
     assert out.tobytes() == mult_extend_loop(spf, vals, n_max).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 17, 2**16 + 1, 2**18 + 1])
+@pytest.mark.parametrize("kind", ["weights", "signed"])
+def test_mult_extend_real_values_bits_match_complex(n_max, kind):
+    # real values give a float64 table holding the complex table's real part
+    rng = np.random.default_rng(n_max)
+    spf, primes = _kernels.sieve_spf(max(n_max, 2))
+    vals = np.zeros(len(spf), dtype=np.float64)
+    if kind == "weights":  # as in weighted_h2_norm
+        vals[primes] = primes.astype(np.float64) ** (-2.0 / 3)
+    else:
+        vals[primes] = rng.normal(size=len(primes))
+    out = _kernels.mult_extend(spf, vals, n_max)
+    assert out.dtype == np.float64
+    want = _kernels.mult_extend(spf, vals.astype(np.complex128), n_max)
+    assert want.dtype == np.complex128
+    assert out.tobytes() == want.real.tobytes()
 
 
 def test_mult_extend_is_completely_multiplicative(rng):
