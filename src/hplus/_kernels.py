@@ -324,16 +324,25 @@ def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarr
     with p = spf[n], filled one dyadic block [2^j, 2^{j+1}) at a time: every
     n // p in the block is below 2^j, so it is filled already.
 
-    The output takes the dtype of prime_vals: float64 for real values (half
-    the memory of a complex table), complex128 otherwise.  The complex
-    product is spelled out on the real and imaginary parts, which gives the
-    bits of numpy's scalar product in a per-n loop.  Where no f(n) is zero,
-    the float64 table of real values holds the bits of the real part of the
-    complex table of the same values.
+    Real values are extended in place: a float64 prime_vals becomes the
+    table, and its first n_max + 1 slots are returned (other real arrays
+    are converted to a float64 copy first).  A prime's slot is rewritten as
+    1.0 * f(p) = f(p), the same bits, so the composites read the values
+    given.  Where no f(n) is zero, the float64 table holds the bits of the
+    real part of the complex table of the same values.
+
+    Complex values get a fresh complex128 table.  In place, (1+0j) * f(p)
+    would rewrite a prime's slot before the composites read it, and it is
+    not always f(p): (1+0j) * (-0 - 1j) is +0 - 1j.  The complex product is
+    spelled out on the real and imaginary parts, which gives the bits of
+    numpy's scalar product in a per-n loop.
     """
     real = not np.iscomplexobj(prime_vals)
-    prime_vals = np.ascontiguousarray(prime_vals, dtype=np.float64 if real else np.complex128)
-    out = np.empty(n_max + 1, dtype=prime_vals.dtype)
+    if real:
+        out = prime_vals = np.ascontiguousarray(prime_vals, dtype=np.float64)[: n_max + 1]
+    else:
+        prime_vals = np.ascontiguousarray(prime_vals, dtype=np.complex128)
+        out = np.empty(n_max + 1, dtype=np.complex128)
     out[0] = 0.0
     if n_max >= 1:
         out[1] = 1.0

@@ -209,7 +209,8 @@ def rho_estimate(
 
     Sampling uses a Philox counter-based generator keyed by ``seed``; for a
     fixed (seed, samples) pair the estimate is deterministic.  Each sample
-    costs one complex exponential per variable, w_j = exp(i theta_j).  The
+    costs one cosine and one sine per variable, written as the real and
+    imaginary parts of w_j = exp(i theta_j) (the bits of ``np.exp``).  The
     powers w_j^e are built by square-and-multiply, only for the exponents
     that occur (``_power_rows``), so the cost grows with the number of terms
     and of distinct exponents and with log2 of the degree, not with the
@@ -242,7 +243,10 @@ def rho_estimate(
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         theta = gen.uniform(0.0, 2.0 * np.pi, size=(m, f.n_vars))
-        w = np.exp(1j * theta[:, used].T)  # (used variables, m)
+        t = theta[:, used].T  # (used variables, m)
+        w = np.empty(t.shape, dtype=np.complex128)
+        np.cos(t, out=w.real)
+        np.sin(t, out=w.imag)
         vals = np.empty(m, dtype=np.complex128)
         for lo in range(0, m, _MC_BLOCK):
             hi = min(lo + _MC_BLOCK, m)
@@ -317,8 +321,8 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     prime_vals = np.zeros(n_max + 1, dtype=np.float64)
     pr = table.primes[table.primes <= n_max]
     prime_vals[pr] = pr.astype(np.float64) ** (-2.0 / k)
+    # the extension fills prime_vals in place: it becomes the weights
     weights = _kernels.mult_extend(table.spf_up_to(n_max), prime_vals, n_max)[1:]
-    del prime_vals
     re, im = d.coeffs.real, d.coeffs.imag
     for lo in range(0, n_max, _kernels._EXTEND_BLOCK):  # |a_n|^2 w_n, in place
         hi = lo + _kernels._EXTEND_BLOCK

@@ -4,7 +4,8 @@ Subcommands: norms, compose, superpose, spectrum, vertical-limit,
 experiment <name>.  One JSON format is shared with the library modules.
 Outputs are deterministic for a fixed (config, seed) pair.  Every file goes
 through one writer, ``series._atomic_write_text`` (temp file, then rename),
-and a failed write leaves no temp file behind; an experiment runs in a
+series files as ``series._series_json_text`` slices of 2^14 rows, and a
+failed write leaves no temp file behind; an experiment runs in a
 temporary directory whose files are moved into --out-dir only when it
 succeeds.
 Exit codes: 0 success, 2 usage or parse error, 3 domain error (spectrum
@@ -32,12 +33,13 @@ from .series import (
     DirichletSeries,
     _atomic_write_json,
     _atomic_write_text,
+    _series_json_text,
     load_series,
     multiply,
     seminorm_2,
     seminorm_comparison_constant,
     seminorm_even,
-    series_to_json,
+    series_to_json,  # noqa: F401  (perfbench/tracing.py times cli.series_to_json)
     translate,
     with_truncation,
 )
@@ -256,7 +258,7 @@ def _cmd_norms(args) -> int:
     rows = [f"{k},{p},{v.value!r},{str(v.exact).lower()}" for k, v in zip(ks, vals)]
     text = _csv_text("k,p,value,exact", rows)
     if args.out:
-        _atomic_write_text(args.out, text)
+        _atomic_write_text(args.out, [text])
     else:
         sys.stdout.write(text)
     return 0
@@ -270,9 +272,7 @@ def _cmd_compose(args) -> int:
     _at_least("--truncation", out_trunc, 1)
     _check_bounds(args, d.truncation)
     result = operators.compose_general(d, phi, out_trunc, n_cutoff=args.cutoff)
-    doc = series_to_json(result.series)
-    doc["exact"] = result.exact
-    _atomic_write_json(args.out, doc)
+    _atomic_write_text(args.out, _series_json_text(result.series, exact=result.exact))
     return 0
 
 
@@ -309,7 +309,7 @@ def _cmd_superpose(args) -> int:
     else:
         _coeffs_in_float_range(ec, args.kmax)
         result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
-    _atomic_write_json(args.out, series_to_json(result))
+    _atomic_write_text(args.out, _series_json_text(result))
     if args.diagnostics and diagnostics:
         try:
             superposition.write_growth_table(_tail_rows(diagnostics), args.diagnostics)
@@ -323,7 +323,7 @@ def _cmd_spectrum(args) -> int:
     d = load_series(args.infile)
     lam = _parse_complex(args.lam)
     result = operators.resolvent(lam, d, tol=args.tol)
-    _atomic_write_json(args.out, series_to_json(result))
+    _atomic_write_text(args.out, _series_json_text(result))
     return 0
 
 
@@ -333,7 +333,7 @@ def _cmd_vertical_limit(args) -> int:
         chi = operators.character_from_json(json.load(f))
     table = sieve(max(2, d.truncation))
     result = operators.vertical_limit(d, chi, table)
-    _atomic_write_json(args.out, series_to_json(result))
+    _atomic_write_text(args.out, _series_json_text(result))
     return 0
 
 
@@ -389,7 +389,7 @@ def _exp_inequality_suite(args, outdir: str) -> dict:
         ("algebra.csv", "pair,m,lhs,rhs,ok", algebra_rows),
         ("power_chain.csv", "poly,k,lhs,rhs,slack,ok", power_rows),
     ):
-        _atomic_write_text(os.path.join(outdir, name), _csv_text(header, rows))
+        _atomic_write_text(os.path.join(outdir, name), [_csv_text(header, rows)])
     return {"parameters": {
         "seed": args.seed, "count": count, "support": support, "out_truncation": out_trunc}}
 
@@ -421,7 +421,7 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
         tail = repr(bohr.parseval_rho2(poly, args.k, table)) if args.p == 2 else ""
         rows.append(f"{args.k},{args.p},{args.samples},{est.value!r},{est.std_error!r},{tail}")
     text = _csv_text("k,p,samples,estimate,std_err,exact_value_if_p2", rows)
-    _atomic_write_text(os.path.join(outdir, "estimates.csv"), text)
+    _atomic_write_text(os.path.join(outdir, "estimates.csv"), [text])
     params = {
         "seed": args.seed,
         "samples": args.samples,
@@ -445,7 +445,7 @@ def _exp_nonextension(args, outdir: str) -> dict:
         for m, s, lb in zip(result.checkpoints, result.partial_sums, result.lower_bound)
     ]
     _atomic_write_text(
-        os.path.join(outdir, "partial_sums.csv"), _csv_text("M,partial_sum,lower_bound", rows)
+        os.path.join(outdir, "partial_sums.csv"), [_csv_text("M,partial_sum,lower_bound", rows)]
     )
     return {
         "parameters": {"nmax": n_max},
@@ -535,13 +535,13 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     _coeffs_in_float_range(ec, kmax)
-    series_doc = None
+    first = None
     for m in m_checks:
         result, diags = superposition.superpose_entire(d, ec, kmax, m)
-        if series_doc is None:
-            series_doc = series_to_json(result)
+        if first is None:
+            first = result
         superposition.write_growth_table(_tail_rows(diags), os.path.join(outdir, f"tails_m{m}.csv"))
-    _atomic_write_json(os.path.join(outdir, "superposed.json"), series_doc)
+    _atomic_write_text(os.path.join(outdir, "superposed.json"), _series_json_text(first))
     params = {
         "truncation": truncation,
         "kmax": kmax,

@@ -412,4 +412,4 @@ def write_growth_table(rows, path: str) -> None:
         else:
             target = float(target)
             lines.append(f"{int(k)},{value!r},{target!r},{value - target!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, ["\n".join(lines) + "\n"])

@@ -12,7 +12,7 @@ import pytest
 
 import hplus
 from cli_bounds import TERMS, edge, message, refusal, size_flags, with_flag
-from hplus import __version__, bohr, cli
+from hplus import __version__, bohr, cli, operators, superposition
 from hplus.cli import BOUNDS, _parse_int_list, main
 from hplus.numtheory import sieve
 from hplus.operators import Character, Symbol, character_to_json, symbol_to_json
@@ -542,6 +542,78 @@ def test_twisted_json_holds_the_per_n_complex_twist(tmp_path, rng):
     want = tmp_path / "want.json"
     _atomic_write_json(str(want), series_to_json(twisted))
     assert out.read_bytes() == want.read_bytes()
+
+
+# -- series files are written in slices with the bytes of the one-shot encoding --
+
+WIDE = 2**14 + 1  # two slices of the series writer
+
+
+def one_shot(d, **fields) -> bytes:
+    """The series file's bytes as one ``json.dumps`` of ``series_to_json``."""
+    return (json.dumps({**series_to_json(d), **fields}, sort_keys=True) + "\n").encode()
+
+
+@pytest.fixture()
+def wide_series_file(tmp_path, rng):
+    # a_1 = -0.0 (spectrum needs a zero constant term), and -0.0 elsewhere
+    coeffs = rng.normal(size=WIDE) + 1j * rng.normal(size=WIDE)
+    coeffs.real[::3] = -0.0
+    coeffs.imag[::5] = -0.0
+    d = DirichletSeries(coeffs)
+    path = tmp_path / "wide.json"
+    save_series(d, str(path))
+    return d, path
+
+
+def test_compose_file_is_the_one_shot_encoding(wide_series_file, tmp_path):
+    d, path = wide_series_file
+    phi = Symbol(1, DirichletSeries(np.array([0.2 + 0.1j, -0.0, 0.05], dtype=np.complex128)))
+    sym_path = tmp_path / "symbol.json"
+    sym_path.write_text(json.dumps(symbol_to_json(phi)))
+    out = tmp_path / "composed.json"
+    assert main(["compose", "--in", str(path), "--symbol", str(sym_path), "--out", str(out)]) == 0
+    result = operators.compose_general(d, phi, WIDE)
+    assert out.read_bytes() == one_shot(result.series, exact=result.exact)
+
+
+def test_superpose_file_is_the_one_shot_encoding(wide_series_file, tmp_path):
+    d, path = wide_series_file
+    out = tmp_path / "sup.json"
+    argv = ["superpose", "--in", str(path), "--coeffs", "0,0;1,-0.5;0.25", "--out", str(out)]
+    assert main(argv) == 0
+    want = superposition.superpose_poly(d, [0j, complex(1, -0.5), complex(0.25, 0)])
+    assert out.read_bytes() == one_shot(want)
+
+
+def test_spectrum_file_is_the_one_shot_encoding(wide_series_file, tmp_path):
+    d, path = wide_series_file
+    out = tmp_path / "res.json"
+    assert main(["spectrum", "--in", str(path), "--lam", "1.5,0.5", "--out", str(out)]) == 0
+    want = operators.resolvent(complex(1.5, 0.5), d, tol=operators.SPECTRUM_TOL)
+    assert out.read_bytes() == one_shot(want)
+
+
+def test_vertical_limit_file_is_the_one_shot_encoding(wide_series_file, tmp_path, rng):
+    d, path = wide_series_file
+    table = sieve(WIDE)
+    chi = Character(np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(table.primes))))
+    chi_path = tmp_path / "chi.json"
+    chi_path.write_text(json.dumps(character_to_json(chi)))
+    out = tmp_path / "twisted.json"
+    argv = ["vertical-limit", "--in", str(path), "--character", str(chi_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == one_shot(operators.vertical_limit(d, chi, table))
+
+
+def test_superposed_json_is_the_one_shot_encoding_of_the_first_m(tmp_path):
+    argv = ["experiment", "superpose-exp", "--out-dir", str(tmp_path),
+            "--truncation", str(WIDE), "--kmax", "3", "--m-list", "2,1"]
+    assert main(argv) == 0
+    d = translate(DirichletSeries.ones(WIDE), 1.0)
+    ec = superposition.EntireCoeffs.exp_neg_k_to_k()
+    result, _ = superposition.superpose_entire(d, ec, 3, 2)
+    assert (tmp_path / "superposed.json").read_bytes() == one_shot(result)
 
 
 def test_vertical_limit_refuses_a_nan_character(series_file, tmp_path, capsys):

@@ -441,7 +441,7 @@ def test_sieve_primes_bounded_memory():
 @pytest.mark.parametrize(
     "n_max", [0, 1, 2, 3, 15, 16, 17, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 2**18 + 1]
 )
-@pytest.mark.parametrize("kind", ["weights", "signed", "unimodular"])
+@pytest.mark.parametrize("kind", ["weights", "signed", "unimodular", "minus-zero"])
 def test_mult_extend_bits_match_loop(n_max, kind):
     # blocks [2^j, 2^{j+1}) end at 2^k - 1; from 2^17 on they are filled in
     # several vectorized steps of _EXTEND_BLOCK slots
@@ -452,10 +452,15 @@ def test_mult_extend_bits_match_loop(n_max, kind):
         vals[primes] = primes.astype(np.float64) ** (-2.0 / 3)
     elif kind == "signed":
         vals[primes] = rng.normal(size=len(primes))
-    else:  # a character, as in vertical_limit
+    elif kind == "unimodular":  # a character, as in vertical_limit
         vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
+    else:  # chi(p) = -0 +- 1j: (1+0j) * (-0 - 1j) is +0 - 1j, so a table
+        # extended in place would read a rewritten prime slot
+        vals.real[primes] = -0.0
+        vals.imag[primes] = rng.choice([-1.0, 1.0], size=len(primes))
+    want = mult_extend_loop(spf, vals, n_max)  # before vals could be overwritten
     out = _kernels.mult_extend(spf, vals, n_max)
-    assert out.tobytes() == mult_extend_loop(spf, vals, n_max).tobytes()
+    assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 17, 2**16 + 1, 2**18 + 1])
@@ -474,6 +479,18 @@ def test_mult_extend_real_values_bits_match_complex(n_max, kind):
     want = _kernels.mult_extend(spf, vals.astype(np.complex128), n_max)
     assert want.dtype == np.complex128
     assert out.tobytes() == want.real.tobytes()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 17, 2**16 + 1])
+def test_mult_extend_extends_real_values_in_place(n_max):
+    # a float64 array of real values becomes the table; complex values do not
+    spf, primes = _kernels.sieve_spf(max(n_max, 2) + 5)
+    vals = np.zeros(len(spf), dtype=np.float64)
+    vals[primes] = primes.astype(np.float64) ** -0.5
+    out = _kernels.mult_extend(spf, vals, n_max)
+    assert out.base is vals and len(out) == n_max + 1
+    cvals = vals.astype(np.complex128)
+    assert not np.shares_memory(_kernels.mult_extend(spf, cvals, n_max), cvals)
 
 
 def test_mult_extend_is_completely_multiplicative(rng):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hplus.series import (
     DirichletSeries,
     _atomic_write_json,
     _atomic_write_text,
+    _series_json_text,
     abscissa_estimates,
     add,
     evaluate,
@@ -633,6 +635,57 @@ def test_atomic_write_leaves_no_temp_file_when_it_fails(tmp_path, monkeypatch, f
             _atomic_write_json(str(path), {"a": 1})
     else:
         with pytest.raises(TypeError):
-            _atomic_write_text(str(path), "first text", 2)  # not a str: fails mid-write
+            _atomic_write_text(str(path), ["first text", 2])  # not a str: fails mid-write
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
     assert path.read_text() == "old\n"
+
+
+def test_atomic_write_of_texts_that_raise_partway_leaves_no_temp_file(tmp_path):
+    # a generator is encoded inside the write: its error is a failed write
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def texts():
+        yield from _series_json_text(series(np.ones(3 * 2**14 + 5)))
+        raise ValueError("encoding failed")
+
+    with pytest.raises(ValueError, match="encoding failed"):
+        _atomic_write_text(str(path), texts())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert path.read_text() == "old\n"
+
+
+def _signed_zero_coeffs(n: int) -> np.ndarray:
+    """n coefficients, with -0.0 in the real part, the imaginary part or both."""
+    rng = np.random.default_rng(n)
+    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    coeffs.real[::3] = -0.0
+    coeffs.imag[::5] = -0.0
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+@pytest.mark.parametrize("fields", [{}, {"exact": True}, {"exact": False}])
+def test_series_json_text_matches_the_one_shot_encoding(n, fields):
+    d = series(_signed_zero_coeffs(n))
+    want = json.dumps({**series_to_json(d), **fields}, sort_keys=True) + "\n"
+    got = "".join(_series_json_text(d, **fields))
+    assert got == want
+    assert "-0.0" in got
+
+
+def test_series_json_write_bounded_memory(tmp_path):
+    # slices of 2^14 rows: the whole list of [re, im] lists and its text
+    # took 205 MiB at 10^6 coefficients
+    d = series(np.full(10**6, 0.1 - 0.2j))
+    path = tmp_path / "series.json"
+    tracemalloc.start()
+    try:
+        _atomic_write_text(str(path), _series_json_text(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    rows = ", ".join(["[0.1, -0.2]"] * 10**6)
+    assert path.read_text() == '{"coeffs": [' + rows + '], "truncation": 1000000}\n'
+
