@@ -32,11 +32,11 @@ of a fresh one; a product whose coefficients cancel has a smaller support,
 and the next product on it a different key.
 
 ``sieve_primes`` finds the primes alone, with one byte per odd number; the
-int32 smallest-prime-factor table of ``sieve_spf`` is built only for the
-callers that factor (``PrimeTable.spf`` sieves it on first read).
-``mult_extend`` fills a completely multiplicative function one dyadic block
-[2^j, 2^{j+1}) at a time, as out[n] = out[n // spf(n)] * f(spf(n)) with every
-n // spf(n) < 2^j, in vectorized steps of at most ``_EXTEND_BLOCK`` slots.
+int32 smallest-prime-factor table of ``sieve_spf`` is built for ``factorize``
+alone.  ``mult_extend`` fills a completely multiplicative function one dyadic
+block [2^j, 2^{j+1}) at a time, as out[n] = out[n // spf(n)] * f(spf(n)) with
+every n // spf(n) < 2^j, in vectorized steps of at most ``_EXTEND_BLOCK``
+slots that each sieve their own spf(n) (a segmented sieve, Bays and Hudson).
 """
 
 from __future__ import annotations
@@ -316,13 +316,14 @@ def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
 _EXTEND_BLOCK = 1 << 16
 
 
-def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarray:
+def mult_extend(primes: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarray:
     """Extend f(p) given at primes to f(n) = prod f(p)^{alpha_p} for n <= n_max.
 
-    prime_vals is indexed by integer value (prime_vals[p] for prime p).
+    primes holds the primes up to at least isqrt(n_max), ascending; n_max <
+    2^31.  prime_vals is indexed by integer value (prime_vals[p] for prime p).
     out[1] = 1; out[0] is a zero placeholder.  out[n] = out[n // p] * f(p)
-    with p = spf[n], filled one dyadic block [2^j, 2^{j+1}) at a time: every
-    n // p in the block is below 2^j, so it is filled already.
+    with p = spf(n), sieved per step; every n // p in the block [2^j, 2^{j+1})
+    is below 2^j, so it is filled already.
 
     Real values are extended in place: a float64 prime_vals becomes the
     table, and its first n_max + 1 slots are returned (other real arrays
@@ -351,11 +352,14 @@ def mult_extend(spf: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarr
         block_end = min(2 * lo, n_max + 1)
         for start in range(lo, block_end, _EXTEND_BLOCK):
             stop = min(start + _EXTEND_BLOCK, block_end)
-            p = spf[start:stop]
-            a = out[np.arange(start, stop) // p]
+            n = np.arange(start, stop, dtype=np.int32)
+            p = n.copy()  # spf(n): n itself unless a prime up to isqrt(n) divides it
+            for q in primes[: np.searchsorted(primes, math.isqrt(stop - 1), "right")][::-1]:
+                p[-start % q :: q] = q  # descending: the smallest prime divisor writes last
+            a = out[n // p]
             b = prime_vals[p]
             if real:
-                out[start:stop] = a * b
+                np.multiply(a, b, out=out[start:stop])
             else:
                 out.real[start:stop] = a.real * b.real - a.imag * b.imag
                 out.imag[start:stop] = a.real * b.imag + a.imag * b.real

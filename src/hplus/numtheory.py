@@ -3,8 +3,8 @@ the truncated Euler products behind the comparison and chain constants.
 
 Everything here is exact and sieve-backed: no analytic approximations of
 pi(x) are used anywhere.  Tables are immutable after construction (the
-smallest-prime-factor table is sieved on first read, always to the same
-values) and safe to share across threads.
+smallest-prime-factor table, which ``factorize`` alone reads, is sieved on
+first read, always to the same values) and safe to share across threads.
 
 ``euler_product(e, t)`` is the one routine that walks primes to form an
 Euler product: prod over the primes with p^{-1/e} >= t of (1 - p^{-1/e})^{-1},
@@ -39,8 +39,7 @@ class PrimeTable:
 
     ``spf[n]``, the smallest prime factor of n for 2 <= n <= limit
     (``spf[0]`` and ``spf[1]`` are padding), is sieved on first access and
-    kept; only factorization reads it whole.  Multiplicative extension reads
-    ``spf_up_to(n_max)``, which sieves no further than it needs.
+    kept; only ``factorize`` reads it (multiplicative extension sieves its own).
     """
 
     limit: int
@@ -54,19 +53,6 @@ class PrimeTable:
         spf, _ = _kernels.sieve_spf(self.limit)  # int32, length limit + 1
         spf.flags.writeable = False
         return spf
-
-    def spf_up_to(self, n_max: int) -> np.ndarray:
-        """``spf[: n_max + 1]`` for n_max <= limit, without sieving past n_max.
-
-        A view of ``spf`` when that is built already or n_max reaches the
-        limit; otherwise a table sieved to n_max alone, not kept.  The
-        smallest prime factor of n does not depend on the limit, so both
-        hold the same values.
-        """
-        if n_max >= self.limit or "spf" in self.__dict__:
-            return self.spf[: n_max + 1]
-        spf, _ = _kernels.sieve_spf(max(n_max, 1))
-        return spf[: n_max + 1]
 
     @cached_property
     def _cum_log_primes(self) -> np.ndarray:
@@ -117,7 +103,7 @@ class MultiIndex:
 def sieve(limit: int) -> PrimeTable:
     """The primes up to ``limit`` (inclusive), from an odd-only boolean sieve.
 
-    The smallest-prime-factor table ``spf`` is only sieved when read.
+    The smallest-prime-factor table ``spf`` is sieved when ``factorize`` reads it.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")

@@ -89,9 +89,8 @@ class Character:
                 f"needs {needed} to cover n <= {n_max}"
             )
         dense = np.zeros(n_max + 1, dtype=np.complex128)
-        pr = table.primes[:needed]
-        dense[pr] = self.prime_values[:needed]
-        return _kernels.mult_extend(table.spf_up_to(n_max), dense, n_max)
+        dense[table.primes[:needed]] = self.prime_values[:needed]
+        return _kernels.mult_extend(table.primes, dense, n_max)
 
 
 class CompositionResult(NamedTuple):

@@ -47,6 +47,14 @@ class DirichletSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _of_finite(cls, arr: np.ndarray) -> "DirichletSeries":
+        """The series of a 1-d complex128 array ``_in_float_range`` passed, not checked again."""
+        d = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(d, "coeffs", arr)
+        return d
+
     @property
     def truncation(self) -> int:
         return len(self.coeffs)
@@ -141,7 +149,7 @@ def add(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
     n = min(d.truncation, e.truncation)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = d.coeffs[:n] + e.coeffs[:n]
-    return DirichletSeries(_in_float_range(coeffs))
+    return DirichletSeries._of_finite(_in_float_range(coeffs))
 
 
 def scale(c: complex, d: DirichletSeries) -> DirichletSeries:
@@ -149,7 +157,9 @@ def scale(c: complex, d: DirichletSeries) -> DirichletSeries:
     c = complex(c)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = c * d.coeffs
-    return DirichletSeries(_in_float_range(coeffs) if cmath.isfinite(c) else coeffs)
+    if cmath.isfinite(c):
+        return DirichletSeries._of_finite(_in_float_range(coeffs))
+    return DirichletSeries(coeffs)
 
 
 def with_truncation(d: DirichletSeries, truncation: int) -> DirichletSeries:
@@ -193,7 +203,7 @@ def multiply(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
     out_len = min(d.truncation, e.truncation)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _kernels.dirichlet_convolve(d.coeffs, e.coeffs, out_len)
-    return DirichletSeries(_in_float_range(coeffs))
+    return DirichletSeries._of_finite(_in_float_range(coeffs))
 
 
 def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
@@ -217,7 +227,7 @@ def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
     idx, vals = _power_rung(d.coeffs, k, out_truncation)
     if idx is not None:
         vals = _kernels.from_support(idx, vals, out_truncation)
-    return DirichletSeries(vals)
+    return DirichletSeries._of_finite(vals)
 
 
 def _power_ladder(base, out_len: int):

@@ -162,15 +162,15 @@ def _terms(d: DirichletSeries, coeffs: Sequence[complex]):
 
     D^0 is the unit and D^k for k >= 1 is rung k of the ``_power_ladder``
     of D's coefficient array: D itself, then one dense product D * D^{k-1}
-    per power, as ``multiply`` forms it.  Every power and every a_k D^k is
-    checked to stay in the float range.  D^1 is D itself, signed zeros
-    included: the sums of the terms start at +0.0, so no output holds -0.0.
+    per power, as ``multiply`` forms it.  D^k for k >= 2 and every a_k D^k
+    are checked once to stay in the float range.  D^1 is D itself, signed
+    zeros included: the sums of the terms start at +0.0, so no output holds -0.0.
     """
     unit = (None, DirichletSeries.monomial(1, 1.0, d.truncation).coeffs)
     powers = _power_ladder((None, d.coeffs), d.truncation)
-    for a_k, (_, vals) in zip(coeffs, itertools.chain([unit], powers)):
-        vals = _in_float_range(vals)
-        yield scale(a_k, DirichletSeries(vals)) if a_k != 0 else None
+    for k, (a_k, (_, vals)) in enumerate(zip(coeffs, itertools.chain([unit], powers))):
+        d_k = DirichletSeries._of_finite(vals if k < 2 else _in_float_range(vals))
+        yield scale(a_k, d_k) if a_k != 0 else None
 
 
 def superpose_poly(d: DirichletSeries, b: Sequence[complex]) -> DirichletSeries:

@@ -17,11 +17,12 @@ from hplus.bohr import (
 )
 from hplus.errors import TableTooSmall
 from hplus.numtheory import MultiIndex, sieve
-from hplus.operators import Character
+from hplus.operators import Character, vertical_limit
 from hplus.series import DirichletSeries, evaluate, seminorm_2
 
 from oracles import (
     lift_by_factorize,
+    mult_extend_loop,
     nonextension_one_pass,
     rho_estimate_phases,
     rho_from_values,
@@ -318,25 +319,30 @@ def test_weighted_norm_zero(table_200):
     assert weighted_h2_norm(DirichletSeries.zero(10), 2, table_200) == 0.0
 
 
-def test_oversized_table_sieves_spf_only_to_the_series(rng):
-    # a table far longer than the series keeps no spf, and the weights and
-    # character values equal those of a table sieved to the series alone
+def test_extension_builds_no_spf_table_on_any_table_length(rng):
+    # multiplicative extension sieves each step's smallest prime factors
+    # itself: a table sieved to the series and one far longer give the same
+    # bits, and neither builds its spf table
     big, exact = sieve(200_000), sieve(1000)
     d = DirichletSeries(rng.normal(size=1000) + 1j * rng.normal(size=1000))
     chi = Character(np.exp(2j * np.pi * rng.uniform(size=200)))
     for n_max in (1, 2, 999, 1000):
-        assert np.array_equal(big.spf_up_to(n_max), exact.spf[: n_max + 1])
         want = chi.values_up_to(n_max, exact)
         assert np.array_equal(chi.values_up_to(n_max, big).view(np.uint64), want.view(np.uint64))
+    # the values at 1000 are those of the per-n loop over an spf table
+    spf, _ = _kernels.sieve_spf(1000)
+    dense = np.zeros(1001, dtype=np.complex128)
+    dense[exact.primes] = chi.prime_values[: len(exact.primes)]
+    chi_values = mult_extend_loop(spf, dense, 1000)
+    assert want.tobytes() == chi_values.tobytes()
+    twisted = vertical_limit(d, chi, exact)
+    assert vertical_limit(d, chi, big).coeffs.tobytes() == twisted.coeffs.tobytes()
+    assert twisted.coeffs.tobytes() == (d.coeffs * chi_values[1:]).tobytes()
     for k in (1, 2, 5):
         want = weighted_h2_norm(d, k, exact)
         assert weighted_h2_norm(d, k, big).hex() == want.hex()
         assert weighted_h2_norm(DirichletSeries.ones(1000), k, big) > 0
-    assert "spf" not in big.__dict__
-    # a table whose spf is built already lends a view of it
-    built = sieve(5000)
-    spf = built.spf
-    assert np.shares_memory(built.spf_up_to(100), spf)
+    assert "spf" not in big.__dict__ and "spf" not in exact.__dict__
 
 
 def test_weighted_norm_needs_coverage(table_200):
@@ -443,14 +449,23 @@ def test_nonextension_bounded_memory(first_million_primes):
 
 def test_weighted_h2_norm_bounded_memory():
     # float64 weights, extended in place in the prime values, |a_n|^2 w_n
-    # formed in them: complex weights took 50 MiB at 10^6, and a second
-    # float64 table 21.7 MiB; the peak now is one float64 table and the
-    # smallest-prime-factor table it sieves
-    d, table = DirichletSeries.ones(10**6), sieve(10**6)
-    tracemalloc.start()
-    try:
-        weighted_h2_norm(d, 2, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # formed in them: complex weights took 50 MiB at 10^6, a second float64
+    # table 21.7 MiB, and the smallest-prime-factor table the extension
+    # sieved 14.0 MiB.  The peak now is one float64 table and one step's
+    # temporaries (9.95 MiB); the character's values, the complex prime
+    # values and their complex table (34.3 MiB, 37.8 with the spf table).
+    # Each bound is that peak plus about 1 MiB.
+    table = sieve(10**6)
+    d = DirichletSeries.ones(10**6)
+    chi = Character(np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=len(table.primes))))
+    for call, bound in (
+        (lambda: weighted_h2_norm(d, 2, table), 11 * 2**20),
+        (lambda: chi.values_up_to(10**6, table), 35.5 * 2**20),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

@@ -439,12 +439,16 @@ def test_sieve_primes_bounded_memory():
 
 
 @pytest.mark.parametrize(
-    "n_max", [0, 1, 2, 3, 15, 16, 17, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 2**18 + 1]
+    "n_max",
+    [0, 1, 2, 3, 15, 16, 17, 2**16 - 1, 2**16, 2**16 + 1, 10**5, 2**18 + 1, 251**2, 257**2],
 )
 @pytest.mark.parametrize("kind", ["weights", "signed", "unimodular", "minus-zero"])
 def test_mult_extend_bits_match_loop(n_max, kind):
     # blocks [2^j, 2^{j+1}) end at 2^k - 1; from 2^17 on they are filled in
-    # several vectorized steps of _EXTEND_BLOCK slots
+    # several vectorized steps of _EXTEND_BLOCK slots.  Each step sieves its
+    # own smallest prime factors with the primes up to isqrt(last slot):
+    # 251^2 and 257^2 put a prime square, the one slot its largest sieving
+    # prime marks, at the last slot of a step
     rng = np.random.default_rng(n_max)
     spf, primes = _kernels.sieve_spf(max(n_max, 2))
     vals = np.zeros(len(spf), dtype=np.complex128)
@@ -459,7 +463,7 @@ def test_mult_extend_bits_match_loop(n_max, kind):
         vals.real[primes] = -0.0
         vals.imag[primes] = rng.choice([-1.0, 1.0], size=len(primes))
     want = mult_extend_loop(spf, vals, n_max)  # before vals could be overwritten
-    out = _kernels.mult_extend(spf, vals, n_max)
+    out = _kernels.mult_extend(primes, vals, n_max)
     assert out.tobytes() == want.tobytes()
 
 
@@ -468,15 +472,15 @@ def test_mult_extend_bits_match_loop(n_max, kind):
 def test_mult_extend_real_values_bits_match_complex(n_max, kind):
     # real values give a float64 table holding the complex table's real part
     rng = np.random.default_rng(n_max)
-    spf, primes = _kernels.sieve_spf(max(n_max, 2))
-    vals = np.zeros(len(spf), dtype=np.float64)
+    primes = _kernels.sieve_primes(max(n_max, 2))
+    vals = np.zeros(max(n_max, 2) + 1, dtype=np.float64)
     if kind == "weights":  # as in weighted_h2_norm
         vals[primes] = primes.astype(np.float64) ** (-2.0 / 3)
     else:
         vals[primes] = rng.normal(size=len(primes))
-    out = _kernels.mult_extend(spf, vals, n_max)
+    out = _kernels.mult_extend(primes, vals, n_max)
     assert out.dtype == np.float64
-    want = _kernels.mult_extend(spf, vals.astype(np.complex128), n_max)
+    want = _kernels.mult_extend(primes, vals.astype(np.complex128), n_max)
     assert want.dtype == np.complex128
     assert out.tobytes() == want.real.tobytes()
 
@@ -484,21 +488,21 @@ def test_mult_extend_real_values_bits_match_complex(n_max, kind):
 @pytest.mark.parametrize("n_max", [0, 1, 17, 2**16 + 1])
 def test_mult_extend_extends_real_values_in_place(n_max):
     # a float64 array of real values becomes the table; complex values do not
-    spf, primes = _kernels.sieve_spf(max(n_max, 2) + 5)
-    vals = np.zeros(len(spf), dtype=np.float64)
+    primes = _kernels.sieve_primes(max(n_max, 2) + 5)
+    vals = np.zeros(max(n_max, 2) + 6, dtype=np.float64)
     vals[primes] = primes.astype(np.float64) ** -0.5
-    out = _kernels.mult_extend(spf, vals, n_max)
+    out = _kernels.mult_extend(primes, vals, n_max)
     assert out.base is vals and len(out) == n_max + 1
     cvals = vals.astype(np.complex128)
-    assert not np.shares_memory(_kernels.mult_extend(spf, cvals, n_max), cvals)
+    assert not np.shares_memory(_kernels.mult_extend(primes, cvals, n_max), cvals)
 
 
 def test_mult_extend_is_completely_multiplicative(rng):
     n_max = 2000
-    spf, primes = _kernels.sieve_spf(n_max)
+    primes = _kernels.sieve_primes(n_max)
     vals = np.zeros(n_max + 1, dtype=np.complex128)
     vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
-    out = _kernels.mult_extend(spf, vals, n_max)
+    out = _kernels.mult_extend(primes, vals, n_max)
     assert out[1] == 1.0
     for m, n in ((2, 3), (4, 9), (6, 35), (8, 125), (30, 49)):
         assert out[m * n] == pytest.approx(out[m] * out[n], rel=1e-12)

@@ -84,6 +84,24 @@ def test_scale_zero():
     assert scale(0, series([1, 2])) == DirichletSeries.zero(2)
 
 
+def test_checked_once_results_keep_their_error_types_and_immutability():
+    # add, scale, multiply and power check their result once, with
+    # _in_float_range, and build the series without a second check
+    d, big = series([1e150, -2.0, 3j]), series([1e308, 1.0])
+    for out in (add(d, d), scale(2, d), multiply(d, d), power(d, 2, 3)):
+        assert not out.coeffs.flags.writeable and out.coeffs.dtype == np.complex128
+    assert add(d, d) == series([2e150, -4.0, 6j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: add(big, big), lambda: scale(1e10, big), lambda: multiply(d, big)):
+            with pytest.raises(CoefficientOverflow):
+                call()
+        # a non-finite factor is a usage error, as a non-finite coefficient is
+        with pytest.raises(ValueError) as exc:
+            scale(np.inf, d)
+        assert not isinstance(exc.value, HplusError)
+
+
 def test_monomial_sum_example():
     s = DirichletSeries.monomial(2, 1, 10) + DirichletSeries.monomial(3, 1, 10)
     assert s.coeff(2) == 1 and s.coeff(3) == 1 and s.coeff(4) == 0

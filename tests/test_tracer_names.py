@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 
 import pytest
@@ -20,6 +21,30 @@ def test_every_traced_function_resolves(monkeypatch):
             module,
             function,
         )
+
+
+def test_every_counter_binds_the_traced_arguments(monkeypatch):
+    # a counter is called as counter(tr, *args, **kwargs) with the traced
+    # function's own arguments; a parameter added, removed or reordered in
+    # hplus would otherwise surface only when perfbench/run.py --trace 1 runs
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    rows = [row for row in tracing.TRACED if row[3] is not None or row[4] is not None]
+    assert rows
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for module, function, _, *counters in rows:
+        params = inspect.signature(getattr(importlib.import_module(f"hplus.{module}"), function))
+        required = [
+            p.name for p in params.parameters.values()
+            if p.kind in positional and p.default is inspect.Parameter.empty
+        ]
+        for counter in counters:
+            if counter is None:
+                continue
+            try:
+                inspect.signature(counter).bind(None, *required)
+            except TypeError as e:
+                pytest.fail(f"{module}.{function}{params}: counter does not bind: {e}")
 
 
 def _names_read(path: str):
