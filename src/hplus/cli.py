@@ -95,8 +95,9 @@ class Bound(NamedTuple):
 # when the flag is omitted.
 BOUNDS = (
     # The longest integer list (norms --k, superpose-exp --m-list): each value
-    # is one seminorm of the input, or one superpose_entire run (about 4 ms at
-    # superpose-exp's defaults).
+    # is one seminorm of the input, or one majorant and one weighing of each
+    # tail (about 0.4 ms at superpose-exp's defaults; its products are formed
+    # once for every m).
     Bound("norms-k", "norms", "len(--k)", lambda a, t: _count(a.k), 1000),
     # norms' largest --p, 64: a call does p/2 - 1 products, and a small product
     # costs about 30 us of call overhead whatever its size.
@@ -119,8 +120,9 @@ BOUNDS = (
     # end to end, most of it JSON, and peaks near 300 MB.
     Bound("compose-truncation", "compose", "--truncation", _out_truncation, 10**6),
     # superpose's largest powers x input truncation, and superpose-exp's largest
-    # len(--m-list) x (--kmax + 1) x --truncation: a run forms one product per
-    # power and keeps at most K + 1 arrays, a_k D^k for k = 0..K, 16 B a slot.
+    # len(--m-list) x (--kmax + 1) x --truncation: a run forms each power once,
+    # weighs each tail once per m, and keeps at most K + 1 arrays, a_k D^k for
+    # k = 0..K, 16 B a slot.
     # A dense 10^6-term input at --kmax 7 takes 6.5-11 s end to end and peaks
     # near 355 MB, most of it the JSON of the input and the output; 8 --coeffs
     # on it take 10 s and peak near 305 MB.  One argument holds at most 128 KiB,
@@ -535,13 +537,10 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     d = translate(DirichletSeries.ones(truncation), 1.0)
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     _coeffs_in_float_range(ec, kmax)
-    first = None
-    for m in m_checks:
-        result, diags = superposition.superpose_entire(d, ec, kmax, m)
-        if first is None:
-            first = result
+    result, diags_per_m = superposition.superpose_entire(d, ec, kmax, m_checks)
+    for m, diags in zip(m_checks, diags_per_m):
         superposition.write_growth_table(_tail_rows(diags), os.path.join(outdir, f"tails_m{m}.csv"))
-    _atomic_write_text(os.path.join(outdir, "superposed.json"), _series_json_text(first))
+    _atomic_write_text(os.path.join(outdir, "superposed.json"), _series_json_text(result))
     params = {
         "truncation": truncation,
         "kmax": kmax,

@@ -347,21 +347,22 @@ def seminorm_even(
     the support of the q-th power fits below the truncation (support(D)^q <=
     out_truncation); otherwise it is a certified lower bound and ``exact``
     is False.  The sum runs over the rung's support while it is one, so no
-    array of out_truncation slots is built for a sparse D.  For q = 1 D
-    itself is weighed, and the values are the bits of ``seminorm_2``.
+    array of out_truncation slots is built for a sparse D.  For q = 1 D cut
+    at out_truncation is weighed, with the bits of its ``seminorm_2``.
     """
     single = isinstance(k, numbers.Integral)
     ks = [k] if single else list(k)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    for kk in ks:
-        if kk < 1:
-            raise ValueError(f"k must be >= 1, got {kk}")
+    if min(ks, default=1) < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if out_truncation < 1:
+        raise ValueError(f"out_truncation must be >= 1, got {out_truncation}")
     if q == 1:
-        idx, vals, exact = None, d.coeffs, True
+        idx, vals = None, d.coeffs[:out_truncation]
     else:
         idx, vals = _power_rung(d.coeffs, q, out_truncation)
-        exact = d.support_max() ** q <= out_truncation
+    exact = d.support_max() ** q <= out_truncation
     values = [SeminormValue(v, exact) for v in _weighted_l2_roots(idx, vals, ks, q)]
     return values[0] if single else values
 

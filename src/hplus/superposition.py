@@ -183,50 +183,50 @@ def superpose_entire(
     d: DirichletSeries,
     ec: EntireCoeffs,
     big_k: int,
-    m_check: int,
-) -> tuple[DirichletSeries, list[TailDiagnostic]]:
-    """Partial sum sum_{k<=K} a_k D^k with Cauchy-tail diagnostics.
+    m_check: int | Sequence[int],
+) -> tuple[DirichletSeries, list[TailDiagnostic] | list[list[TailDiagnostic]]]:
+    """Partial sum sum_{k<=K} a_k D^k with Cauchy-tail diagnostics at one
+    seminorm index m or at each of a list (then one list per m, in its order).
 
     For every ladder point K' < K the diagnostic records the seminorm
-    || sum_{K'<k<=K} a_k D^k ||_{2,m_check}, plus (when the tag admits it)
-    the explicit log-space majorant assembled from the power-norm chain
+    || sum_{K'<k<=K} a_k D^k ||_{2,m}, plus (when the tag admits it) the
+    explicit log-space majorant assembled from the power-norm chain
     constant: log|a_k| + k log(prod_k * ||D||_{2,4m}) + log C_m, summed over
     the tail in log space.  log prod_k and log C_m are the log sums of their
-    Euler products, finite where the products overflow, so the majorant is
-    finite for every m.  When that constant for k = K needs primes beyond
-    desk scale, BeyondDeskScale is raised before any power is formed.
+    Euler products, finite where the products overflow.  Every m's majorant
+    comes first: a constant beyond desk scale at any m raises BeyondDeskScale
+    before any power is formed.  The powers and tails are formed once, each tail is
+    weighed for every m, and each entry has the bits of its single-m call.
     """
-    if big_k < 1:
-        raise ValueError(f"K must be >= 1, got {big_k}")
-    if m_check < 1:
-        raise ValueError(f"m_check must be >= 1, got {m_check}")
-    base_norm = seminorm_2(d, 4 * m_check)
-    log_terms = []  # log of the k-th majorant term, k = 1..K
-    if ec.log_abs is not None and base_norm > 0:
-        log_c_m = euler_product(2 * m_check, math.sqrt(1 / 2))[2]  # C_{m,1,2}
-        # k = K first: its prime bound decides desk scale, and its one sieve
-        # serves every k
-        for k in range(big_k, 0, -1):
-            log_prod = euler_product(4 * m_check, math.sqrt(2.0 / k))[2]
-            log_terms.append(log_c_m + k * (log_prod + math.log(base_norm)) + ec.log_abs(k))
-        log_terms.reverse()
-    n_trunc = d.truncation
+    single = isinstance(m_check, numbers.Integral)
+    ms = [m_check] if single else list(m_check)
+    if big_k < 1 or min(ms, default=1) < 1:
+        raise ValueError(f"need K >= 1 and m_check >= 1, got K={big_k}, m_check={m_check}")
+    majorants = []  # per m, the log majorant of the tail past each k_from < K
+    for m in ms:
+        norm_4m = seminorm_2(d, 4 * m)
+        majorants.append([None] * big_k)
+        if ec.log_abs is not None and norm_4m > 0:
+            log_c_m = euler_product(2 * m, math.sqrt(1 / 2))[2]  # C_{m,1,2}
+            # k = K first: its prime bound decides desk scale, and its one sieve serves every k
+            logs = [log_c_m + k * (euler_product(4 * m, math.sqrt(2.0 / k))[2] + math.log(norm_4m))
+                    + ec.log_abs(k) for k in range(big_k, 0, -1)][::-1]
+            for j in range(big_k):
+                top = max(logs[j:])
+                majorants[-1][j] = top + math.log(sum(math.exp(v - top) for v in logs[j:]))
     coeffs = [complex(ec.coeff(k)) for k in range(big_k + 1)]
     # terms[k] = a_k D^k, None where a_k = 0: the sums start at +0.0 and so
     # never hold -0.0, and adding 0 * D^k to them would change no bit
     terms = list(_terms(d, coeffs))
-    total = sum((t for t in terms if t is not None), DirichletSeries.zero(n_trunc))
-    diagnostics = []
-    tail = DirichletSeries.zero(n_trunc)  # the tail past k - 1: sum_{k <= j <= K} a_j D^j
+    total = sum((t for t in terms if t is not None), DirichletSeries.zero(d.truncation))
+    weights = [None] * big_k  # weights[j]: the seminorm_2 at each m of the tail past j
+    tail = DirichletSeries.zero(d.truncation)  # the tail past k - 1: sum_{k <= j <= K} a_j D^j
     for k in range(big_k, 0, -1):
         tail = tail if terms[k] is None else tail + terms[k]
-        log_maj = None
-        if log_terms:
-            logs = log_terms[k - 1 :]
-            top = max(logs)
-            log_maj = top + math.log(sum(math.exp(v - top) for v in logs))
-        diagnostics.append(TailDiagnostic(k - 1, seminorm_2(tail, m_check), log_maj))
-    return total, diagnostics[::-1]
+        weights[k - 1] = _weighted_l2_roots(None, tail.coeffs, ms, 1)
+    diagnostics = [[TailDiagnostic(j, weights[j][i], maj[j]) for j in range(big_k)]
+                   for i, maj in enumerate(majorants)]
+    return total, diagnostics[0] if single else diagnostics
 
 
 # ---------------------------------------------------------------------------

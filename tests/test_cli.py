@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 
 import hplus
 from cli_bounds import TERMS, edge, message, refusal, size_flags, with_flag
-from hplus import __version__, bohr, cli, operators, superposition
+from hplus import __version__, _kernels, bohr, cli, operators, superposition
 from hplus.cli import BOUNDS, _parse_int_list, main
 from hplus.numtheory import sieve
 from hplus.operators import Character, Symbol, character_to_json, symbol_to_json
@@ -24,6 +25,7 @@ from hplus.series import (
     series_from_json,
     series_to_json,
     translate,
+    with_truncation,
 )
 from hplus.superposition import composition_criterion
 
@@ -70,6 +72,21 @@ def test_norms_row_of_a_k_list_matches_the_single_k_run(series_file, tmp_path):
     assert len(rows["1..8"]) == 9 and len(rows["3"]) == 2
     assert rows["1..8"][3] == rows["3"][1]
     assert rows["3"][1].startswith("3,8,")
+
+
+def test_norms_p2_weighs_the_input_cut_at_the_truncation(series_file, tmp_path):
+    # below the input's truncation the cut input is weighed, a lower bound,
+    # as for p >= 4; at or above it the whole input, exactly
+    d, path = series_file
+    rows = {}
+    for t in ("5", "20", "50"):
+        out = tmp_path / f"norms-{t}.csv"
+        argv = ["norms", "--in", str(path), "--k", "1,3", "--p", "2", "--truncation", t,
+                "--out", str(out)]
+        assert main(argv) == 0
+        rows[t] = out.read_text().splitlines()[1:]
+    assert rows["5"] == [f"{k},2,{seminorm_2(with_truncation(d, 5), k)!r},false" for k in (1, 3)]
+    assert rows["20"] == rows["50"] == [f"{k},2,{seminorm_2(d, k)!r},true" for k in (1, 3)]
 
 
 def test_norms_stdout_and_odd_p_rejected(series_file, capsys):
@@ -425,8 +442,8 @@ def test_bohr_parseval_sizes_at_and_past_their_limits(tmp_path, monkeypatch, fla
 
 @pytest.mark.parametrize("existing", [False, True])
 def test_experiment_beyond_desk_scale_is_domain_error(tmp_path, existing):
-    # the m = 4 tail majorant needs primes up to 20^8: exit 3 once m = 1 and
-    # m = 2 have run, with none of their files left behind
+    # the m = 4 tail majorant needs primes up to 20^8: exit 3 before any
+    # power is formed or any file written, with nothing left behind
     out_dir = tmp_path / "se"
     if existing:
         out_dir.mkdir()
@@ -659,6 +676,24 @@ def test_experiment_superpose_exp(tmp_path):
         for row in tails[1:]:
             _, value, target, _ = row.split(",")
             assert float(value) <= float(target)
+
+
+def test_superpose_exp_forms_each_power_once(tmp_path, monkeypatch):
+    # at the defaults D^2..D^8 are 7 dense products, however many m are weighed
+    calls = []
+    convolve = _kernels.dirichlet_convolve
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "dirichlet_convolve", counted)
+    for m_list in ("1", "1,2,4"):
+        calls.clear()
+        argv = ["experiment", "superpose-exp", "--out-dir", str(tmp_path / m_list),
+                "--m-list", m_list]
+        assert main(argv) == 0
+        assert calls == [2000] * 7, m_list
 
 
 def test_experiment_ejemplo_growth_matches_library(tmp_path):
@@ -1081,6 +1116,19 @@ def test_readme_lists_every_experiment_with_its_flags_and_defaults():
     assert list(listed) == list(cli.EXPERIMENTS)
     for name, (_, flags) in cli.EXPERIMENTS.items():
         assert listed[name] == [(flag, str(default)) for flag, _, default in flags], name
+
+
+def test_readme_usage_lines_parse():
+    # every concrete command line of the README, its [optional] flags given
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = f.read().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("hplus ") and "<name>" not in line]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""), comments=True)
+        assert cli.parse_args(argv[1:]).command == argv[1], line
 
 
 def test_cli_has_one_raise_of_beyond_desk_scale_and_no_limit_constants():

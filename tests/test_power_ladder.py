@@ -19,6 +19,7 @@ from hplus.series import (
 )
 from hplus.superposition import (
     EntireCoeffs,
+    TailDiagnostic,
     composition_criterion,
     power_norm_chain_check,
     superpose_entire,
@@ -93,6 +94,16 @@ def test_superpose_entire_matches_multiply_loop(name, ec):
     for big_k, m_check in ((1, 1), (6, 1), (8, 2)):
         total, diags = superpose_entire(d, ec, big_k, m_check)
         want_total, want_diags = superpose_entire_loop(d, ec, big_k, m_check)
+        assert _same_bits(total.coeffs, want_total.coeffs)
+        assert [g.k_from for g in diags] == [w.k_from for w in want_diags]
+        assert _same_bits([g.tail_seminorm for g in diags], [w.tail_seminorm for w in want_diags])
+        assert [g.log_majorant for g in diags] == [w.log_majorant for w in want_diags]
+        assert all(isinstance(g, TailDiagnostic) for g in diags)
+    # a list of m: one ladder, each entry the bits of its single-m loop
+    total, diags_per_m = superpose_entire(d, ec, 8, [2, 1, 2])
+    assert len(diags_per_m) == 3
+    for m, diags in zip([2, 1, 2], diags_per_m):
+        want_total, want_diags = superpose_entire_loop(d, ec, 8, m)
         assert _same_bits(total.coeffs, want_total.coeffs)
         assert [g.k_from for g in diags] == [w.k_from for w in want_diags]
         assert _same_bits([g.tail_seminorm for g in diags], [w.tail_seminorm for w in want_diags])

@@ -407,6 +407,18 @@ def test_seminorm_even_q1_reduces(rng):
     d = series(rng.normal(size=30) + 1j * rng.normal(size=30))
     got = seminorm_even(d, 1, 3, 30)
     assert got.exact and got.value == seminorm_2(d, 3)
+    # above the input's truncation: the same bits; below it: the cut input,
+    # a lower bound unless the support fits
+    assert seminorm_even(d, 1, 3, 100) == got
+    below = seminorm_even(d, 1, [3, 1], 12)
+    assert [v.value for v in below] == [seminorm_2(with_truncation(d, 12), k) for k in (3, 1)]
+    assert not any(v.exact for v in below)
+    assert below[0].value < got.value
+    short = with_truncation(with_truncation(d, 12), 30)
+    assert seminorm_even(short, 1, 3, 12) == (seminorm_2(with_truncation(d, 12), 3), True)
+    for q in (1, 2):
+        with pytest.raises(ValueError, match="out_truncation"):
+            seminorm_even(DirichletSeries.ones(5), q, 1, 0)
 
 
 def test_seminorm_even_monomial():
