@@ -13,7 +13,8 @@ for finite operands the coefficients are that loop's bits (the zero a_d
 that loop 2 also multiplies add exact zeros).  When the nonzero a_d above D
 are no more than the rows loop 2 would walk, the split moves to D = N and
 loop 2 is empty, which keeps a very sparse operand as cheap as that plain
-loop.
+loop.  Each slice's products are formed at most ``_ROW_BLOCK`` at a time in
+one reused buffer, so a dense product holds its output and that buffer.
 
 Dirichlet products of sparse operands run on supports, (1-based index,
 value) pairs: ``convolve_support`` forms the nnz_a * nnz_b products directly
@@ -66,22 +67,42 @@ def _hyperbola_split(a: np.ndarray, b: np.ndarray, out_len: int) -> int:
     return split
 
 
+# Slots of the one product buffer _convolve_rows reuses for every slice:
+# 256 KiB of complex128, where a whole-slice product a_1 * b took 16 B per
+# output slot.
+_ROW_BLOCK = 1 << 14
+
+
 def _convolve_rows(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """Split loops: a * b truncated at out_len, a_d the left factor."""
+    """Split loops: a * b truncated at out_len, a_d the left factor.
+
+    Each slice's products are formed _ROW_BLOCK at a time in one reused
+    buffer and added into the strided output slots they belong to, so
+    besides the output only that buffer is held.  Every slot receives one
+    product per slice, so the chunks give the bits of whole-slice steps.
+    """
     c = np.zeros(out_len, dtype=np.complex128)
+    buf = np.empty(min(_ROW_BLOCK, out_len), dtype=np.complex128)
     split = _hyperbola_split(a, b, out_len)
     for i in np.flatnonzero(a[:split]):
         d = i + 1
         top = min(len(b), out_len // d)
-        if top:
-            c[d - 1 : d * top : d] += a[i] * b[:top]
+        for lo in range(0, top, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, top)
+            prod = np.multiply(a[i], b[lo:hi], out=buf[: hi - lo])
+            s = c[d * (lo + 1) - 1 : d * hi : d]
+            np.add(s, prod, out=s)
     # descending m: each slot gets its d > split terms in ascending d; a_d
     # stays the left factor as in loop 1, because numpy's complex multiply
     # can round x * y and y * x differently
     for j in np.flatnonzero(b[: out_len // (split + 1)])[::-1]:
         m = j + 1
-        hi = min(len(a), out_len // m)
-        c[(split + 1) * m - 1 : hi * m : m] += a[split:hi] * b[j]
+        top = min(len(a), out_len // m)
+        for lo in range(split, top, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, top)
+            prod = np.multiply(a[lo:hi], b[j], out=buf[: hi - lo])
+            s = c[m * (lo + 1) - 1 : m * hi : m]
+            np.add(s, prod, out=s)
     return c
 
 
@@ -249,6 +270,9 @@ def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
     n = len(t)
     out = np.zeros(n, dtype=np.uint64)
     overflow = False
+    # a slot sums at most n entries of t, so below this bound none can wrap
+    # and the checks are skipped
+    checked = int(t.max(initial=0)) * n >= 2**64
     # the hyperbola split of t * (all-ones vector); uint64 addition wraps,
     # and adding x >= 0 wrapped a slot iff the slot ends below x
     split = _hyperbola_split(t, np.broadcast_to(np.uint64(1), (n,)), n)
@@ -256,13 +280,13 @@ def divisor_sum_u64(t: np.ndarray) -> tuple[np.ndarray, bool]:
         v = t[i]
         sl = out[i :: i + 1]
         sl += v
-        if np.any(sl < v):
+        if checked and np.any(sl < v):
             overflow = True
     for m in range(n // (split + 1), 0, -1):
         add = t[split : n // m]
         sl = out[(split + 1) * m - 1 : (n // m) * m : m]
         sl += add
-        if np.any(sl < add):
+        if checked and np.any(sl < add):
             overflow = True
     return out, overflow
 

@@ -104,20 +104,20 @@ BOUNDS = (
     Bound("norms-p", "norms", "--p/2", lambda a, t: a.p // 2, 32),
     # norms' largest output truncation: for p >= 4 a call raises the input to
     # the p/2-th power at it once, and on a dense 1000-term input --p 26 --k 1
-    # at 4*10^6 (12 products) takes about 6.5 s and peaks near 245 MB (the
+    # at 4*10^6 (12 products) takes about 3.9 s and peaks near 181 MB (the
     # truncation of inequality-suite's products at its largest --support).
     Bound("norms-truncation", "norms", "--truncation", _out_truncation, 4 * 10**6),
     # norms' largest (p/2 - 1) products x output truncation, and len(ks) x the
     # slots each k weighs (the output truncation; the input's for p = 2).  On a
     # dense 1000-term input (numpy backend, 2 cores) --p 26 --k 1 at 4*10^6
-    # takes 6.5-7.8 s, --p 6 --k 1..87 at 4*10^6 4.0 s, and --p 26 --k 1..87
-    # at 4*10^6, both limits at once, 9.3 s.
+    # takes about 3.9 s, --p 6 --k 1..87 at 4*10^6 2.8 s and 184 MB, and
+    # --p 26 --k 1..87 at 4*10^6, both limits at once, 6.2 s and 184 MB.
     Bound("norms-work", "norms", "(--p/2 - 1) x --truncation",
           lambda a, t: (a.p // 2 - 1) * _out_truncation(a, t), 5 * 10**7),
     Bound("norms-weigh", "norms", "len(--k) x --truncation (--in's at --p 2)",
           lambda a, t: _count(a.k) * (t if a.p == 2 else _out_truncation(a, t)), 35 * 10**7),
-    # compose's largest output truncation: at 10^6 a dense input takes about 7 s
-    # end to end, most of it JSON, and peaks near 300 MB.
+    # compose's largest output truncation: at 10^6 a dense input takes about
+    # 5.6 s end to end, most of it JSON, and peaks near 245 MB.
     Bound("compose-truncation", "compose", "--truncation", _out_truncation, 10**6),
     # superpose's largest powers x input truncation, and superpose-exp's largest
     # len(--m-list) x (--kmax + 1) x --truncation: a run forms each power once,
@@ -170,10 +170,11 @@ BOUNDS = (
     # peaks near 118 MB; at the default 10^6, 0.23-0.34 s and 47 MB.
     Bound("nonextension-nmax", "nonextension", "--nmax", lambda a, t: a.nmax, 5 * 10**6),
     # ejemplo-growth's largest --truncation: the series takes 16 B a slot, and
-    # one dense product at 10^6 peaks near 90 MB of RSS.
+    # a run at 10^6 peaks near 84 MB of RSS (each product holds its output and
+    # one 256 KiB buffer).
     Bound("ejemplo-truncation", "ejemplo-growth", "--truncation", lambda a, t: a.truncation, 10**6),
     # ejemplo-growth's largest --kmax x --truncation: it forms one dense product
-    # per k, about 11 ms each at truncation 10^5 and 0.15 s at 10^6.
+    # per k, about 5 ms each at truncation 10^5 and 0.08 s at 10^6.
     Bound("ejemplo-work", "ejemplo-growth", "--kmax x --truncation",
           lambda a, t: a.kmax * a.truncation, 2 * 10**7),
     # The largest k of ejemplo-growth's witness and of noncomposition: they
@@ -538,7 +539,7 @@ def _exp_superpose_exp(args, outdir: str) -> dict:
     ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     _coeffs_in_float_range(ec, kmax)
     result, diags_per_m = superposition.superpose_entire(d, ec, kmax, m_checks)
-    for m, diags in zip(m_checks, diags_per_m):
+    for m, diags in dict(zip(m_checks, diags_per_m)).items():  # one file per distinct m
         superposition.write_growth_table(_tail_rows(diags), os.path.join(outdir, f"tails_m{m}.csv"))
     _atomic_write_text(os.path.join(outdir, "superposed.json"), _series_json_text(result))
     params = {

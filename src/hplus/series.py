@@ -189,8 +189,9 @@ def translate(d: DirichletSeries, delta: float) -> DirichletSeries:
         raise ValueError(f"translation delta must be >= 0, got {delta}")
     if delta == 0:
         return d
-    n = np.arange(1, d.truncation + 1, dtype=np.float64)
-    return DirichletSeries(d.coeffs * n ** (-float(delta)))
+    w = np.arange(1, d.truncation + 1, dtype=np.float64)
+    w **= -float(delta)
+    return DirichletSeries(d.coeffs * w)
 
 
 def multiply(d: DirichletSeries, e: DirichletSeries) -> DirichletSeries:
@@ -286,25 +287,41 @@ def _weighted_l2_roots(
     """(sum |v_i|^2 idx_i^{-2/k})^{1/(2q)} for each k of ks, over (1-based index, value) pairs.
 
     ``idx`` None stands for the full range 1..len(vals), which is never
-    materialised as a gathered copy.  The indices and squared moduli are
-    formed once for all k.  When the plain sum of squares underflows into
-    the subnormal range or overflows, the terms are rescaled by their
-    largest modulus first, as in ``math.hypot``, and the root is taken
-    factor by factor.
+    materialised as a gathered copy.  The squared moduli are formed once,
+    before the indices.  The squares are multiplied into each k's weights
+    idx^{-2/k}: the last k raises the index array itself in place, an earlier
+    k a fresh array that is dropped before the next.  So besides vals one k
+    holds two float64 arrays of its length and several k hold three.  When
+    the plain sum of squares underflows into the subnormal range or
+    overflows, the terms are rescaled by their largest modulus first, as in
+    ``math.hypot``, and the root is taken factor by factor.
     """
-    if idx is None:
-        n = np.arange(1, len(vals) + 1, dtype=np.float64)
-    else:
-        n = idx.astype(np.float64)
+
+    def indices() -> np.ndarray:
+        if idx is None:
+            return np.arange(1, len(vals) + 1, dtype=np.float64)
+        return idx.astype(np.float64)
+
     roots = []
     with np.errstate(over="ignore", under="ignore"):
-        squares = vals.real**2 + vals.imag**2
-        for k in ks:
-            square_sum = float(np.sum(squares * n ** (-2.0 / k)))
+        squares = vals.real**2
+        squares += vals.imag**2
+        n = indices()
+        for i, k in enumerate(ks):
+            # spelled ** and **=, not np.power(n, e, out=...): numpy's
+            # operator takes scalar fast paths (a reciprocal at -1.0)
+            if i + 1 < len(ks):
+                w = n ** (-2.0 / k)  # a later k reads n
+            else:
+                n **= -2.0 / k
+                w = n
+            w *= squares
+            square_sum = float(np.sum(w))
+            del w  # before the next k's weights are formed
             if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
                 roots.append(math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q))
             else:
-                scale, norm = _rescaled_l2_norm(np.abs(vals) * n ** (-1.0 / k))
+                scale, norm = _rescaled_l2_norm(np.abs(vals) * indices() ** (-1.0 / k))
                 roots.append(scale ** (1.0 / q) * norm ** (1.0 / q))
     return roots
 

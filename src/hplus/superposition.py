@@ -196,14 +196,16 @@ def superpose_entire(
     Euler products, finite where the products overflow.  Every m's majorant
     comes first: a constant beyond desk scale at any m raises BeyondDeskScale
     before any power is formed.  The powers and tails are formed once, each tail is
-    weighed for every m, and each entry has the bits of its single-m call.
+    weighed once for every distinct m, and each entry has the bits of its
+    single-m call.
     """
     single = isinstance(m_check, numbers.Integral)
     ms = [m_check] if single else list(m_check)
     if big_k < 1 or min(ms, default=1) < 1:
         raise ValueError(f"need K >= 1 and m_check >= 1, got K={big_k}, m_check={m_check}")
-    majorants = []  # per m, the log majorant of the tail past each k_from < K
-    for m in ms:
+    distinct = list(dict.fromkeys(ms))  # first occurrences, in list order
+    majorants = []  # per distinct m, the log majorant of the tail past each k_from < K
+    for m in distinct:
         norm_4m = seminorm_2(d, 4 * m)
         majorants.append([None] * big_k)
         if ec.log_abs is not None and norm_4m > 0:
@@ -219,14 +221,15 @@ def superpose_entire(
     # never hold -0.0, and adding 0 * D^k to them would change no bit
     terms = list(_terms(d, coeffs))
     total = sum((t for t in terms if t is not None), DirichletSeries.zero(d.truncation))
-    weights = [None] * big_k  # weights[j]: the seminorm_2 at each m of the tail past j
+    weights = [None] * big_k  # weights[j]: the seminorm_2 at each distinct m of the tail past j
     tail = DirichletSeries.zero(d.truncation)  # the tail past k - 1: sum_{k <= j <= K} a_j D^j
     for k in range(big_k, 0, -1):
         tail = tail if terms[k] is None else tail + terms[k]
-        weights[k - 1] = _weighted_l2_roots(None, tail.coeffs, ms, 1)
+        weights[k - 1] = _weighted_l2_roots(None, tail.coeffs, distinct, 1)
     diagnostics = [[TailDiagnostic(j, weights[j][i], maj[j]) for j in range(big_k)]
                    for i, maj in enumerate(majorants)]
-    return total, diagnostics[0] if single else diagnostics
+    per_m = [diagnostics[distinct.index(m)] for m in ms]
+    return total, per_m[0] if single else per_m
 
 
 # ---------------------------------------------------------------------------

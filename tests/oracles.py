@@ -29,7 +29,13 @@ bit-for-bit references for ``power``, ``seminorm_even``, the two
 superpositions and the composition criterion.  ``nonextension_one_pass``
 is the non-extension table as it was before its sums were taken in blocks,
 with whole-range arrays and one cumsum, the bit-for-bit reference for
-``bohr.nonextension_partial_sums``.
+``bohr.nonextension_partial_sums``.  ``convolve_rows_unchunked``,
+``weighted_l2_roots_unfused`` and ``translate_unfused`` are the split loops,
+the seminorm weighing and the translation as they were before their
+temporaries were bounded: one whole-slice product per slice step, and a
+fresh array for every intermediate of the weights; they are the
+bit-for-bit references for ``_kernels._convolve_rows``,
+``series._weighted_l2_roots`` and ``series.translate``.
 """
 
 from __future__ import annotations
@@ -636,3 +642,50 @@ def composition_criterion_loop(d, m: int, k_max: int):
             cur = multiply(base, cur)
         norms[k - 1] = seminorm_2(cur, m)
     return norms, norms ** (1.0 / ks)
+
+
+def convolve_rows_unchunked(a, b, out_len: int) -> np.ndarray:
+    """The split loops of a * b truncated at out_len, each slice's products
+    formed whole, a_d the left factor."""
+    from hplus import _kernels
+
+    c = np.zeros(out_len, dtype=np.complex128)
+    split = _kernels._hyperbola_split(a, b, out_len)
+    for i in np.flatnonzero(a[:split]):
+        d = i + 1
+        top = min(len(b), out_len // d)
+        if top:
+            c[d - 1 : d * top : d] += a[i] * b[:top]
+    for j in np.flatnonzero(b[: out_len // (split + 1)])[::-1]:
+        m = j + 1
+        hi = min(len(a), out_len // m)
+        c[(split + 1) * m - 1 : hi * m : m] += a[split:hi] * b[j]
+    return c
+
+
+def weighted_l2_roots_unfused(idx, vals, ks, q: int) -> list[float]:
+    """(sum |v_i|^2 idx_i^{-2/k})^{1/(2q)} for each k, with the rescaled
+    fallback of ``series._weighted_l2_roots``, every intermediate a fresh array."""
+    from hplus.series import _SAFE_SQUARE_SUM_MIN, _rescaled_l2_norm
+
+    if idx is None:
+        n = np.arange(1, len(vals) + 1, dtype=np.float64)
+    else:
+        n = idx.astype(np.float64)
+    roots = []
+    with np.errstate(over="ignore", under="ignore"):
+        squares = vals.real**2 + vals.imag**2
+        for k in ks:
+            square_sum = float(np.sum(squares * n ** (-2.0 / k)))
+            if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
+                roots.append(math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q))
+            else:
+                scale, norm = _rescaled_l2_norm(np.abs(vals) * n ** (-1.0 / k))
+                roots.append(scale ** (1.0 / q) * norm ** (1.0 / q))
+    return roots
+
+
+def translate_unfused(d, delta: float) -> np.ndarray:
+    """The coefficients a_n * n^{-delta} of d shifted by delta > 0."""
+    n = np.arange(1, d.truncation + 1, dtype=np.float64)
+    return d.coeffs * n ** (-float(delta))

@@ -696,6 +696,28 @@ def test_superpose_exp_forms_each_power_once(tmp_path, monkeypatch):
         assert calls == [2000] * 7, m_list
 
 
+def test_superpose_exp_writes_each_distinct_m_once(tmp_path, monkeypatch):
+    # --m-list 3,1,3 writes tails_m3.csv and tails_m1.csv once each, with the
+    # bytes of a 3,1 run, and keeps the list as given in the manifest
+    written = []
+    write = superposition.write_growth_table
+    monkeypatch.setattr(superposition, "write_growth_table",
+                        lambda rows, path: written.append(os.path.basename(path)) or write(rows, path))
+    runs = {}
+    for m_list in ("3,1,3", "3,1"):
+        written.clear()
+        out = tmp_path / m_list
+        argv = ["experiment", "superpose-exp", "--out-dir", str(out), "--truncation", "300",
+                "--kmax", "5", "--m-list", m_list]
+        assert main(argv) == 0
+        assert written == ["tails_m3.csv", "tails_m1.csv"]
+        runs[m_list] = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(runs["3,1,3"].pop("manifest.json"))
+    assert manifest["parameters"]["m_checks"] == [3, 1, 3]
+    assert json.loads(runs["3,1"].pop("manifest.json"))["outputs"] == manifest["outputs"]
+    assert runs["3,1,3"] == runs["3,1"]
+
+
 def test_experiment_ejemplo_growth_matches_library(tmp_path):
     out = str(tmp_path)
     rc = main([

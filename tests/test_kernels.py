@@ -6,6 +6,7 @@ import pytest
 from hplus import _kernels
 
 from oracles import (
+    convolve_rows_unchunked,
     convolve_support_rows,
     dirichlet_convolve_loop,
     dirichlet_convolve_quadratic,
@@ -327,6 +328,65 @@ def test_split_kernels_bit_identical_at_square_boundaries(rng, root):
         assert np.array_equal(got, want) and flag == want_flag
 
 
+def _signed_operand(rng, length):
+    """Dense coefficients of mixed signs, with -0.0 and +0.0 parts in both halves."""
+    a = _dense_operand(rng, length)
+    a.real[::7] = -0.0
+    a.imag[::5] = -0.0
+    a.imag[3::11] = 0.0
+    a[13::17] = -0.0 - 0.0j
+    return a
+
+
+_OPERANDS = {
+    "dense": _dense_operand,
+    "sparse": lambda rng, length: _sparse_operand(rng, length, max(1, length // 20), length),
+    "signed": _signed_operand,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OPERANDS))
+@pytest.mark.parametrize(
+    "out_len",
+    # loop 1's first slice and loop 2's first run (out_len - isqrt(out_len)
+    # slots; 2^14 + 128 has isqrt 128) below, at and above one buffer
+    [2**14 - 1, 2**14, 2**14 + 1, 2**14 + 127, 2**14 + 128, 2**14 + 129, 3 * 2**14 + 5],
+)
+def test_convolve_rows_bit_identical_to_unchunked_loop(rng, kind, out_len):
+    a, b = _OPERANDS[kind](rng, out_len), _signed_operand(rng, out_len)
+    for x, y in ((a, b), (b, a)):
+        got = _kernels._convolve_rows(x, y, out_len)
+        assert _same_bits(got, convolve_rows_unchunked(x, y, out_len))
+
+
+def test_convolve_rows_bit_identical_with_a_small_buffer(rng, monkeypatch):
+    # a 7-slot buffer puts chunk edges at every residue of short slices
+    monkeypatch.setattr(_kernels, "_ROW_BLOCK", 7)
+    kinds = sorted(_OPERANDS)
+    for _ in range(60):
+        out_len = int(rng.integers(1, 700))
+        la, lb = (int(v) for v in rng.integers(1, 2 * out_len + 1, size=2))
+        a = _OPERANDS[kinds[int(rng.integers(3))]](rng, la)
+        b = _OPERANDS[kinds[int(rng.integers(3))]](rng, lb)
+        got = _kernels._convolve_rows(a, b, out_len)
+        assert _same_bits(got, convolve_rows_unchunked(a, b, out_len))
+        assert _same_bits(got, dirichlet_convolve_loop(a, b, out_len))
+
+
+def test_dense_product_holds_its_output_and_one_buffer(rng):
+    # measured 5.4 KiB above the output and the 256 KiB buffer; a
+    # whole-slice product a_1 * b took another 3.05 MiB
+    out_len = 200_000
+    a, b = _dense_operand(rng, out_len), _dense_operand(rng, out_len)
+    tracemalloc.start()
+    try:
+        c = _kernels.dirichlet_convolve(a, b, out_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= c.nbytes + 16 * _kernels._ROW_BLOCK + 64 * 2**10
+
+
 def test_split_convolve_operands_shorter_than_split_and_longer_than_output(rng):
     out_len = 400  # split at D = 20
     for la, lb in ((7, 400), (400, 7), (19, 1000), (1000, 19), (1000, 1000), (5, 3)):
@@ -407,6 +467,39 @@ def test_divisor_sum_matches_the_loop_on_random_tables(rng):
         out, overflow = _kernels.divisor_sum_u64(t)
         want, want_flag = divisor_sum_loop(t)
         assert np.array_equal(out, want) and overflow == want_flag
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 1000])
+def test_divisor_sum_skips_checks_only_below_the_bound(n):
+    # max(t) * n < 2^64 proves that no slot wraps, so the checks are skipped;
+    # at the bound and above they run; either way table and flag are the
+    # checked loop's
+    top = -(-(2**64) // n)  # the least max(t) with max(t) * n >= 2^64
+    for t_max in (top - 1, top):
+        if t_max >= 2**64:
+            continue
+        for fill in (t_max, 1):  # every entry at the max, or one entry there
+            t = np.full(n, fill, dtype=np.uint64)
+            t[-1] = t_max
+            out, overflow = _kernels.divisor_sum_u64(t)
+            want, want_flag = divisor_sum_loop(t)
+            assert np.array_equal(out, want) and overflow == want_flag
+            if t_max * n < 2**64:
+                assert not overflow
+
+
+def test_divisor_sum_below_the_bound_runs_no_wrap_check(monkeypatch):
+    t = np.full(1000, (2**64 - 1) // 1000, dtype=np.uint64)
+    want, want_flag = divisor_sum_loop(t)
+    compared = []
+    real_any = np.any
+    monkeypatch.setattr(np, "any", lambda x: compared.append(1) or real_any(x))
+    out, overflow = _kernels.divisor_sum_u64(t)
+    assert not compared
+    t[0] += np.uint64(1)  # max(t) * n is now at least 2^64
+    _kernels.divisor_sum_u64(t)
+    assert compared
+    assert np.array_equal(out, want) and overflow == want_flag
 
 
 def test_sieve_matches_trial_division():

@@ -1,0 +1,34 @@
+"""The command list of tools/same_bytes.py follows the CLI."""
+
+import importlib.util
+import os
+
+import pytest
+
+from hplus import cli
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "same_bytes.py")
+_spec = importlib.util.spec_from_file_location("same_bytes", _PATH)
+same_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_bytes)
+
+
+@pytest.mark.parametrize("line", same_bytes.COMMANDS)
+def test_every_command_line_parses(line):
+    argv = same_bytes.argv_of(line, "/inputs", "/out")
+    assert not any("{" in tok for tok in argv)  # every placeholder filled
+    cli.parse_args(argv)  # a usage error exits 2 through SystemExit
+
+
+def test_command_list_covers_the_listed_calls():
+    lines = set(same_bytes.COMMANDS)
+    for name in cli.EXPERIMENTS:
+        assert f"experiment {name} --out-dir {{out}}" in lines
+    norms = [line for line in lines if line.startswith("norms ") and "dense-series" in line]
+    assert sorted(line.split("--p ")[1].split()[0] for line in norms) == ["2", "4", "8"]
+    for tag in ("exp-kk", "exp-kC", "inv-factorial"):
+        assert any(f"--entire {tag} " in line and "--diagnostics" in line for line in lines)
+    assert "experiment superpose-exp --out-dir {out} --m-list 3,1,3" in lines
+    for seed in same_bytes.SEEDS:
+        assert f"experiment inequality-suite --out-dir {{out}} --seed {seed}" in lines

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hplus import superposition
 from hplus.errors import InexactPower
 from hplus.numtheory import chebyshev_theta, divisor_power_table, prime_pi, sieve
 from hplus.series import (
@@ -78,6 +79,25 @@ def test_entire_zero_coefficients(rng):
     total, diags = superpose_entire(d, ec, big_k=4, m_check=2)
     assert total == DirichletSeries.zero(8)
     assert all(diag.tail_seminorm == 0.0 for diag in diags)
+
+
+def test_entire_weighs_each_distinct_m_once(monkeypatch):
+    # [2, 1, 2]: one majorant base norm and one weight per tail for m = 2 and
+    # m = 1 each; the repeated m gets the entries of its first occurrence
+    d = translate(DirichletSeries.ones(300), 1.0)
+    ec = EntireCoeffs.exp_neg_k_to_k()
+    norms, weighed = [], []
+    real_norm, real_roots = superposition.seminorm_2, superposition._weighted_l2_roots
+    monkeypatch.setattr(superposition, "seminorm_2",
+                        lambda d, k: norms.append(k) or real_norm(d, k))
+    monkeypatch.setattr(superposition, "_weighted_l2_roots",
+                        lambda idx, v, ks, q: weighed.append(list(ks)) or real_roots(idx, v, ks, q))
+    total, diags_per_m = superpose_entire(d, ec, 6, [2, 1, 2])
+    assert norms == [8, 4]
+    assert weighed == [[2, 1]] * 6
+    assert diags_per_m[0] == diags_per_m[2]
+    for m, diags in zip([2, 1, 2], diags_per_m):
+        assert diags == superpose_entire(d, ec, 6, m)[1]
 
 
 @pytest.mark.parametrize("m_check", [1, 2, 4])
