@@ -1,6 +1,6 @@
 """Command-line front end: series I/O, norm tables, operators, experiments.
 
-Subcommands: norms, compose, superpose, spectrum, vertical-limit,
+Subcommands: norms, compose, superpose poly|entire, spectrum, vertical-limit,
 experiment <name>.  One JSON format is shared with the library modules.
 Outputs are deterministic for a fixed (config, seed) pair.  Every file goes
 through one writer, ``series._atomic_write_text`` (temp file, then rename),
@@ -51,25 +51,29 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int_list(text: str) -> list[int] | range:
-    """Accept '4', '1,2,3', or '1..8'; a list that selects nothing is an error.
+def _parse_int_list(flag: str, text: str) -> list[int] | range:
+    """Accept '4', '1,2,3', or '1..8' as flag's value; a list with an empty
+    or non-integer item, or that selects nothing, is an error naming flag.
 
     A range 'a..b' is returned unbuilt, so that its length can be bounded
     before it is built.
     """
     text = text.strip()
-    if ".." in text:
-        lo, hi = map(int, text.split("..", 1))
-        values = range(lo, hi + 1)
-    else:
-        values = [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = map(int, text.split("..", 1))
+            values = range(lo, hi + 1)
+        else:
+            values = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be integers 'a', 'a,b,c' or 'a..b', got {text!r}") from None
     if not values:
-        raise ValueError(f"integer list {text!r} selects no values")
+        raise ValueError(f"{flag} {text!r} selects no values")
     return values
 
 
-def _count(text: str) -> int:
-    values = _parse_int_list(text)  # len() of a range fails past 2^63 values
+def _count(flag: str, text: str) -> int:
+    values = _parse_int_list(flag, text)  # len() of a range fails past 2^63 values
     return values.stop - values.start if isinstance(values, range) else len(values)
 
 
@@ -79,9 +83,9 @@ def _out_truncation(args, truncation: int) -> int:
 
 
 class Bound(NamedTuple):
-    """A run of command (an experiment's name for an experiment) whose
-    size(args, input truncation or None) passes limit exits 3; flags names
-    the size by the flags it reads."""
+    """A run of command, as typed ('norms', 'superpose entire', 'experiment
+    nonextension'), whose size(args, input truncation or None) passes limit
+    exits 3; flags names the size by the flags it reads."""
 
     name: str
     command: str
@@ -98,7 +102,7 @@ BOUNDS = (
     # is one seminorm of the input, or one majorant and one weighing of each
     # tail (about 0.4 ms at superpose-exp's defaults; its products are formed
     # once for every m).
-    Bound("norms-k", "norms", "len(--k)", lambda a, t: _count(a.k), 1000),
+    Bound("norms-k", "norms", "len(--k)", lambda a, t: _count("--k", a.k), 1000),
     # norms' largest --p, 64: a call does p/2 - 1 products, and a small product
     # costs about 30 us of call overhead whatever its size.
     Bound("norms-p", "norms", "--p/2", lambda a, t: a.p // 2, 32),
@@ -115,79 +119,82 @@ BOUNDS = (
     Bound("norms-work", "norms", "(--p/2 - 1) x --truncation",
           lambda a, t: (a.p // 2 - 1) * _out_truncation(a, t), 5 * 10**7),
     Bound("norms-weigh", "norms", "len(--k) x --truncation (--in's at --p 2)",
-          lambda a, t: _count(a.k) * (t if a.p == 2 else _out_truncation(a, t)), 35 * 10**7),
+          lambda a, t: _count("--k", a.k) * (t if a.p == 2 else _out_truncation(a, t)), 35 * 10**7),
     # compose's largest output truncation: at 10^6 a dense input takes about
     # 5.6 s end to end, most of it JSON, and peaks near 245 MB.
     Bound("compose-truncation", "compose", "--truncation", _out_truncation, 10**6),
-    # superpose's largest powers x input truncation, and superpose-exp's largest
-    # len(--m-list) x (--kmax + 1) x --truncation: a run forms each power once,
-    # weighs each tail once per m, and keeps at most K + 1 arrays, a_k D^k for
-    # k = 0..K, 16 B a slot.
+    # superpose's largest powers (one per --coeffs entry, or --kmax + 1) x input
+    # truncation, and superpose-exp's largest len(--m-list) x (--kmax + 1) x
+    # --truncation: a run forms each power once, weighs each tail once per m, and
+    # keeps at most K + 1 arrays, a_k D^k for k = 0..K, 16 B a slot.
     # A dense 10^6-term input at --kmax 7 takes 6.5-11 s end to end and peaks
     # near 355 MB, most of it the JSON of the input and the output; 8 --coeffs
     # on it take 10 s and peak near 305 MB.  One argument holds at most 128 KiB,
     # about 65 000 coefficients: 60 000 on a 1-term input take 5 s.
-    Bound("superpose-powers", "superpose", "(len(--coeffs) or --kmax + 1) x --in truncation",
-          lambda a, t: (len(a.coeffs.split(";")) if a.coeffs else a.kmax + 1) * t,
-          8 * 10**6),
-    # superpose --entire's largest --kmax: the tail majorant sums the whole tail
+    Bound("superpose-coeffs", "superpose poly", "len(--coeffs) x --in truncation",
+          lambda a, t: len(a.coeffs.split(";")) * t, 8 * 10**6),
+    Bound("superpose-powers", "superpose entire", "(--kmax + 1) x --in truncation",
+          lambda a, t: (a.kmax + 1) * t, 8 * 10**6),
+    # superpose entire's largest --kmax: the tail majorant sums the whole tail
     # at each k, K^2 / 2 terms in Python.  At 10^4 a 1-term input takes 6-8 s
     # end to end, and the largest input superpose-powers admits there, 799
     # dense terms, 7.7 s (inv-factorial) and 8.9 s with 194 MB (exp-kC, C 0.5).
-    Bound("superpose-kmax", "superpose", "--kmax",
-          lambda a, t: a.kmax if a.entire else 0, 10**4),
+    Bound("superpose-kmax", "superpose entire", "--kmax", lambda a, t: a.kmax, 10**4),
     # inequality-suite's largest --support: its even seminorms form support^2
     # index products each, and its products run at truncation support^2; at
     # 2 000 a --count 2 run peaks near 260 MB of RSS.
-    Bound("suite-support", "inequality-suite", "--support", lambda a, t: a.support, 2000),
+    Bound("suite-support", "experiment inequality-suite", "--support",
+          lambda a, t: a.support, 2000),
     # inequality-suite's largest --count x --support: all polynomials are drawn
     # before the first row, 16 B per coefficient (16 MB at this limit).
-    Bound("suite-coeffs", "inequality-suite", "--count x --support",
+    Bound("suite-coeffs", "experiment inequality-suite", "--count x --support",
           lambda a, t: a.count * a.support, 10**6),
     # bohr-parseval's largest --n-vars: it sieves for that many primes, and each
     # sample takes one exponential and one row of powers per variable (10^7
     # samples of a 1-term polynomial in 8 variables take 5-7 s).
-    Bound("bohr-vars", "bohr-parseval", "--n-vars", lambda a, t: a.n_vars, 8),
+    Bound("bohr-vars", "experiment bohr-parseval", "--n-vars", lambda a, t: a.n_vars, 8),
     # bohr-parseval's largest --samples x --trials: about 0.6 s per 10^6 samples
     # at its defaults (3 variables, 20 terms).
-    Bound("bohr-samples", "bohr-parseval", "--samples x --trials",
+    Bound("bohr-samples", "experiment bohr-parseval", "--samples x --trials",
           lambda a, t: a.samples * a.trials, 10**7),
     # bohr-parseval's largest --trials x --terms: each term is drawn in a
     # Python-level loop, each trial makes one estimate, and the Monte Carlo
     # multiplies (terms x 1024-sample) arrays, about 32 KB a term.  One trial of
     # 4 096 terms in 8 variables at 12 207 samples takes 3.8 s and peaks near
     # 170 MB; 4 096 one-term trials take 1.3 s.
-    Bound("bohr-terms", "bohr-parseval", "--trials x --terms",
+    Bound("bohr-terms", "experiment bohr-parseval", "--trials x --terms",
           lambda a, t: a.trials * a.terms, 4096),
     # bohr-parseval's largest --samples x --trials x --terms, the monomials its
     # Monte Carlo evaluates (2 * 10^7 at the defaults): 10^7 samples of 5 terms
     # in 8 variables, the slowest in-bound call, take about 8.6 s.
-    Bound("bohr-monomials", "bohr-parseval", "--samples x --trials x --terms",
+    Bound("bohr-monomials", "experiment bohr-parseval", "--samples x --trials x --terms",
           lambda a, t: a.samples * a.trials * a.terms, 5 * 10**7),
     # nonextension's largest --nmax: its sieve reaches past the nmax-th prime,
     # and the sieve and its primes take about 18 MB of RSS per 10^6 (the sums
     # go in blocks of 2^16).  At 5*10^6 a run's process takes 1.1-1.3 s and
     # peaks near 118 MB; at the default 10^6, 0.23-0.34 s and 47 MB.
-    Bound("nonextension-nmax", "nonextension", "--nmax", lambda a, t: a.nmax, 5 * 10**6),
+    Bound("nonextension-nmax", "experiment nonextension", "--nmax", lambda a, t: a.nmax, 5 * 10**6),
     # ejemplo-growth's largest --truncation: the series takes 16 B a slot, and
     # a run at 10^6 peaks near 84 MB of RSS (each product holds its output and
     # one 256 KiB buffer).
-    Bound("ejemplo-truncation", "ejemplo-growth", "--truncation", lambda a, t: a.truncation, 10**6),
+    Bound("ejemplo-truncation", "experiment ejemplo-growth", "--truncation",
+          lambda a, t: a.truncation, 10**6),
     # ejemplo-growth's largest --kmax x --truncation: it forms one dense product
     # per k, about 5 ms each at truncation 10^5 and 0.08 s at 10^6.
-    Bound("ejemplo-work", "ejemplo-growth", "--kmax x --truncation",
+    Bound("ejemplo-work", "experiment ejemplo-growth", "--kmax x --truncation",
           lambda a, t: a.kmax * a.truncation, 2 * 10**7),
     # The largest k of ejemplo-growth's witness and of noncomposition: they
     # sieve to k^(1 + delta) and k^C', below 10^8 for delta < 1 and C' < 2,
     # which takes about 2 s and 155 MB.
-    Bound("ejemplo-witness-k", "ejemplo-growth", "--witness-kmax",
+    Bound("ejemplo-witness-k", "experiment ejemplo-growth", "--witness-kmax",
           lambda a, t: a.witness_kmax, 10**4),
-    Bound("noncomposition-k", "noncomposition", "--kmax", lambda a, t: a.kmax, 10**4),
+    Bound("noncomposition-k", "experiment noncomposition", "--kmax", lambda a, t: a.kmax, 10**4),
     # as norms-k and superpose-powers
-    Bound("superpose-exp-m-list", "superpose-exp", "len(--m-list)",
-          lambda a, t: _count(a.m_list), 1000),
-    Bound("superpose-exp-powers", "superpose-exp", "len(--m-list) x (--kmax + 1) x --truncation",
-          lambda a, t: _count(a.m_list) * (a.kmax + 1) * a.truncation, 8 * 10**6),
+    Bound("superpose-exp-m-list", "experiment superpose-exp", "len(--m-list)",
+          lambda a, t: _count("--m-list", a.m_list), 1000),
+    Bound("superpose-exp-powers", "experiment superpose-exp",
+          "len(--m-list) x (--kmax + 1) x --truncation",
+          lambda a, t: _count("--m-list", a.m_list) * (a.kmax + 1) * a.truncation, 8 * 10**6),
 )
 
 
@@ -196,9 +203,8 @@ def _check_bounds(args, truncation: int | None = None) -> None:
 
     Each command calls it after its usage checks and before any work.
     """
-    command = args.name if args.command == "experiment" else args.command
     for row in BOUNDS:
-        if row.command == command:
+        if row.command == args.full_command:
             size = row.size(args, truncation)
             if size > row.limit:
                 raise BeyondDeskScale(
@@ -221,7 +227,7 @@ def _coeffs_in_float_range(ec: superposition.EntireCoeffs, kmax: int) -> None:
             ) from None
 
 
-def _at_least(flag: str, value: int, least: int) -> None:
+def _at_least(flag: str, value: float, least: int) -> None:
     if value < least:
         raise ValueError(f"{flag} must be >= {least}, got {value}")
 
@@ -248,7 +254,7 @@ def _parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 def _cmd_norms(args) -> int:
-    ks = _parse_int_list(args.k)
+    ks = _parse_int_list("--k", args.k)
     p = args.p
     if p < 2 or p % 2 != 0:
         raise ValueError(f"--p must be an even integer >= 2 for exact norms, got {p}")
@@ -285,35 +291,33 @@ def _tail_rows(diagnostics) -> list[tuple]:
     The majorant is left empty where it is missing or its log is 700 or
     more, past which exp overflows.
     """
-    rows = []
-    for diag in diagnostics:
-        maj = None
-        if diag.log_majorant is not None and diag.log_majorant < 700:
-            maj = math.exp(diag.log_majorant)
-        rows.append((diag.k_from, diag.tail_seminorm, maj))
-    return rows
+    return [(diag.k_from, diag.tail_seminorm,
+             None if diag.log_majorant is None or diag.log_majorant >= 700
+             else math.exp(diag.log_majorant)) for diag in diagnostics]
 
 
-def _cmd_superpose(args) -> int:
-    if args.coeffs is not None and args.diagnostics is not None:
-        raise ValueError("--diagnostics needs --entire: --coeffs has no tail diagnostics")
+def _cmd_superpose_poly(args) -> int:
     d = load_series(args.infile)
-    if args.coeffs is not None:
-        b = [_parse_complex(tok) for tok in args.coeffs.split(";")]
-    elif args.entire == "exp-kk":
+    b = [_parse_complex(tok) for tok in args.coeffs.split(";")]
+    _check_bounds(args, d.truncation)
+    _atomic_write_text(args.out, _series_json_text(superposition.superpose_poly(d, b)))
+    return 0
+
+
+def _cmd_superpose_entire(args) -> int:
+    d = load_series(args.infile)
+    if args.function == "exp-kk":
         ec = superposition.EntireCoeffs.exp_neg_k_to_k()
-    elif args.entire == "exp-kC":
+    elif args.function == "exp-kC":
+        _at_least("--cc", args.cc, 0)  # a_0 = exp(-0^C) needs C >= 0
         ec = superposition.EntireCoeffs.exp_neg_k_to_c(args.cc)
     else:
         ec = superposition.EntireCoeffs.inverse_factorial()
     _check_bounds(args, d.truncation)
-    if args.coeffs is not None:
-        result, diagnostics = superposition.superpose_poly(d, b), []
-    else:
-        _coeffs_in_float_range(ec, args.kmax)
-        result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
+    _coeffs_in_float_range(ec, args.kmax)
+    result, diagnostics = superposition.superpose_entire(d, ec, args.kmax, args.m)
     _atomic_write_text(args.out, _series_json_text(result))
-    if args.diagnostics and diagnostics:
+    if args.diagnostics:
         try:
             superposition.write_growth_table(_tail_rows(diagnostics), args.diagnostics)
         except BaseException:
@@ -472,10 +476,8 @@ def _exp_ejemplo_growth(args, outdir: str) -> dict:
     witness = superposition.zeta_growth_witness(
         args.witness_m, delta, range(args.witness_kmin, args.witness_kmax + 1)
     )
-    witness_rows = []
-    for i, k in enumerate(witness.ks):
-        target = None if witness.targets is None else float(witness.targets[i])
-        witness_rows.append((int(k), float(witness.values[i]), target))
+    targets = [None] * len(witness.ks) if witness.targets is None else map(float, witness.targets)
+    witness_rows = [(int(k), float(v), t) for k, v, t in zip(witness.ks, witness.values, targets)]
 
     superposition.write_growth_table(growth_rows, os.path.join(outdir, "growth.csv"))
     superposition.write_growth_table(witness_rows, os.path.join(outdir, "witness.csv"))
@@ -530,7 +532,7 @@ def _exp_noncomposition(args, outdir: str) -> dict:
 
 def _exp_superpose_exp(args, outdir: str) -> dict:
     kmax, truncation = args.kmax, args.truncation
-    m_checks = _parse_int_list(args.m_list)
+    m_checks = _parse_int_list("--m-list", args.m_list)
     _at_least("--kmax", kmax, 1)
     _at_least("--truncation", truncation, 1)
     _check_bounds(args)
@@ -626,6 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
+    # --in and --out of the commands that read one series and write one file
+    inout = _parser(add_help=False)
+    inout.add_argument("--in", dest="infile", required=True)
+    inout.add_argument("--out", required=True)
 
     p = sub.add_parser("norms", help="seminorm table of a series")
     p.add_argument("--in", dest="infile", required=True)
@@ -633,40 +639,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2, help="even norm index (2, 4, ...)")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_norms)
+    p.set_defaults(func=_cmd_norms, full_command="norms")
 
-    p = sub.add_parser("compose", help="apply a composition symbol")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("compose", parents=[inout], help="apply a composition symbol")
     p.add_argument("--symbol", required=True)
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None, help="n cutoff when c0 = 0")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_compose)
+    p.set_defaults(func=_cmd_compose, full_command="compose")
 
     p = sub.add_parser("superpose", help="apply a superposition operator")
-    p.add_argument("--in", dest="infile", required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--coeffs", help="polynomial coefficients 'b0;b1;...'")
-    mode.add_argument("--entire", choices=("exp-kk", "exp-kC", "inv-factorial"))
-    p.add_argument("--cc", type=_finite_float, default=1.2, help="C for --entire exp-kC")
+    modes = p.add_subparsers(dest="mode", required=True, parser_class=_parser)
+    p = modes.add_parser("poly", parents=[inout], help="the operator of a polynomial")
+    p.add_argument("--coeffs", required=True, help="polynomial coefficients 'b0;b1;...'")
+    p.set_defaults(func=_cmd_superpose_poly, full_command="superpose poly")
+    p = modes.add_parser("entire", parents=[inout], help="the operator of an entire function")
+    p.add_argument("--function", required=True, choices=("exp-kk", "exp-kC", "inv-factorial"))
+    p.add_argument("--cc", type=_finite_float, default=1.2, help="C of exp-kC")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--m", type=int, default=1, help="seminorm index for diagnostics")
-    p.add_argument("--out", required=True)
-    p.add_argument("--diagnostics", default=None, help="tail table; --entire only")
-    p.set_defaults(func=_cmd_superpose)
+    p.add_argument("--diagnostics", default=None, help="tail table")
+    p.set_defaults(func=_cmd_superpose_entire, full_command="superpose entire")
 
-    p = sub.add_parser("spectrum", help="apply the resolvent of differentiation")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("spectrum", parents=[inout], help="apply the resolvent of differentiation")
     p.add_argument("--lam", required=True, help="shift lambda as 're' or 're,im'")
     p.add_argument("--tol", type=_finite_float, default=operators.SPECTRUM_TOL)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_cmd_spectrum, full_command="spectrum")
 
-    p = sub.add_parser("vertical-limit", help="twist coefficients by a character")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("vertical-limit", parents=[inout], help="twist coefficients by a character")
     p.add_argument("--character", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_vertical_limit)
+    p.set_defaults(func=_cmd_vertical_limit, full_command="vertical-limit")
 
     p = sub.add_parser("experiment", help="run a named experiment")
     names = p.add_subparsers(dest="name", required=True, parser_class=_parser)
@@ -675,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--out-dir", default=".")
         for flag, kind, default in flags:
             e.add_argument(flag, type=kind, default=default)
-    p.set_defaults(func=_cmd_experiment)
+        e.set_defaults(func=_cmd_experiment, full_command=f"experiment {name}")
 
     return parser
 
@@ -688,12 +689,10 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
-    except (HplusError, OverflowError) as exc:  # OverflowError: past the float range
+    except (HplusError, OverflowError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a domain error (OverflowError: past the float range) exits 3, a usage error 2
+        return 3 if isinstance(exc, (HplusError, OverflowError)) else 2
 
 
 if __name__ == "__main__":

@@ -465,8 +465,10 @@ def series_from_json(obj: dict) -> DirichletSeries:
     for field in ("truncation", "coeffs"):
         if field not in obj:
             raise ValueError(f"series JSON missing field '{field}'")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or len(coeffs) != int(obj["truncation"]):
+    truncation, coeffs = obj["truncation"], obj["coeffs"]
+    if type(truncation) is not int:  # bool is an int subclass; 3.7, "3", 3.0 and true are rejected
+        raise ValueError(f"field 'truncation' must be a JSON integer, got {truncation!r}")
+    if not isinstance(coeffs, list) or len(coeffs) != truncation:
         raise ValueError("field 'coeffs' must be a list of length 'truncation'")
     return DirichletSeries(_complex_pairs(obj, "coeffs"))
 

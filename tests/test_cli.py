@@ -114,7 +114,8 @@ def test_norms_and_compose_reject_truncation_below_one(series_file, tmp_path, tr
 def test_norms_empty_k_range_is_usage_error(series_file, tmp_path):
     d, path = series_file
     out = tmp_path / "norms.csv"
-    assert main(["norms", "--in", str(path), "--k", "3..1", "--out", str(out)]) == 2
+    for k in ("3..1", "1,,2", "2,"):  # 1,,2 and 2, once ran as 1,2 and 2
+        assert main(["norms", "--in", str(path), "--k", k, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -197,8 +198,8 @@ def test_norms_bounds_products_and_weighing_apart(tmp_path, rng):
 
 
 def test_default_lists_lie_inside_the_bounds():
-    assert len(_parse_int_list("1..8")) <= LIMIT["norms-k"]
-    assert len(_parse_int_list("1,2,4")) <= LIMIT["superpose-exp-m-list"]
+    assert len(_parse_int_list("--k", "1..8")) <= LIMIT["norms-k"]
+    assert len(_parse_int_list("--m-list", "1,2,4")) <= LIMIT["superpose-exp-m-list"]
     # the sparse-algebra benchmark: norms --p 8 --k 1..8 at 30^4
     assert 3 * 30**4 <= LIMIT["norms-work"] and 8 * 30**4 <= LIMIT["norms-weigh"]
     assert 8 <= P_MAX
@@ -222,7 +223,7 @@ def test_output_onto_a_directory_leaves_nothing_behind(series_file, tmp_path):
     target.mkdir()
     assert main(["norms", "--in", str(path), "--k", "1..2", "--out", str(target)]) == 2
     out = tmp_path / "sup.json"
-    argv = ["superpose", "--in", str(path), "--entire", "exp-kk", "--kmax", "4",
+    argv = ["superpose", "entire", "--in", str(path), "--function", "exp-kk", "--kmax", "4",
             "--out", str(out), "--diagnostics", str(target)]
     assert main(argv) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "taken"]
@@ -243,6 +244,7 @@ def test_output_onto_a_directory_leaves_nothing_behind(series_file, tmp_path):
         # once numpy's "negative dimensions are not allowed"
         ["experiment", "ejemplo-growth", "--truncation", "-3"],
         ["experiment", "superpose-exp", "--truncation", "-3"],
+        ["experiment", "superpose-exp", "--m-list", "1,,2"],  # once ran as 1,2
     ],
 )
 def test_experiments_reject_empty_and_non_finite_values(tmp_path, capsys, argv):
@@ -274,13 +276,26 @@ def test_superpose_past_the_float_range_is_domain_error(series_file, tmp_path, c
     # traceback, then "(34, 'Numerical result out of range')"
     d, path = series_file
     out = tmp_path / "sup.json"
-    argv = ["superpose", "--in", str(path), "--entire", "exp-kk", "--kmax", "1000",
+    argv = ["superpose", "entire", "--in", str(path), "--function", "exp-kk", "--kmax", "1000",
             "--out", str(out)]
     assert main(argv) == 3
     assert not out.exists()
     err = capsys.readouterr().err
     assert "--kmax = 1000 reaches k = 144," in err
     assert "out of range" not in err
+
+
+def test_superpose_entire_refuses_a_negative_cc(series_file, tmp_path, capsys):
+    # a_0 = exp(-0^C): --cc -1 once ended in a ZeroDivisionError traceback, exit 1
+    d, path = series_file
+    out = tmp_path / "sup.json"
+    argv = ["superpose", "entire", "--in", str(path), "--function", "exp-kC", "--cc", "-1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "--cc must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+    argv[argv.index("--cc") + 1] = "0"
+    assert main(argv) == 0 and out.exists()
 
 
 def test_superpose_exp_past_the_float_range_is_domain_error(tmp_path, capsys):
@@ -307,13 +322,13 @@ def test_products_past_the_float_range_exit_3_without_a_warning(tmp_path, case):
     # once exit 2 ("coefficients must be finite") after numpy's RuntimeWarning
     if case in COEFFS_PAST_THE_FLOAT_RANGE:
         coeffs = np.array([1e10, 1.0])
-        argv = ["superpose", "--coeffs", COEFFS_PAST_THE_FLOAT_RANGE[case]]
+        argv = ["superpose", "poly", "--coeffs", COEFFS_PAST_THE_FLOAT_RANGE[case]]
     elif case == "superpose":
         # a_1 = 0.50 - 7.86i: a_1^k alone leaves the float range near k = 344
         rng = np.random.default_rng(0)
         n = np.arange(1, 4097)
         coeffs = (rng.normal(size=4096) + 1j * rng.normal(size=4096)) * 4 / n**2
-        argv = ["superpose", "--entire", "inv-factorial", "--kmax", "1000"]
+        argv = ["superpose", "entire", "--function", "inv-factorial", "--kmax", "1000"]
     else:
         coeffs = np.full(20, 1e200)
         argv = ["norms", "--p", "4"]
@@ -502,6 +517,18 @@ def test_compose_rejects_non_integer_c0(series_file, tmp_path, c0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("truncation", [3.7, "3", 3.0, True])
+def test_series_file_refuses_a_non_integer_truncation(tmp_path, capsys, truncation):
+    # each of these once read as 3 (true as 1)
+    path = tmp_path / "series.json"
+    rows = [[1.0, 0.0]] * (1 if truncation is True else 3)
+    path.write_text(json.dumps({"truncation": truncation, "coeffs": rows}))
+    out = tmp_path / "norms.csv"
+    assert main(["norms", "--in", str(path), "--k", "1", "--out", str(out)]) == 2
+    assert "field 'truncation' must be a JSON integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_exit_codes(series_file, tmp_path):
     d, path = series_file
     zeroed = DirichletSeries(np.concatenate([[0.0], d.coeffs[1:]]))
@@ -597,7 +624,8 @@ def test_compose_file_is_the_one_shot_encoding(wide_series_file, tmp_path):
 def test_superpose_file_is_the_one_shot_encoding(wide_series_file, tmp_path):
     d, path = wide_series_file
     out = tmp_path / "sup.json"
-    argv = ["superpose", "--in", str(path), "--coeffs", "0,0;1,-0.5;0.25", "--out", str(out)]
+    argv = ["superpose", "poly", "--in", str(path), "--coeffs", "0,0;1,-0.5;0.25",
+            "--out", str(out)]
     assert main(argv) == 0
     want = superposition.superpose_poly(d, [0j, complex(1, -0.5), complex(0.25, 0)])
     assert out.read_bytes() == one_shot(want)
@@ -649,7 +677,7 @@ def test_superpose_polynomial_command(series_file, tmp_path):
     d, path = series_file
     out = tmp_path / "sup.json"
     rc = main([
-        "superpose", "--in", str(path), "--coeffs", "1,0;0,0;1,0", "--out", str(out),
+        "superpose", "poly", "--in", str(path), "--coeffs", "1,0;0,0;1,0", "--out", str(out),
     ])
     assert rc == 0
     got = load_series(str(out))
@@ -891,7 +919,7 @@ def test_superpose_rejects_powers_past_the_limit(tmp_path):
     path = tmp_path / "one.json"
     save_series(DirichletSeries(np.array([0.5 + 0j])), str(path))
     out = tmp_path / "sup.json"
-    argv = ["superpose", "--in", str(path), "--entire", "inv-factorial",
+    argv = ["superpose", "entire", "--in", str(path), "--function", "inv-factorial",
             "--kmax", str(LIMIT["superpose-powers"]), "--out", str(out)]
     proc = _run_cli(*argv)
     assert proc.returncode == 3, proc.stderr
@@ -928,11 +956,12 @@ def _stop_after(check):
 
 def test_superpose_coeffs_count_against_the_power_slots(series_file, tmp_path, monkeypatch):
     # --coeffs once had no bound: len(b) x the input's truncation is checked
-    # as (--kmax + 1) x truncation is on the --entire path
+    # as (--kmax + 1) x truncation is by superpose entire
+    assert LIMIT["superpose-coeffs"] == LIMIT["superpose-powers"]
     d, path = series_file
     out = tmp_path / "sup.json"
-    at = LIMIT["superpose-powers"] // d.truncation
-    argv = ["superpose", "--in", str(path), "--out", str(out), "--coeffs"]
+    at = LIMIT["superpose-coeffs"] // d.truncation
+    argv = ["superpose", "poly", "--in", str(path), "--out", str(out), "--coeffs"]
     assert main([*argv, ";".join(["0.5"] * (at + 1))]) == 3
     monkeypatch.setattr(cli, "_check_bounds", _stop_after(cli._check_bounds))
     with pytest.raises(_Checked):
@@ -940,18 +969,22 @@ def test_superpose_coeffs_count_against_the_power_slots(series_file, tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json"]
 
 
-# Command lines per command: each row is isolated from one of them by one flag.
+# Command lines per command as typed: each row is isolated from one of them by
+# one flag.  {long} is an input of LONG terms: on TERMS, superpose entire's
+# --kmax reaches superpose-kmax long before superpose-powers.
+LONG = 1000
 BASES = {
     "norms": [["norms", "--in", "{series}", "--p", p, "--k", k, "--truncation", "64",
                "--out", "{out}"]
               for p, k in (("4", "1..3"), (str(P_MAX), "1..3"), ("4", "1..1000"))],
     "compose": [["compose", "--in", "{series}", "--symbol", "{symbol}", "--truncation", "64",
                  "--out", "{out}"]],
-    # --coeffs first: on --entire, superpose-kmax refuses a --kmax long before
-    # superpose-powers does
-    "superpose": [["superpose", "--in", "{series}", "--coeffs", "1;1", "--out", "{out}"],
-                  ["superpose", "--in", "{series}", "--entire", "inv-factorial", "--kmax", "4",
-                   "--out", "{out}"]],
+    "superpose poly": [["superpose", "poly", "--in", "{series}", "--coeffs", "1;1",
+                        "--out", "{out}"]],
+    "superpose entire": [["superpose", "entire", "--in", "{series}", "--function",
+                          "inv-factorial", "--kmax", "4", "--out", "{out}"],
+                         ["superpose", "entire", "--in", "{long}", "--function",
+                          "inv-factorial", "--kmax", "4", "--out", "{out}"]],
     "inequality-suite": [["--count", "2", "--support", "5"]],
     "bohr-parseval": [["--samples", "64", "--trials", "1", "--n-vars", "2", "--terms", terms]
                       for terms in ("3", "16")],
@@ -961,29 +994,33 @@ BASES = {
     "superpose-exp": [["--truncation", "50", "--kmax", "4", "--m-list", "1,2"]],
 }
 for _name in cli.EXPERIMENTS:
-    BASES[_name] = [["experiment", _name, *flags, "--out-dir", "{out}"] for flags in BASES[_name]]
+    BASES[f"experiment {_name}"] = [["experiment", _name, *flags, "--out-dir", "{out}"]
+                                    for flags in BASES.pop(_name)]
 
 
 def _edge(row):
-    """(argv at the limit, argv one step past it): one size flag of a base
-    command line set by cli_bounds.edge, with every other row inside its limit."""
+    """(argv at the limit, argv one step past it, the input's truncation): one
+    size flag of a base command line set by cli_bounds.edge, with every other
+    row inside its limit."""
     for base in BASES[row.command]:
+        terms = LONG if "{long}" in base else TERMS
         for flag in size_flags(row):
-            values = edge(row, base, flag)
+            values = edge(row, base, flag, terms)
             if values is None:
                 continue
             at, past = (with_flag(base, flag, value) for value in values)
-            if refusal(at) is None and refusal(past) == message(row, past):
-                return at, past
+            if refusal(at, terms) is None and refusal(past, terms) == message(row, past, terms):
+                return at, past, terms
     raise AssertionError(f"no command line of BASES isolates {row.name}")
 
 
 @pytest.fixture()
 def bound_inputs(tmp_path, rng):
     names = {"series": str(tmp_path / "series.json"), "symbol": str(tmp_path / "symbol.json"),
-             "out": str(tmp_path / "out")}
-    save_series(DirichletSeries(rng.normal(size=TERMS) + 1j * rng.normal(size=TERMS)),
-                names["series"])
+             "long": str(tmp_path / "long.json"), "out": str(tmp_path / "out")}
+    for name, terms in (("series", TERMS), ("long", LONG)):
+        save_series(DirichletSeries(rng.normal(size=terms) + 1j * rng.normal(size=terms)),
+                    names[name])
     phi = Symbol(1, DirichletSeries(np.array([0.2 + 0.1j, 0.05], dtype=np.complex128)))
     with open(names["symbol"], "w") as f:
         json.dump(symbol_to_json(phi), f)
@@ -994,14 +1031,16 @@ def bound_inputs(tmp_path, rng):
 def test_every_bound_passes_its_limit_and_refuses_one_step_past(
     row, bound_inputs, tmp_path, monkeypatch, capsys
 ):
-    at, past = ([arg.format(**bound_inputs) for arg in argv] for argv in _edge(row))
+    *argvs, terms = _edge(row)
+    at, past = ([arg.format(**bound_inputs) for arg in argv] for argv in argvs)
+    inputs = ["long.json", "series.json", "symbol.json"]
     assert main(past) == 3
-    assert capsys.readouterr().err == f"error: {message(row, past)}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "symbol.json"]
+    assert capsys.readouterr().err == f"error: {message(row, past, terms)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
     monkeypatch.setattr(cli, "_check_bounds", _stop_after(cli._check_bounds))
     with pytest.raises(_Checked):
         main(at)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json", "symbol.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 @pytest.mark.parametrize(
@@ -1013,7 +1052,7 @@ def test_every_bound_passes_its_limit_and_refuses_one_step_past(
         # every experiment at its defaults
         *[(["experiment", name], None) for name in cli.EXPERIMENTS],
         # superpose at its default --kmax 8 on 8 x 10^5 input terms
-        (["superpose", "--in", "x", "--entire", "exp-kk", "--out", "z"], 800_000),
+        (["superpose", "entire", "--in", "x", "--function", "exp-kk", "--out", "z"], 800_000),
     ],
 )
 def test_defaults_and_benchmark_calls_lie_inside_every_bound(argv, truncation):
@@ -1039,7 +1078,8 @@ DEFAULTS = {
 def test_an_experiment_parses_its_own_flags_at_their_defaults(name):
     args = vars(cli.parse_args(["experiment", name]))
     assert args.pop("func") is cli._cmd_experiment
-    want = {"command": "experiment", "name": name, "out_dir": ".", **DEFAULTS[name]}
+    want = {"command": "experiment", "name": name, "full_command": f"experiment {name}",
+            "out_dir": ".", **DEFAULTS[name]}
     assert {k: (v, type(v)) for k, v in args.items()} == {k: (v, type(v)) for k, v in want.items()}
 
 
@@ -1069,7 +1109,7 @@ def test_an_experiment_refuses_a_flag_it_does_not_read(tmp_path, capsys, name, f
         ["experiment", "--nmax", "1000", "nonextension"],
         ["experiment", "--out-dir", "{out}", "nonextension", "--nmax", "1000"],
         ["norms", "--in", "{series}", "--trunc", "64", "--out", "{out}"],
-        ["superpose", "--in", "{series}", "--coeff", "1;1", "--out", "{out}"],
+        ["superpose", "poly", "--in", "{series}", "--coeff", "1;1", "--out", "{out}"],
     ],
 )
 def test_abbreviated_and_misplaced_flags_are_usage_errors(series_file, tmp_path, capsys, argv):
@@ -1085,9 +1125,14 @@ def test_abbreviated_and_misplaced_flags_are_usage_errors(series_file, tmp_path,
 @pytest.mark.parametrize(
     "mode",
     [
-        ["--coeffs", "1;1", "--entire", "exp-kk"],  # once ran --coeffs alone, exit 0
         [],  # once exit 2 with "unknown entire-coefficient tag None"
-        ["--coeffs", "1;1", "--diagnostics", "{out}.csv"],  # once exit 0 with no table
+        # each mode, its own flags, then one flag that only the other mode reads
+        ["poly", "--coeffs", "1;1", "--function", "exp-kk"],
+        ["poly", "--coeffs", "1;1", "--kmax", "5"],  # once exit 0, --kmax unread
+        ["poly", "--coeffs", "1;1", "--m", "3"],  # once exit 0, --m unread
+        ["poly", "--coeffs", "1;1", "--cc", "9"],  # once exit 0, --cc unread
+        ["poly", "--coeffs", "1;1", "--diagnostics", "{out}.csv"],
+        ["entire", "--function", "exp-kk", "--coeffs", "1;1"],
     ],
 )
 def test_superpose_takes_one_mode_and_diagnostics_only_with_entire(
@@ -1095,13 +1140,13 @@ def test_superpose_takes_one_mode_and_diagnostics_only_with_entire(
 ):
     d, path = series_file
     out = str(tmp_path / "out")
-    argv = ["superpose", "--in", str(path), *[arg.format(out=out) for arg in mode], "--out", out]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse refuses the modes themselves
-        rc = exc.code
-    assert rc == 2
-    assert ("--entire" if mode else "--coeffs") in capsys.readouterr().err
+    argv = ["superpose", *mode[:1], "--in", str(path),
+            *[arg.format(out=out) for arg in mode[1:]], "--out", out]
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the command line
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.split("error: ", 1)[1]
+    assert (f"unrecognized arguments: {mode[-2]} " if mode else "argument mode: ") in err
     assert [p.name for p in tmp_path.iterdir()] == ["series.json"]
 
 
@@ -1123,7 +1168,7 @@ def test_readme_lists_every_bound_with_its_limit():
     for row in BOUNDS:
         assert row.name in table, row.name
         listed_command, flags, limit = table[row.name]
-        assert listed_command.split()[-1] == row.command
+        assert listed_command == row.command
         assert flags == row.flags
         assert _readme_number(limit) == row.limit, row.name
 

@@ -5,8 +5,9 @@ with a timeout.  A case starts from a small valid command line and replaces
 one or two of its flags with values drawn around the places where hplus
 stops: small valid sizes, each exit-3 limit + 1, 0, negatives, empty
 ranges, non-numbers, a superposition past the float range, outputs onto
-an existing directory and, for each experiment, a flag of another
-experiment, which it must refuse with exit 2.  The values past the limits
+an existing directory and, for each experiment and each superpose mode, a
+flag that only another experiment or the other mode reads, which it must
+refuse with exit 2.  The values past the limits
 come from the rows of ``hplus.cli.BOUNDS``, so a new row is drawn without a
 new case here.  No
 drawn value asks for much memory: every size past a limit is refused before
@@ -62,10 +63,12 @@ COMMANDS = {
         "--cutoff": ("8", ["1", *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
     }),
-    "superpose": (["--in", "{series}"], {
-        "--entire": ("exp-kk", ["exp-kC", "inv-factorial", "abc"]),
-        # drawn alone, --coeffs takes the place of --entire and --diagnostics
-        "--coeffs": (None, ["1,0;0,0;1,0", "2", "1;abc"]),
+    "superpose poly": (["--in", "{series}"], {
+        "--coeffs": ("1,0;0,0;1,0", ["2", "1;abc"]),
+        "--out": ("{out}", [EXISTING_DIR]),
+    }),
+    "superpose entire": (["--in", "{series}"], {
+        "--function": ("exp-kk", ["exp-kC", "inv-factorial", "abc"]),
         # (kmax + 1) x the input's 20 terms past the superpose-powers limit
         "--kmax": ("4", ["1", "1000", str(LIMIT["superpose-powers"] // 20), *BAD]),
         "--m": ("1", ["2", *BAD]),
@@ -128,17 +131,24 @@ COMMANDS = {
         "--m-list": ("1,2", ["1", "4", "3..1", *LONG_LIST, *BAD]),
     }),
 }
-# a drawn flag that takes the place of these base flags, unless they are drawn too
-REPLACES = {"--coeffs": ("--entire", "--diagnostics")}
-# experiment -> the one flag of the next experiment in cli.EXPERIMENTS it does not read
+# command -> the flags it does not read, drawn only with their base values of
+# the command that reads them: for an experiment, the one flag of the next
+# experiment in cli.EXPERIMENTS it does not read; for a superpose mode, every
+# flag that only the other mode reads
 FOREIGN = {}
 _names = list(EXPERIMENTS)
 for _name, _next in zip(_names, _names[1:] + _names[:1]):
     _own = [flag for flag, _, _ in EXPERIMENTS[_name][1]]
     _flag, _value = next((flag, str(default)) for flag, _, default in EXPERIMENTS[_next][1]
                          if flag not in _own)
-    FOREIGN[f"experiment {_name}"] = _flag
-    COMMANDS[f"experiment {_name}"][1][_flag] = (None, [_value])
+    FOREIGN[f"experiment {_name}"] = {_flag: _value}
+for _mode, _other in (("poly", "entire"), ("entire", "poly")):
+    _own, _theirs = COMMANDS[f"superpose {_mode}"][1], COMMANDS[f"superpose {_other}"][1]
+    FOREIGN[f"superpose {_mode}"] = {flag: base for flag, (base, _) in _theirs.items()
+                                     if flag not in _own}
+for _command, _flags in list(FOREIGN.items()):
+    for _flag, _value in _flags.items():
+        COMMANDS[_command][1][_flag] = (None, [_value])
 for _name, (_fixed, _flags) in COMMANDS.items():
     if _name.startswith("experiment"):
         _flags["--out-dir"] = ("{out}", [EXISTING_DIR, "{out}/nested/deeper", "{series}"])
@@ -152,7 +162,7 @@ def _past_every_draw(command, fixed, flags):
     base += [arg for flag, (value, _) in flags.items() if value is not None for arg in (flag, value)]
     found = {}
     for row in BOUNDS:
-        if row.command != command.split()[-1]:
+        if row.command != command:
             continue
         # a flag written with characters per value (--coeffs) cannot hold a
         # value past a limit in one argument
@@ -207,13 +217,7 @@ def _entries(root):
 
 def _drawn(command, changed):
     """{flag: value} of command's base line with the flags of changed replaced."""
-    values = {flag: base for flag, (base, _) in COMMANDS[command][1].items()}
-    for flag, value in changed.items():
-        values[flag] = value
-        for base in REPLACES.get(flag, ()):
-            if base not in changed:
-                values[base] = None
-    return values
+    return {**{flag: base for flag, (base, _) in COMMANDS[command][1].items()}, **changed}
 
 
 def _run_case(inputs, command, values):
@@ -234,7 +238,7 @@ def _run_case(inputs, command, values):
 
         assert proc.returncode in (0, 2, 3), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
-        if values.get(FOREIGN.get(command)) is not None:
+        if any(values.get(flag) is not None for flag in FOREIGN.get(command, {})):
             assert proc.returncode == 2, (argv, proc.stderr)
         after = _entries(case)
         assert not [e for e in after if any(m in e for m in LEFTOVER_MARKS)], (argv, after)
@@ -254,7 +258,3 @@ def test_cli_ends_cleanly_on_drawn_flags(inputs, data):
         flag: data.draw(st.sampled_from(flags[flag][1]), label=flag) for flag in changed
     }))
 
-
-def test_a_drawn_coeffs_alone_runs_the_coeffs_path(inputs):
-    # the drawn cases above need not pick superpose's --coeffs alone
-    assert _run_case(inputs, "superpose", _drawn("superpose", {"--coeffs": "1,0;0,0;1,0"})) == 0

@@ -27,8 +27,10 @@ def test_command_list_covers_the_listed_calls():
         assert f"experiment {name} --out-dir {{out}}" in lines
     norms = [line for line in lines if line.startswith("norms ") and "dense-series" in line]
     assert sorted(line.split("--p ")[1].split()[0] for line in norms) == ["2", "4", "8"]
-    for tag in ("exp-kk", "exp-kC", "inv-factorial"):
-        assert any(f"--entire {tag} " in line and "--diagnostics" in line for line in lines)
+    assert sum(line.startswith("superpose poly ") for line in lines) == 1
+    for name in ("exp-kk", "exp-kC", "inv-factorial"):
+        assert sum(line.startswith(f"superpose entire --function {name} ")
+                   and "--diagnostics" in line for line in lines) == 1
     assert "experiment superpose-exp --out-dir {out} --m-list 3,1,3" in lines
     for seed in same_bytes.SEEDS:
         assert f"experiment inequality-suite --out-dir {{out}} --seed {seed}" in lines

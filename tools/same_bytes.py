@@ -61,10 +61,10 @@ COMMANDS = (
     *(f"norms --in {{in}}/dense-series-1/series.json --p {p} --out {{out}}/norms.csv"
       for p in (2, 4, 8)),
     # superposition on the input that holds -0.0
-    *(f"superpose --in {{in}}/signed.json --entire {tag} --kmax 9 --m 2"
+    *(f"superpose entire --function {name} --in {{in}}/signed.json --kmax 9 --m 2"
       f" --out {{out}}/superposed.json --diagnostics {{out}}/tails.csv"
-      for tag in ("exp-kk", "exp-kC", "inv-factorial")),
-    "superpose --in {in}/signed.json --coeffs 0;1;-0.5;0.25;0;2 --out {out}/superposed.json",
+      for name in ("exp-kk", "exp-kC", "inv-factorial")),
+    "superpose poly --coeffs 0;1;-0.5;0.25;0;2 --in {in}/signed.json --out {out}/superposed.json",
     "spectrum --in {in}/signed.json --lam 0.5,1 --out {out}/resolved.json",
     "compose --in {in}/signed.json --symbol {in}/symbol-c0.json --cutoff 300"
     " --out {out}/composed.json",
