@@ -32,12 +32,14 @@ with the same expressions in the same order, so a kept plan gives the bits
 of a fresh one; a product whose coefficients cancel has a smaller support,
 and the next product on it a different key.
 
-``sieve_primes`` finds the primes alone, with one byte per odd number; the
-int32 smallest-prime-factor table of ``sieve_spf`` is built for ``factorize``
-alone.  ``mult_extend`` fills a completely multiplicative function one dyadic
-block [2^j, 2^{j+1}) at a time, as out[n] = out[n // spf(n)] * f(spf(n)) with
+``sieve_primes`` finds the primes, with one byte per odd number.
+``mult_extend`` fills a completely multiplicative function from its values
+at the primes, given by rank (f(p_{j+1}) at j), one dyadic block
+[2^j, 2^{j+1}) at a time, as out[n] = out[n // spf(n)] * f(spf(n)) with
 every n // spf(n) < 2^j, in vectorized steps of at most ``_EXTEND_BLOCK``
-slots that each sieve their own spf(n) (a segmented sieve, Bays and Hudson).
+slots that each sieve their own spf(n) and its rank (a segmented sieve,
+Bays and Hudson).  ``sieve_spf``, the whole int32 smallest-prime-factor
+table, is the tests' reference for those factors.
 """
 
 from __future__ import annotations
@@ -335,39 +337,31 @@ def sieve_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # Slots per vectorized step of mult_extend, and per block of
-# bohr.nonextension_partial_sums: their temporaries take about 50 and 64
-# bytes a slot, so this bounds them to a few MB.
+# bohr.nonextension_partial_sums: their temporaries take about 70 (complex
+# values; 30 real) and 64 bytes a slot, so this bounds them to a few MB.
 _EXTEND_BLOCK = 1 << 16
 
 
 def mult_extend(primes: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.ndarray:
-    """Extend f(p) given at primes to f(n) = prod f(p)^{alpha_p} for n <= n_max.
+    """Extend f(p_j) given by rank to f(n) = prod f(p)^{alpha_p} for n <= n_max.
 
-    primes holds the primes up to at least isqrt(n_max), ascending; n_max <
-    2^31.  prime_vals is indexed by integer value (prime_vals[p] for prime p).
-    out[1] = 1; out[0] is a zero placeholder.  out[n] = out[n // p] * f(p)
-    with p = spf(n), sieved per step; every n // p in the block [2^j, 2^{j+1})
-    is below 2^j, so it is filled already.
+    primes holds the primes up to at least n_max, ascending; n_max < 2^31.
+    prime_vals[j] = f(primes[j]) for every prime up to n_max.  out[1] = 1;
+    out[0] is a zero placeholder.  out[n] = out[n // p] * f(p) with p =
+    spf(n), sieved per step together with its rank; every n // p in the
+    block [2^j, 2^{j+1}) is below 2^j, so it is filled already.  The slots
+    no sieving prime marks are the step's primes, which take the ranks
+    that follow the primes below the step.
 
-    Real values are extended in place: a float64 prime_vals becomes the
-    table, and its first n_max + 1 slots are returned (other real arrays
-    are converted to a float64 copy first).  A prime's slot is rewritten as
-    1.0 * f(p) = f(p), the same bits, so the composites read the values
-    given.  Where no f(n) is zero, the float64 table holds the bits of the
-    real part of the complex table of the same values.
-
-    Complex values get a fresh complex128 table.  In place, (1+0j) * f(p)
-    would rewrite a prime's slot before the composites read it, and it is
-    not always f(p): (1+0j) * (-0 - 1j) is +0 - 1j.  The complex product is
-    spelled out on the real and imaginary parts, which gives the bits of
-    numpy's scalar product in a per-n loop.
+    Real values give a float64 table, complex values a complex128 one;
+    prime_vals is not written.  Where no f(n) is zero, the float64 table
+    holds the bits of the real part of the complex table of the same
+    values.  The complex product is spelled out on the real and imaginary
+    parts, which gives the bits of numpy's scalar product in a per-n loop.
     """
     real = not np.iscomplexobj(prime_vals)
-    if real:
-        out = prime_vals = np.ascontiguousarray(prime_vals, dtype=np.float64)[: n_max + 1]
-    else:
-        prime_vals = np.ascontiguousarray(prime_vals, dtype=np.complex128)
-        out = np.empty(n_max + 1, dtype=np.complex128)
+    prime_vals = np.asarray(prime_vals, dtype=np.float64 if real else np.complex128)
+    out = np.empty(n_max + 1, dtype=prime_vals.dtype)
     out[0] = 0.0
     if n_max >= 1:
         out[1] = 1.0
@@ -378,13 +372,21 @@ def mult_extend(primes: np.ndarray, prime_vals: np.ndarray, n_max: int) -> np.nd
             stop = min(start + _EXTEND_BLOCK, block_end)
             n = np.arange(start, stop, dtype=np.int32)
             p = n.copy()  # spf(n): n itself unless a prime up to isqrt(n) divides it
-            for q in primes[: np.searchsorted(primes, math.isqrt(stop - 1), "right")][::-1]:
-                p[-start % q :: q] = q  # descending: the smallest prime divisor writes last
-            a = out[n // p]
-            b = prime_vals[p]
-            if real:
-                np.multiply(a, b, out=out[start:stop])
+            rank = np.empty(stop - start, dtype=np.intp)
+            sieving = int(np.searchsorted(primes, math.isqrt(stop - 1), "right"))
+            for j in range(sieving - 1, -1, -1):  # the smallest prime divisor writes last
+                q = int(primes[j])
+                p[-start % q :: q] = q
+                rank[-start % q :: q] = j
+            unmarked = p == n
+            below = int(np.searchsorted(primes, start))
+            rank[unmarked] = np.arange(below, below + np.count_nonzero(unmarked))
+            if real:  # f(p) * out[n // p]: real products commute, bit for bit
+                seg = prime_vals.take(rank, out=out[start:stop])
+                seg *= out[n // p]
             else:
+                a = out[n // p]
+                b = prime_vals[rank]
                 out.real[start:stop] = a.real * b.real - a.imag * b.imag
                 out.imag[start:stop] = a.real * b.imag + a.imag * b.real
         lo = block_end

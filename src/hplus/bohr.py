@@ -318,11 +318,9 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     n_max = d.truncation
     if n_max > table.limit:
         raise TableTooSmall(f"truncation {n_max} exceeds sieve limit {table.limit}")
-    prime_vals = np.zeros(n_max + 1, dtype=np.float64)
     pr = table.primes[: np.searchsorted(table.primes, n_max, side="right")]
-    prime_vals[pr] = pr
-    prime_vals[pr] **= -2.0 / k  # as pr ** (-2 / k): at -1.0 numpy's ** divides
-    # the extension fills prime_vals in place: it becomes the weights
+    prime_vals = pr.astype(np.float64)
+    prime_vals **= -2.0 / k  # as pr ** (-2 / k): at -1.0 numpy's ** divides
     weights = _kernels.mult_extend(table.primes, prime_vals, n_max)[1:]
     re, im = d.coeffs.real, d.coeffs.imag
     for lo in range(0, n_max, _kernels._EXTEND_BLOCK):  # |a_n|^2 w_n, in place

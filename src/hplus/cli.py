@@ -305,12 +305,15 @@ def _cmd_superpose_poly(args) -> int:
 
 
 def _cmd_superpose_entire(args) -> int:
+    if args.cc is not None and args.function != "exp-kC":
+        raise ValueError(f"--cc is C of --function exp-kC; --function {args.function} takes none")
     d = load_series(args.infile)
     if args.function == "exp-kk":
         ec = superposition.EntireCoeffs.exp_neg_k_to_k()
     elif args.function == "exp-kC":
-        _at_least("--cc", args.cc, 0)  # a_0 = exp(-0^C) needs C >= 0
-        ec = superposition.EntireCoeffs.exp_neg_k_to_c(args.cc)
+        cc = 1.2 if args.cc is None else args.cc
+        _at_least("--cc", cc, 0)  # a_0 = exp(-0^C) needs C >= 0
+        ec = superposition.EntireCoeffs.exp_neg_k_to_c(cc)
     else:
         ec = superposition.EntireCoeffs.inverse_factorial()
     _check_bounds(args, d.truncation)
@@ -654,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_superpose_poly, full_command="superpose poly")
     p = modes.add_parser("entire", parents=[inout], help="the operator of an entire function")
     p.add_argument("--function", required=True, choices=("exp-kk", "exp-kC", "inv-factorial"))
-    p.add_argument("--cc", type=_finite_float, default=1.2, help="C of exp-kC")
+    p.add_argument("--cc", type=_finite_float, default=None, help="C of exp-kC (default 1.2)")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--m", type=int, default=1, help="seminorm index for diagnostics")
     p.add_argument("--diagnostics", default=None, help="tail table")

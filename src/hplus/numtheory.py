@@ -2,9 +2,11 @@
 the truncated Euler products behind the comparison and chain constants.
 
 Everything here is exact and sieve-backed: no analytic approximations of
-pi(x) are used anywhere.  Tables are immutable after construction (the
-smallest-prime-factor table, which ``factorize`` alone reads, is sieved on
-first read, always to the same values) and safe to share across threads.
+pi(x) are used anywhere.  A ``PrimeTable`` holds the primes alone, and
+everything indexed by prime is indexed by rank (p_{j+1} at j): ``factorize``
+divides by the primes up to the square root, and the multiplicative
+extensions take their values at the primes in the table's order.  Tables
+are immutable after construction and safe to share across threads.
 
 ``euler_product(e, t)`` is the one routine that walks primes to form an
 Euler product: prod over the primes with p^{-1/e} >= t of (1 - p^{-1/e})^{-1},
@@ -35,24 +37,13 @@ DESK_SCALE_PRIME_BOUND = 1e8
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sieve output up to ``limit``: the ascending primes.
-
-    ``spf[n]``, the smallest prime factor of n for 2 <= n <= limit
-    (``spf[0]`` and ``spf[1]`` are padding), is sieved on first access and
-    kept; only ``factorize`` reads it (multiplicative extension sieves its own).
-    """
+    """Sieve output up to ``limit``: the ascending primes, p_{j+1} at j."""
 
     limit: int
     primes: np.ndarray  # int64, ascending
 
     def __post_init__(self):
         self.primes.flags.writeable = False
-
-    @cached_property
-    def spf(self) -> np.ndarray:
-        spf, _ = _kernels.sieve_spf(self.limit)  # int32, length limit + 1
-        spf.flags.writeable = False
-        return spf
 
     @cached_property
     def _cum_log_primes(self) -> np.ndarray:
@@ -103,18 +94,19 @@ class MultiIndex:
 def sieve(limit: int) -> PrimeTable:
     """The primes up to ``limit`` (inclusive), from an odd-only boolean sieve.
 
-    The smallest-prime-factor table ``spf`` is sieved when ``factorize`` reads it.
+    The limit stays below 2^31, the int32 range of the numbers in each
+    step of the multiplicative extension.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit >= 2**31:
-        raise BeyondDeskScale(f"sieve limit {limit} exceeds the int32 range of spf")
+        raise BeyondDeskScale(f"sieve limit {limit} exceeds the int32 range of mult_extend's steps")
     limit = int(limit)
     return PrimeTable(limit=limit, primes=_kernels.sieve_primes(limit))
 
 
 def factorize(n: int, table: PrimeTable) -> MultiIndex:
-    """Factor n by repeated smallest-prime-factor division, O(log n)."""
+    """Factor n by the primes up to isqrt(n); what they leave is 1 or one prime."""
     n = int(n)
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
@@ -122,19 +114,23 @@ def factorize(n: int, table: PrimeTable) -> MultiIndex:
         raise TableTooSmall(f"n = {n} exceeds sieve limit {table.limit}")
     if n == 1:
         return MultiIndex(())
-    exps: dict[int, int] = {}
-    spf = table.spf
-    while n > 1:
-        p = int(spf[n])
+    primes = table.primes
+    small = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+    ranks = np.nonzero(n % small == 0)[0].tolist()
+    exps = []
+    for j in ranks:
+        p = int(primes[j])
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        exps[p] = e
-    max_idx = int(np.searchsorted(table.primes, max(exps)))
-    out = [0] * (max_idx + 1)
-    for p, e in exps.items():
-        out[int(np.searchsorted(table.primes, p))] = e
+        exps.append(e)
+    if n > 1:  # a prime above isqrt of the n given, so above every rank found
+        ranks.append(int(np.searchsorted(primes, n)))
+        exps.append(1)
+    out = [0] * (ranks[-1] + 1)
+    for j, e in zip(ranks, exps):
+        out[j] = e
     return MultiIndex(tuple(out))
 
 

@@ -88,9 +88,7 @@ class Character:
                 f"character defines {len(self.prime_values)} prime values, "
                 f"needs {needed} to cover n <= {n_max}"
             )
-        dense = np.zeros(n_max + 1, dtype=np.complex128)
-        dense[table.primes[:needed]] = self.prime_values[:needed]
-        return _kernels.mult_extend(table.primes, dense, n_max)
+        return _kernels.mult_extend(table.primes, self.prime_values[:needed], n_max)
 
 
 class CompositionResult(NamedTuple):

@@ -321,8 +321,8 @@ def test_weighted_norm_zero(table_200):
 
 def test_extension_builds_no_spf_table_on_any_table_length(rng):
     # multiplicative extension sieves each step's smallest prime factors
-    # itself: a table sieved to the series and one far longer give the same
-    # bits, and neither builds its spf table
+    # itself and reads the values at the primes by rank: a table sieved to
+    # the series and one far longer give the same bits
     big, exact = sieve(200_000), sieve(1000)
     d = DirichletSeries(rng.normal(size=1000) + 1j * rng.normal(size=1000))
     chi = Character(np.exp(2j * np.pi * rng.uniform(size=200)))
@@ -342,7 +342,6 @@ def test_extension_builds_no_spf_table_on_any_table_length(rng):
         want = weighted_h2_norm(d, k, exact)
         assert weighted_h2_norm(d, k, big).hex() == want.hex()
         assert weighted_h2_norm(DirichletSeries.ones(1000), k, big) > 0
-    assert "spf" not in big.__dict__ and "spf" not in exact.__dict__
 
 
 def test_weighted_norm_needs_coverage(table_200):
@@ -448,19 +447,20 @@ def test_nonextension_bounded_memory(first_million_primes):
 
 
 def test_weighted_h2_norm_bounded_memory():
-    # float64 weights, extended in place in the prime values, |a_n|^2 w_n
-    # formed in them: complex weights took 50 MiB at 10^6, a second float64
-    # table 21.7 MiB, and the smallest-prime-factor table the extension
-    # sieved 14.0 MiB.  The peak now is one float64 table and one step's
-    # temporaries (9.95 MiB); the character's values, the complex prime
-    # values and their complex table (34.3 MiB, 37.8 with the spf table).
-    # Each bound is that peak plus about 1 MiB.
+    # float64 weights with |a_n|^2 w_n formed in them: complex weights took
+    # 50 MiB at 10^6, a second float64 table 21.7 MiB, and the
+    # smallest-prime-factor table the extension sieved 14.0 MiB.  The peak
+    # now is one float64 table, the weights at the primes and one step's
+    # temporaries (10.1 MiB); the character's values, their complex table
+    # and one step's temporaries (19.6 MiB; 34.3 with the values at the
+    # primes spread over a dense complex array).  Each bound is that peak
+    # plus about 1 MiB.
     table = sieve(10**6)
     d = DirichletSeries.ones(10**6)
     chi = Character(np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=len(table.primes))))
     for call, bound in (
         (lambda: weighted_h2_norm(d, 2, table), 11 * 2**20),
-        (lambda: chi.values_up_to(10**6, table), 35.5 * 2**20),
+        (lambda: chi.values_up_to(10**6, table), 20.5 * 2**20),
     ):
         tracemalloc.start()
         try:

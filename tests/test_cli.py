@@ -298,6 +298,21 @@ def test_superpose_entire_refuses_a_negative_cc(series_file, tmp_path, capsys):
     assert main(argv) == 0 and out.exists()
 
 
+@pytest.mark.parametrize("function", ["exp-kk", "inv-factorial"])
+def test_superpose_entire_refuses_cc_without_exp_kc(series_file, tmp_path, capsys, function):
+    # --cc is C of exp(-k^C) alone; another function read it and ignored it
+    d, path = series_file
+    out = tmp_path / "sup.json"
+    argv = ["superpose", "entire", "--in", str(path), "--function", function, "--cc", "9",
+            "--kmax", "4", "--out", str(out), "--diagnostics", str(tmp_path / "tails.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--cc" in err and f"--function {function}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["series.json"]
+    del argv[argv.index("--cc") : argv.index("--cc") + 2]
+    assert main(argv) == 0 and out.exists()
+
+
 def test_superpose_exp_past_the_float_range_is_domain_error(tmp_path, capsys):
     argv = ["experiment", "superpose-exp", "--out-dir", str(tmp_path / "se"),
             "--m-list", "1", "--kmax", "144", "--truncation", "5"]
@@ -582,7 +597,8 @@ def test_twisted_json_holds_the_per_n_complex_twist(tmp_path, rng):
     assert main(argv) == 0
     dense = np.zeros(n + 1, dtype=np.complex128)
     dense[table.primes] = chi.prime_values
-    twisted = DirichletSeries(d.coeffs * mult_extend_loop(table.spf, dense, n)[1:])
+    spf, _ = _kernels.sieve_spf(n)
+    twisted = DirichletSeries(d.coeffs * mult_extend_loop(spf, dense, n)[1:])
     want = tmp_path / "want.json"
     _atomic_write_json(str(want), series_to_json(twisted))
     assert out.read_bytes() == want.read_bytes()
@@ -930,8 +946,8 @@ def test_superpose_rejects_powers_past_the_limit(tmp_path):
 
 
 def test_nonextension_past_the_sieve_range_is_domain_error(tmp_path):
-    # the sieve for 10^11 primes would reach past 2^31, the int32 range of spf;
-    # the nonextension-nmax row refuses it before the sieve
+    # the sieve for 10^11 primes would reach past 2^31, the int32 range of
+    # the extension's steps; the nonextension-nmax row refuses it before the sieve
     out_dir = tmp_path / "ne"
     proc = _run_cli(
         "experiment", "nonextension", "--nmax", "100000000000", "--out-dir", str(out_dir)

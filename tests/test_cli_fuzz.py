@@ -72,7 +72,8 @@ COMMANDS = {
         # (kmax + 1) x the input's 20 terms past the superpose-powers limit
         "--kmax": ("4", ["1", "1000", str(LIMIT["superpose-powers"] // 20), *BAD]),
         "--m": ("1", ["2", *BAD]),
-        "--cc": ("1.2", ["0.5", "nan", *BAD]),
+        # read with exp-kC alone, so not passed by the base line
+        "--cc": (None, ["1.2", "0.5", "nan", *BAD]),
         "--out": ("{out}", [EXISTING_DIR]),
         "--diagnostics": ("{out}.csv", [EXISTING_DIR]),
     }),
@@ -132,9 +133,10 @@ COMMANDS = {
     }),
 }
 # command -> the flags it does not read, drawn only with their base values of
-# the command that reads them: for an experiment, the one flag of the next
-# experiment in cli.EXPERIMENTS it does not read; for a superpose mode, every
-# flag that only the other mode reads
+# the command that reads them (the first drawn value where the base line
+# leaves a flag out): for an experiment, the one flag of the next experiment
+# in cli.EXPERIMENTS it does not read; for a superpose mode, every flag that
+# only the other mode reads
 FOREIGN = {}
 _names = list(EXPERIMENTS)
 for _name, _next in zip(_names, _names[1:] + _names[:1]):
@@ -144,7 +146,8 @@ for _name, _next in zip(_names, _names[1:] + _names[:1]):
     FOREIGN[f"experiment {_name}"] = {_flag: _value}
 for _mode, _other in (("poly", "entire"), ("entire", "poly")):
     _own, _theirs = COMMANDS[f"superpose {_mode}"][1], COMMANDS[f"superpose {_other}"][1]
-    FOREIGN[f"superpose {_mode}"] = {flag: base for flag, (base, _) in _theirs.items()
+    FOREIGN[f"superpose {_mode}"] = {flag: values[0] if base is None else base
+                                     for flag, (base, values) in _theirs.items()
                                      if flag not in _own}
 for _command, _flags in list(FOREIGN.items()):
     for _flag, _value in _flags.items():

@@ -544,20 +544,21 @@ def test_mult_extend_bits_match_loop(n_max, kind):
     # prime marks, at the last slot of a step
     rng = np.random.default_rng(n_max)
     spf, primes = _kernels.sieve_spf(max(n_max, 2))
-    vals = np.zeros(len(spf), dtype=np.complex128)
+    vals = np.zeros(len(primes), dtype=np.complex128)
     if kind == "weights":  # as in weighted_h2_norm
-        vals[primes] = primes.astype(np.float64) ** (-2.0 / 3)
+        vals.real = primes.astype(np.float64) ** (-2.0 / 3)
     elif kind == "signed":
-        vals[primes] = rng.normal(size=len(primes))
+        vals.real = rng.normal(size=len(primes))
     elif kind == "unimodular":  # a character, as in vertical_limit
-        vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
+        vals[:] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
     else:  # chi(p) = -0 +- 1j: (1+0j) * (-0 - 1j) is +0 - 1j, so a table
-        # extended in place would read a rewritten prime slot
-        vals.real[primes] = -0.0
-        vals.imag[primes] = rng.choice([-1.0, 1.0], size=len(primes))
-    want = mult_extend_loop(spf, vals, n_max)  # before vals could be overwritten
+        # extended in its own prime slots would read a rewritten f(p)
+        vals.real = -0.0
+        vals.imag = rng.choice([-1.0, 1.0], size=len(primes))
+    dense = np.zeros(len(spf), dtype=np.complex128)  # the loop reads f(p) at p
+    dense[primes] = vals
     out = _kernels.mult_extend(primes, vals, n_max)
-    assert out.tobytes() == want.tobytes()
+    assert out.tobytes() == mult_extend_loop(spf, dense, n_max).tobytes()
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 17, 2**16 + 1, 2**18 + 1])
@@ -566,11 +567,10 @@ def test_mult_extend_real_values_bits_match_complex(n_max, kind):
     # real values give a float64 table holding the complex table's real part
     rng = np.random.default_rng(n_max)
     primes = _kernels.sieve_primes(max(n_max, 2))
-    vals = np.zeros(max(n_max, 2) + 1, dtype=np.float64)
     if kind == "weights":  # as in weighted_h2_norm
-        vals[primes] = primes.astype(np.float64) ** (-2.0 / 3)
+        vals = primes.astype(np.float64) ** (-2.0 / 3)
     else:
-        vals[primes] = rng.normal(size=len(primes))
+        vals = rng.normal(size=len(primes))
     out = _kernels.mult_extend(primes, vals, n_max)
     assert out.dtype == np.float64
     want = _kernels.mult_extend(primes, vals.astype(np.complex128), n_max)
@@ -579,24 +579,23 @@ def test_mult_extend_real_values_bits_match_complex(n_max, kind):
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 17, 2**16 + 1])
-def test_mult_extend_extends_real_values_in_place(n_max):
-    # a float64 array of real values becomes the table; complex values do not
+def test_mult_extend_writes_no_prime_value(n_max):
+    # the table is a fresh array, for real and complex values alike
     primes = _kernels.sieve_primes(max(n_max, 2) + 5)
-    vals = np.zeros(max(n_max, 2) + 6, dtype=np.float64)
-    vals[primes] = primes.astype(np.float64) ** -0.5
-    out = _kernels.mult_extend(primes, vals, n_max)
-    assert out.base is vals and len(out) == n_max + 1
-    cvals = vals.astype(np.complex128)
-    assert not np.shares_memory(_kernels.mult_extend(primes, cvals, n_max), cvals)
+    for vals in (primes.astype(np.float64) ** -0.5, np.exp(1j * primes.astype(np.float64))):
+        before = vals.tobytes()
+        out = _kernels.mult_extend(primes, vals, n_max)
+        assert len(out) == n_max + 1 and not np.shares_memory(out, vals)
+        assert vals.tobytes() == before
 
 
 def test_mult_extend_is_completely_multiplicative(rng):
     n_max = 2000
     primes = _kernels.sieve_primes(n_max)
-    vals = np.zeros(n_max + 1, dtype=np.complex128)
-    vals[primes] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
+    vals = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(primes)))
     out = _kernels.mult_extend(primes, vals, n_max)
     assert out[1] == 1.0
+    assert out[primes].tobytes() == vals.tobytes()  # f(p_j) lands at p_j
     for m, n in ((2, 3), (4, 9), (6, 35), (8, 125), (30, 49)):
         assert out[m * n] == pytest.approx(out[m] * out[n], rel=1e-12)
     assert out[8] == pytest.approx(out[2] ** 3, rel=1e-12)

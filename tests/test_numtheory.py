@@ -24,7 +24,6 @@ from oracles import (
     eratosthenes,
     euler_product_loop,
     ordered_factorizations_enumerated,
-    smallest_factor,
     trial_division_primes,
 )
 
@@ -39,36 +38,27 @@ def test_sieve_ten_vs_trial_division():
     assert list(sieve(10).primes) == [2, 3, 5, 7] == trial_division_primes(10)
 
 
-def test_sieve_spf_91():
-    assert sieve(100).spf[91] == 7 == smallest_factor(91)
-
-
 def test_sieve_invariants(table_200):
     assert np.all(np.diff(table_200.primes) > 0)
-    for n in range(2, 201):
-        p = int(table_200.spf[n])
-        assert n % p == 0
-        assert p in set(int(q) for q in table_200.primes)
-    for p in table_200.primes:
-        assert table_200.spf[p] == p
+    assert table_200.primes[-1] == 199 and table_200.limit == 200
 
 
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve(1)
-    with pytest.raises(ValueError, match="int32"):  # spf could not hold it
+    with pytest.raises(ValueError, match="int32"):  # mult_extend's steps could not hold it
         sieve(2**31)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 9, 25, 26, 500, 10_001])
 def test_sieve_matches_spf_sieve_and_builds_spf_lazily(limit):
+    # a table holds its primes alone: the spf table is sieved only where
+    # asked for, by sieve_spf, and each extension step sieves its own factors
     table = sieve(limit)
-    assert "spf" not in vars(table)  # not sieved until read
-    spf, primes = _kernels.sieve_spf(limit)
-    assert table.spf.dtype == np.int32
-    assert table.spf.tobytes() == spf.tobytes()
+    assert not hasattr(table, "spf")
+    _, primes = _kernels.sieve_spf(limit)
     assert table.primes.tobytes() == primes.tobytes()
-    assert not table.spf.flags.writeable and not table.primes.flags.writeable
+    assert not table.primes.flags.writeable
 
 
 # -- factorize / MultiIndex ---------------------------------------------------

@@ -6,15 +6,16 @@
 Run from anywhere inside a git checkout of hplus.  The tool extracts <rev>
 with ``git archive`` into a temporary directory, writes the inputs once
 (``perfbench/workloads.make_inputs`` of this checkout at seeds 1-3, plus
-two small files of its own: a series holding -0.0 and a symbol with
-c0 = 0), and runs every line of ``COMMANDS`` as ``python -m hplus.cli`` in
-both trees, ``src`` of each on PYTHONPATH.  For each line it compares the
-exit codes, the standard output and every file the run wrote, byte for
-byte, and prints one line per difference.  It exits 1 when some file
-differs that no ``--allow`` glob names (matched against the file's path
-inside the run's output directory, ``stdout`` or ``exit``), else 0.  The
-working tree side is this checkout as it stands, uncommitted edits
-included.  Both trees run the same inputs, so a difference is the code's.
+three small files of its own: a series holding -0.0, a symbol with c0 = 0
+and a character whose values are -0 +- 1j), and runs every line of
+``COMMANDS`` as ``python -m hplus.cli`` in both trees, ``src`` of each on
+PYTHONPATH.  For each line it compares the exit codes, the standard output
+and every file the run wrote, byte for byte, and prints one line per
+difference.  It exits 1 when some file differs that no ``--allow`` glob
+names (matched against the file's path inside the run's output directory,
+``stdout`` or ``exit``), else 0.  The working tree side is this checkout
+as it stands, uncommitted edits included.  Both trees run the same
+inputs, so a difference is the code's.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ SEEDS = (1, 2, 3)
 JOBS = 2  # concurrent hplus processes; each takes at most about 100 MB
 
 # One hplus command line per entry.  {in} is the inputs directory, holding
-# <workload>-<seed>/ from make_inputs and the tool's own signed.json and
-# symbol-c0.json; {out} is the line's own output directory.
+# <workload>-<seed>/ from make_inputs and the tool's own signed.json,
+# symbol-c0.json and character-minus-zero.json; {out} is the line's own
+# output directory.
 COMMANDS = (
     # every experiment at its defaults (ejemplo-growth, superpose-exp,
     # nonextension and noncomposition are also the workloads' calls)
@@ -68,6 +70,9 @@ COMMANDS = (
     "spectrum --in {in}/signed.json --lam 0.5,1 --out {out}/resolved.json",
     "compose --in {in}/signed.json --symbol {in}/symbol-c0.json --cutoff 300"
     " --out {out}/composed.json",
+    # chi(p) = -0 +- 1j, where (1+0j) * chi(p) is not chi(p)
+    "vertical-limit --in {in}/signed.json --character {in}/character-minus-zero.json"
+    " --out {out}/twisted.json",
     # a repeated seminorm index
     "experiment superpose-exp --out-dir {out} --m-list 3,1,3",
 )
@@ -89,7 +94,8 @@ def extract_revision(rev: str, dest: str) -> None:
 
 
 def write_inputs(inputs: str) -> None:
-    """The workloads' inputs at SEEDS, and the tool's signed series and c0 = 0 symbol."""
+    """The workloads' inputs at SEEDS, and the tool's signed series, c0 = 0
+    symbol and -0 +- 1j character."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
@@ -106,6 +112,10 @@ def write_inputs(inputs: str) -> None:
     varphi = {"truncation": 8, "coeffs": [[0.5, 0.25]] + [[0.1 / n, -0.0] for n in range(2, 9)]}
     with open(os.path.join(inputs, "symbol-c0.json"), "w") as f:
         json.dump({"c0": 0, "varphi": varphi}, f)
+    # chi(p_j) = -0 + i or -0 - i at the 62 primes up to 300, the sign by j mod 3
+    chi = {"prime_values": [[-0.0, -1.0 if j % 3 == 0 else 1.0] for j in range(62)]}
+    with open(os.path.join(inputs, "character-minus-zero.json"), "w") as f:
+        json.dump(chi, f)
 
 
 def run(tree: str, argv: list[str], out: str) -> tuple[int, bytes]:
