@@ -1,10 +1,10 @@
 """Bohr lift to prime-scaled polytori, rho norm estimation, non-extension sums.
 
 The lift identifies a series supported on P_N-smooth indices with a
-polynomial in N variables,c_alpha = a_n for n = prod p_j^{alpha_j}.  Norms
+polynomial in N variables, c_alpha = a_n for n = prod p_j^{alpha_j}, held as
+its exponent matrix (a row alpha per term) and coefficient vector.  Norms
 over the scaled polydisc are estimated by seeded Monte Carlo on the torus;
-the p = 2 case has an exact weighted-Parseval companion used as a
-cross-check everywhere.
+the p = 2 case has an exact weighted-Parseval companion.
 """
 
 from __future__ import annotations
@@ -17,44 +17,57 @@ import numpy as np
 from . import _kernels
 from .errors import TableTooSmall
 from .numtheory import MultiIndex, PrimeTable, sieve
-from .series import DirichletSeries
+from .series import _SAFE_SQUARE_SUM_MIN, DirichletSeries, _rescaled_l2_norm
 
 MC_PRNG_NAME = "philox"  # counter-based; partitioned streams stay reproducible
 _MC_CHUNK = 1 << 14
 _MC_BLOCK = 1 << 10  # samples per sub-block: the (terms x block) arrays stay in cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoly:
-    """Polynomial sum c_alpha z^alpha in n_vars variables, terms keyed by exponent."""
+    """Polynomial sum c_alpha z^alpha in n_vars variables, one row of exponents per term.
+
+    Row t of the read-only int64 matrix ``exponents`` (terms x n_vars) is the
+    alpha of ``coeffs[t]`` (read-only complex128); rows are distinct and
+    non-negative, and zero coefficients are dropped.  ``terms`` derives the
+    {MultiIndex: c} dict in row order, for readers that key a term by n or alpha.
+    """
 
     n_vars: int
-    terms: dict[MultiIndex, complex]
+    exponents: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if self.n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {self.n_vars}")
-        clean = {}
-        for alpha, c in self.terms.items():
-            if len(alpha) > self.n_vars:
-                raise ValueError(
-                    f"index {alpha.exponents} uses more than {self.n_vars} variables"
-                )
-            c = complex(c)
-            if c != 0:
-                clean[alpha] = c
-        object.__setattr__(self, "terms", clean)
+        coeffs = np.array(self.coeffs, dtype=np.complex128).reshape(-1)
+        try:
+            expo = np.array(self.exponents, dtype=np.int64)
+        except ValueError:  # rows of unequal length
+            expo = None
+        if expo is not None and expo.size == 0:
+            expo = expo.reshape(0, self.n_vars)
+        if expo is None or expo.shape != (len(coeffs), self.n_vars):
+            raise ValueError(f"need one row of n_vars = {self.n_vars} exponents per coefficient")
+        if expo.min(initial=0) < 0:
+            raise ValueError(f"exponents must be >= 0, got {int(expo.min())}")
+        ordered = expo[np.lexsort(expo.T[::-1])]
+        same = np.flatnonzero(np.all(ordered[1:] == ordered[:-1], axis=1))
+        if len(same):
+            raise ValueError(f"repeated exponent row {ordered[same[0]].tolist()}")
+        expo, coeffs = expo[coeffs != 0], coeffs[coeffs != 0]
+        for name, arr in (("exponents", expo), ("coeffs", coeffs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def terms(self) -> dict[MultiIndex, complex]:
+        return dict(zip(map(MultiIndex, self.exponents.tolist()), self.coeffs.tolist()))
 
     def evaluate(self, z: np.ndarray) -> complex:
         """Value at a point z of length n_vars."""
-        total = 0j
-        for alpha, c in self.terms.items():
-            prod = c
-            for j, e in enumerate(alpha.exponents):
-                if e:
-                    prod *= z[j] ** e
-            total += prod
-        return total
+        return complex(np.sum(self.coeffs * np.prod(np.asarray(z) ** self.exponents, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,8 @@ def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
     Coefficients at non-smooth indices are dropped, counted, and their
     squared mass reported, so callers get an explicit accounting of the
     restriction.  Smoothness and exponents come from dividing the first
-    n_vars primes out of the whole support at once; terms are inserted in
-    ascending index.
+    n_vars primes out of the whole support at once; the exponent matrix
+    becomes the polynomial's, its rows in ascending index.
     """
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
@@ -135,20 +148,14 @@ def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
     primes = table.primes[:n_vars]
     kept = _divide_out(n, primes) == 1
     smooth = n[kept]
-    # exponents only for the kept indices, and only over primes up to the
-    # largest of them: one int8 row per term of the result
-    if len(smooth):
-        primes = primes[: np.searchsorted(primes, smooth[-1], side="right")]
-    expo = np.zeros((len(smooth), len(primes)), dtype=np.int8)
+    # exponents only for the kept indices: the polynomial's exponent matrix
+    expo = np.zeros((len(smooth), n_vars), dtype=np.int8)
     _divide_out(smooth, primes, expo)
-    terms = {
-        MultiIndex(tuple(alpha)): c
-        for alpha, c in zip(expo.tolist(), d.coeffs[idx[kept]].tolist())
-    }
     dropped_sq = 0.0
     for c in d.coeffs[idx[~kept]]:
         dropped_sq += abs(c) ** 2
-    return LiftResult(MultiPoly(n_vars, terms), len(n) - len(smooth), dropped_sq)
+    poly = MultiPoly(n_vars, expo, d.coeffs[idx[kept]])
+    return LiftResult(poly, len(n) - len(smooth), dropped_sq)
 
 
 def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
@@ -160,12 +167,8 @@ def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
     if len(table.primes) < f.n_vars:
         raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
     primes = table.primes[: f.n_vars].astype(np.float64)
-    n_terms = len(f.terms)
-    coefs = np.empty(n_terms, dtype=np.complex128)
-    expo = np.zeros((n_terms, f.n_vars), dtype=np.int64)
-    for t, (alpha, c) in enumerate(sorted(f.terms.items(), key=lambda kv: kv[0].exponents)):
-        coefs[t] = c
-        expo[t, : len(alpha)] = alpha.exponents
+    order = np.lexsort(f.exponents.T[::-1])  # column 0 the primary key
+    coefs, expo = f.coeffs[order], f.exponents[order]
     # p_j ** (-alpha_j / k) rounds each factor once; (p_j ** (-1 / k)) ** alpha_j
     # would raise the rounding of p_j ** (-1 / k) to the power alpha_j
     rad_factors = np.prod(primes[None, :] ** (-expo / k), axis=1)
@@ -279,19 +282,20 @@ def rho_estimate(
 def parseval_rho2(f: MultiPoly, k: int, table: PrimeTable) -> float:
     """Exact rho_{k,2} norm by weighted Parseval: sqrt(sum |c_alpha|^2 prod p_j^{-2 alpha_j/k}).
 
-    Terms are summed in insertion order.  ``rho_estimate`` at p = 2
-    estimates the same value.
+    Terms are summed in row order; a sum past the float range is rescaled
+    as in ``series.seminorm_2``.  ``rho_estimate`` at p = 2 estimates it.
     """
     if len(table.primes) < f.n_vars:
         raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
     primes = table.primes[: f.n_vars].astype(float)
-    return math.sqrt(
-        sum(
-            abs(c) ** 2
-            * float(np.prod(primes ** (-2.0 * np.array([alpha[j] for j in range(f.n_vars)]) / k)))
-            for alpha, c in f.terms.items()
-        )
-    )
+    weights = np.prod(primes ** (-2.0 * f.exponents / k), axis=1)
+    moduli = np.hypot(f.coeffs.real, f.coeffs.imag)  # the bits of abs(complex)
+    with np.errstate(over="ignore", under="ignore"):
+        square_sum = sum((moduli**2 * weights).tolist())
+        if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
+            return math.sqrt(square_sum)
+        scale, norm = _rescaled_l2_norm(moduli * np.sqrt(weights))
+    return scale * norm
 
 
 def sieve_for_n_primes(n_primes: int) -> PrimeTable:
@@ -348,13 +352,8 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
         raise TableTooSmall(
             f"need the first {n_max} primes, table holds {len(table.primes)}"
         )
-    ladder = []
-    m = 10
-    while m < n_max:
-        ladder.append(m)
-        m *= 10
-    ladder.append(n_max)
-    ladder = np.array(sorted(set(ladder)), dtype=np.int64)
+    # the powers of 10 below n_max, then n_max
+    ladder = np.array([10**e for e in range(1, len(str(n_max - 1)))] + [n_max], dtype=np.int64)
 
     c_lb = 1.0 / math.sqrt(2.0)
     sums = np.empty(len(ladder), dtype=np.float64)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, _kernels, bohr, operators, superposition
 from .errors import BeyondDeskScale, CoefficientOverflow, HplusError
-from .numtheory import MultiIndex, sieve
+from .numtheory import sieve
 from .series import (
     DirichletSeries,
     _atomic_write_json,
@@ -419,12 +419,12 @@ def _exp_bohr_parseval(args, outdir: str) -> dict:
     table = bohr.sieve_for_n_primes(args.n_vars)
     rows = []
     for trial in range(args.trials):
-        terms = {}  # keyed by exponent tuple; one MultiIndex per distinct term
+        terms = {}  # exponent row -> coefficient; a repeated draw adds to its row
         while len(terms) < args.terms:
             alpha = tuple(int(e) for e in rng.integers(0, 4, size=args.n_vars))
             c = complex(rng.normal(), rng.normal())
             terms[alpha] = terms.get(alpha, 0j) + c
-        poly = bohr.MultiPoly(args.n_vars, {MultiIndex(a): c for a, c in terms.items()})
+        poly = bohr.MultiPoly(args.n_vars, list(terms), list(terms.values()))
         est = bohr.rho_estimate(
             poly, args.k, args.p, args.samples, seed=args.seed + trial, table=table
         )

@@ -36,6 +36,11 @@ temporaries were bounded: one whole-slice product per slice step, and a
 fresh array for every intermediate of the weights; they are the
 bit-for-bit references for ``_kernels._convolve_rows``,
 ``series._weighted_l2_roots`` and ``series.translate``.
+``term_arrays_dict_loop`` and ``parseval_rho2_loop`` are ``bohr._term_arrays``
+and ``bohr.parseval_rho2`` as they were when a polynomial was a dict of
+terms: a sort of the dict and a per-term sum, the bit-for-bit references
+for the reads of the exponent matrix.  ``poly_from_terms`` builds a
+polynomial from such a dict.
 """
 
 from __future__ import annotations
@@ -283,7 +288,7 @@ def lift_by_factorize(d, n_vars: int, table):
     Returns a ``LiftResult``; dropped mass is accumulated in index order.
     """
     # imported here: the benchmark's checks load this module without hplus
-    from hplus.bohr import LiftResult, MultiPoly
+    from hplus.bohr import LiftResult
     from hplus.numtheory import factorize
 
     terms = {}
@@ -296,7 +301,50 @@ def lift_by_factorize(d, n_vars: int, table):
         else:
             dropped += 1
             dropped_sq += abs(d.coeffs[i]) ** 2
-    return LiftResult(MultiPoly(n_vars, terms), dropped, dropped_sq)
+    return LiftResult(poly_from_terms(n_vars, terms), dropped, dropped_sq)
+
+
+def poly_from_terms(n_vars: int, terms: dict):
+    """``MultiPoly`` of a {exponents: c} dict, keys ``MultiIndex`` or tuples, rows in dict order.
+
+    Each key is padded with zeros to n_vars entries.
+    """
+    from hplus.bohr import MultiPoly
+
+    rows = []
+    for alpha in terms:
+        exps = tuple(getattr(alpha, "exponents", alpha))
+        rows.append(exps + (0,) * (n_vars - len(exps)))
+    return MultiPoly(n_vars, rows, list(terms.values()))
+
+
+def term_arrays_dict_loop(f, k: int, table):
+    """Coefficients, radius factors and exponent matrix, one term at a time from the sorted dict."""
+    from hplus.errors import TableTooSmall
+
+    if len(table.primes) < f.n_vars:
+        raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
+    primes = table.primes[: f.n_vars].astype(np.float64)
+    n_terms = len(f.terms)
+    coefs = np.empty(n_terms, dtype=np.complex128)
+    expo = np.zeros((n_terms, f.n_vars), dtype=np.int64)
+    for t, (alpha, c) in enumerate(sorted(f.terms.items(), key=lambda kv: kv[0].exponents)):
+        coefs[t] = c
+        expo[t, : len(alpha)] = alpha.exponents
+    rad_factors = np.prod(primes[None, :] ** (-expo / k), axis=1)
+    return coefs, rad_factors, expo
+
+
+def parseval_rho2_loop(f, k: int, table) -> float:
+    """sqrt(sum |c_alpha|^2 prod p_j^{-2 alpha_j/k}), one ``np.prod`` per term in dict order."""
+    primes = table.primes[: f.n_vars].astype(float)
+    return math.sqrt(
+        sum(
+            abs(c) ** 2
+            * float(np.prod(primes ** (-2.0 * np.array([alpha[j] for j in range(f.n_vars)]) / k)))
+            for alpha, c in f.terms.items()
+        )
+    )
 
 
 def rho_phase_values(f, k: int, samples: int, seed: int, table=None) -> np.ndarray:

@@ -24,10 +24,13 @@ from oracles import (
     lift_by_factorize,
     mult_extend_loop,
     nonextension_one_pass,
+    parseval_rho2_loop,
+    poly_from_terms,
     rho_estimate_phases,
     rho_from_values,
     rho_per_sample,
     rho_phase_values,
+    term_arrays_dict_loop,
 )
 
 
@@ -45,9 +48,41 @@ def parseval_value(poly: MultiPoly, k: int, table) -> float:
 def random_poly(rng, n_vars=3, n_terms=20, max_exp=4) -> MultiPoly:
     terms = {}
     while len(terms) < n_terms:
-        alpha = MultiIndex(tuple(int(e) for e in rng.integers(0, max_exp, size=n_vars)))
+        alpha = tuple(int(e) for e in rng.integers(0, max_exp, size=n_vars))
         terms[alpha] = terms.get(alpha, 0j) + complex(rng.normal(), rng.normal())
-    return MultiPoly(n_vars, terms)
+    return MultiPoly(n_vars, list(terms), list(terms.values()))
+
+
+# -- MultiPoly -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows, fault", [
+    ([(1, 2, 0), (0, 1, 0), (1, 2, 0)], "repeated exponent row [1, 2, 0]"),
+    ([(1, 2, 0), (0, -1, 0), (2, 0, 0)], "exponents must be >= 0"),
+    ([(1, 2, 0), (0, 1), (2, 0, 0)], "n_vars = 3 exponents"),
+    ([(1, 2), (0, 1), (2, 0)], "n_vars = 3 exponents"),
+])
+def test_multipoly_names_the_faulty_row(rows, fault):
+    with pytest.raises(ValueError) as err:
+        MultiPoly(3, rows, [1.0, 2j, 3.0])
+    assert fault in str(err.value)
+
+
+def test_multipoly_drops_zero_coefficients_and_is_read_only():
+    f = MultiPoly(2, [(0, 1), (3, 0), (2, 2)], [1.5, 0j, -1j])
+    assert f.exponents.tolist() == [[0, 1], [2, 2]]
+    assert f.coeffs.tolist() == [1.5, -1j]
+    assert f.exponents.dtype == np.int64 and f.coeffs.dtype == np.complex128
+    assert list(f.terms.items()) == [(MultiIndex((0, 1)), 1.5), (MultiIndex((2, 2)), -1j)]
+    for arr in (f.exponents, f.coeffs):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_multipoly_without_terms():
+    f = MultiPoly(3, [], [])
+    assert f.exponents.shape == (0, 3) and len(f.coeffs) == 0
+    assert f.terms == {}
+    assert f.evaluate(np.ones(3)) == 0
 
 
 # -- lift ------------------------------------------------------------------------
@@ -130,8 +165,8 @@ def test_lift_is_linear(table_200, rng):
     la = lift(a, 2, table_200).poly
     lb = lift(b, 2, table_200).poly
     lsum = lift(a + b, 2, table_200).poly
-    combined = MultiPoly(2, {alpha: la.terms.get(alpha, 0j) + lb.terms.get(alpha, 0j)
-                             for alpha in la.terms.keys() | lb.terms.keys()})
+    combined = poly_from_terms(2, {alpha: la.terms.get(alpha, 0j) + lb.terms.get(alpha, 0j)
+                                   for alpha in la.terms.keys() | lb.terms.keys()})
     assert set(lsum.terms) == set(combined.terms)
     for alpha, c in lsum.terms.items():
         assert c == pytest.approx(combined.terms[alpha], rel=1e-12)
@@ -140,7 +175,7 @@ def test_lift_is_linear(table_200, rng):
 # -- rho estimation ------------------------------------------------------------------
 
 def test_rho_constant_polynomial():
-    poly = MultiPoly(2, {MultiIndex(()): 3 - 4j})
+    poly = MultiPoly(2, [(0, 0)], [3 - 4j])
     est = rho_estimate(poly, k=2, p=3.0, samples=500, seed=7)
     assert est.value == pytest.approx(5.0, rel=1e-12)
     assert est.std_error == pytest.approx(0.0, abs=1e-9)
@@ -148,7 +183,7 @@ def test_rho_constant_polynomial():
 
 def test_rho_single_variable_monomial():
     # |z_1| is constant on the scaled torus, so any p gives exactly 2^{-1/k}
-    poly = MultiPoly(1, {MultiIndex((1,)): 1.0})
+    poly = MultiPoly(1, [(1,)], [1.0])
     for k, p in ((1, 1.0), (3, 2.0), (2, 5.5)):
         est = rho_estimate(poly, k=k, p=p, samples=200, seed=11)
         assert est.value == pytest.approx(2 ** (-1.0 / k), rel=1e-12)
@@ -207,8 +242,8 @@ ORACLE_SAMPLES = (1, 1023, 1025, 16384, 16385, 40_000)
 @pytest.fixture(scope="module")
 def oracle_polys():
     return {
-        "constant": MultiPoly(2, {MultiIndex(()): 3 - 4j}),
-        "no-terms": MultiPoly(3, {}),
+        "constant": MultiPoly(2, [(0, 0)], [3 - 4j]),
+        "no-terms": MultiPoly(3, [], []),
         "draw": random_poly(np.random.default_rng(5)),  # 20 terms, exponents in {0..3}^3
         # 1641 terms in 8 variables, exponents up to 14
         "lift": lift(DirichletSeries.ones(20_000), 8, sieve(20_000)).poly,
@@ -255,8 +290,8 @@ def test_rho_many_variables_few_exponents():
     while len(terms) < 12:
         alpha = np.zeros(40, dtype=int)
         alpha[rng.choice(40, size=2, replace=False)] = rng.integers(1, 3, size=2)
-        terms[MultiIndex(tuple(alpha))] = complex(rng.normal(), rng.normal())
-    f = MultiPoly(40, terms)
+        terms[tuple(alpha.tolist())] = complex(rng.normal(), rng.normal())
+    f = MultiPoly(40, list(terms), list(terms.values()))
     got = rho_estimate(f, 2, 3.0, 3000, 9)
     assert_same_estimate(got, rho_estimate_phases(f, 2, 3.0, 3000, 9))
 
@@ -266,7 +301,7 @@ def test_rho_high_degree_monomial_bounded_memory(alpha):
     # the power table holds one row per exponent that occurs, not one per
     # exponent up to the degree: a table up to 10^5 would take 1.6 GB per
     # 1024-sample sub-block.  k = 10^5 keeps the radius near 2^{-1} or 3^{-1}.
-    f = MultiPoly(len(alpha), {MultiIndex(alpha): 2 - 1j})
+    f = MultiPoly(len(alpha), [alpha], [2 - 1j])
     tracemalloc.start()
     try:
         got = rho_estimate(f, 10**5, 3.0, 16_385, 5)
@@ -287,7 +322,7 @@ def test_rho_high_degree_monomial_bounded_memory(alpha):
 def test_radius_factor_rounded_once_at_high_degree(alpha, k, coef, exact):
     # |f| is |coef| 2^{-alpha/k} on the whole torus; raising the rounded
     # 2^{-1/k} to the power alpha once put it 7.2e-12 and 4.4e-11 off
-    f = MultiPoly(len(alpha), {MultiIndex(alpha): coef})
+    f = MultiPoly(len(alpha), [alpha], [coef])
     coefs, rad, _ = _term_arrays(f, k, sieve_for_n_primes(1))
     assert abs(abs(coefs[0]) * rad[0] - exact) <= 1e-14 * exact
     got = rho_estimate_phases(f, k, 3.0, 1000, 5).value
@@ -357,9 +392,56 @@ def test_parseval_rho2_matches_independent_sum(rng):
             assert parseval_rho2(poly, k, table) == pytest.approx(
                 parseval_value(poly, k, table), rel=1e-14
             )
-    assert parseval_rho2(MultiPoly(2, {}), 1, table) == 0.0
+    assert parseval_rho2(MultiPoly(2, [], []), 1, table) == 0.0
     with pytest.raises(TableTooSmall):
-        parseval_rho2(MultiPoly(9, {MultiIndex((0,) * 8 + (1,)): 1.0}), 1, sieve(20))
+        parseval_rho2(MultiPoly(9, [(0,) * 8 + (1,)], [1.0]), 1, sieve(20))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("mag", [1e200, 1e-200])
+def test_parseval_rho2_at_extreme_magnitudes(mag, k):
+    # |c|^2 overflows at 1e200 and underflows to 0 at 1e-200; the norm does neither
+    got = parseval_rho2(MultiPoly(2, [(1, 0)], [mag]), k, sieve_for_n_primes(2))
+    want = mag * 2.0 ** (-1.0 / k)
+    assert abs(got - want) <= 1e-14 * want
+
+
+def random_rows_poly(rng, n_vars: int, n_terms: int) -> MultiPoly:
+    # small exponents, a fifth of the rows with one exponent up to 10^5, and
+    # rows cut to zero from a random column on
+    terms = {}
+    while len(terms) < n_terms:
+        alpha = rng.integers(0, 4, size=n_vars)
+        if rng.random() < 0.2:
+            alpha[rng.integers(n_vars)] = rng.integers(0, 10**5 + 1)
+        alpha[rng.integers(0, n_vars + 1):] = 0
+        c = complex(rng.normal(), rng.normal())
+        terms[tuple(alpha.tolist())] = c * 10.0 ** rng.uniform(-3, 3)
+    return MultiPoly(n_vars, list(terms), list(terms.values()))
+
+
+@pytest.fixture(scope="module")
+def matrix_polys():
+    rng = np.random.default_rng(27)
+    polys = [random_rows_poly(rng, n_vars, n_terms)
+             for n_vars, n_terms in ((1, 20), (3, 60), (8, 200), (40, 200))]
+    return polys + [lift(DirichletSeries.ones(20_000), 8, sieve(20_000)).poly]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_term_arrays_bits_match_dict_loop(matrix_polys, k):
+    for f in matrix_polys:
+        table = sieve_for_n_primes(f.n_vars)
+        for got, want in zip(_term_arrays(f, k, table), term_arrays_dict_loop(f, k, table)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_parseval_rho2_bits_match_loop(matrix_polys, k):
+    for f in matrix_polys:
+        table = sieve_for_n_primes(f.n_vars)
+        assert parseval_rho2(f, k, table).hex() == parseval_rho2_loop(f, k, table).hex()
 
 
 def test_rho_k2_monotone_in_k_exact_path(rng):

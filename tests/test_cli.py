@@ -806,6 +806,20 @@ def test_bohr_parseval_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def test_bohr_parseval_imports_no_masked_arrays(tmp_path):
+    # a polynomial's distinct rows are checked by a sort, not by
+    # np.unique(axis=0), whose first call imports numpy.ma (about 1.7 MB of RSS)
+    argv = ["experiment", "bohr-parseval", "--out-dir", str(tmp_path / "bp"), "--samples", "200"]
+    script = (f"import sys\nfrom hplus import cli\nassert cli.main({argv!r}) == 0\n"
+              "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(hplus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_experiment_inequality_suite_small(tmp_path):
     rc = main([
         "experiment", "inequality-suite", "--out-dir", str(tmp_path),

@@ -32,6 +32,8 @@ def test_command_list_covers_the_listed_calls():
         assert sum(line.startswith(f"superpose entire --function {name} ")
                    and "--diagnostics" in line for line in lines) == 1
     assert "experiment superpose-exp --out-dir {out} --m-list 3,1,3" in lines
+    assert ("experiment bohr-parseval --out-dir {out} --n-vars 8 --terms 400"
+            " --samples 2000 --trials 3") in lines
     assert any(line.startswith("vertical-limit --in {in}/signed.json --character {in}/character-")
                for line in lines)
     for seed in same_bytes.SEEDS:

@@ -75,6 +75,8 @@ COMMANDS = (
     " --out {out}/twisted.json",
     # a repeated seminorm index
     "experiment superpose-exp --out-dir {out} --m-list 3,1,3",
+    # 400 terms in 8 variables: the sort of the exponent rows and a long Parseval sum
+    "experiment bohr-parseval --out-dir {out} --n-vars 8 --terms 400 --samples 2000 --trials 3",
 )
 
 
