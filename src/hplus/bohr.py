@@ -112,19 +112,18 @@ class NonextensionTable:
     notes: str = field(default="")
 
 
-def _divide_out(n: np.ndarray, primes: np.ndarray, expo: np.ndarray | None = None) -> np.ndarray:
+def _divide_out(n: np.ndarray, primes: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """What is left of each n after dividing out every power of the given primes.
 
-    When ``expo`` is given, expo[i, j] is incremented once per division of
-    n[i] by primes[j], which leaves it holding the exponent of primes[j].
+    expo[i, j] is incremented once per division of n[i] by primes[j], which
+    leaves it holding the exponent of primes[j] when it started at 0.
     """
     rest = n.copy()
     for j, p in enumerate(primes):
         rows = np.flatnonzero(rest % p == 0)
         while len(rows):
             rest[rows] //= p
-            if expo is not None:
-                expo[rows, j] += 1
+            expo[rows, j] += 1
             rows = rows[rest[rows] % p == 0]
     return rest
 
@@ -134,9 +133,9 @@ def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
 
     Coefficients at non-smooth indices are dropped, counted, and their
     squared mass reported, so callers get an explicit accounting of the
-    restriction.  Smoothness and exponents come from dividing the first
-    n_vars primes out of the whole support at once; the exponent matrix
-    becomes the polynomial's, its rows in ascending index.
+    restriction.  One pass divides the first n_vars primes out of the whole
+    support and counts every index's exponents; the rows of the smooth
+    indices, in ascending index, become the polynomial's exponent matrix.
     """
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
@@ -145,17 +144,13 @@ def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
     beyond = np.searchsorted(n, table.limit, side="right")
     if beyond < len(n):
         raise TableTooSmall(f"n = {int(n[beyond])} exceeds sieve limit {table.limit}")
-    primes = table.primes[:n_vars]
-    kept = _divide_out(n, primes) == 1
-    smooth = n[kept]
-    # exponents only for the kept indices: the polynomial's exponent matrix
-    expo = np.zeros((len(smooth), n_vars), dtype=np.int8)
-    _divide_out(smooth, primes, expo)
+    expo = np.zeros((len(n), n_vars), dtype=np.int8)  # n < 2^63: every exponent < 63
+    kept = _divide_out(n, table.primes[:n_vars], expo) == 1
     dropped_sq = 0.0
     for c in d.coeffs[idx[~kept]]:
         dropped_sq += abs(c) ** 2
-    poly = MultiPoly(n_vars, expo, d.coeffs[idx[kept]])
-    return LiftResult(poly, len(n) - len(smooth), dropped_sq)
+    poly = MultiPoly(n_vars, expo[kept], d.coeffs[idx[kept]])
+    return LiftResult(poly, int(np.count_nonzero(~kept)), dropped_sq)
 
 
 def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
@@ -222,6 +217,9 @@ def rho_estimate(
     without a BLAS call, so the bits do not depend on the BLAS thread count.
     Chunks of ``_MC_CHUNK`` samples and the sub-blocks of ``_MC_BLOCK``
     samples inside them only group the stream, they do not reorder it.
+    |f| is at most B = sum |c_alpha| prod p_j^{-alpha_j/k} on the torus; when
+    B^p or B^{2p} leaves ``[series._SAFE_SQUARE_SUM_MIN, inf)``, f / B is
+    sampled and the estimate and its error are scaled back by B.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -242,7 +240,13 @@ def rho_estimate(
     total = 0.0
     total_sq = 0.0
     done = 0
-    scaled = (coefs * rad)[:, None]
+    scaled = coefs * rad
+    bound = float(np.sum(np.abs(scaled)))  # B, or 1 where B^p and B^{2p} are in range
+    with np.errstate(over="ignore", under="ignore"):
+        if bound == 0 or all(_SAFE_SQUARE_SUM_MIN <= np.float64(bound) ** e < math.inf
+                            for e in (p, 2 * p)):
+            bound = 1.0
+    scaled = (scaled / bound)[:, None]
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         theta = gen.uniform(0.0, 2.0 * np.pi, size=(m, f.n_vars))
@@ -269,11 +273,11 @@ def rho_estimate(
         total_sq += float(np.sum(stat * stat))
         done += m
     mean = total / samples
-    value = mean ** (1.0 / p)
+    value = bound * mean ** (1.0 / p)
     if samples > 1:
         var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
         se_mean = math.sqrt(var / samples)
-        se = se_mean / p * mean ** (1.0 / p - 1.0) if mean > 0 else se_mean
+        se = bound * (se_mean / p * mean ** (1.0 / p - 1.0) if mean > 0 else se_mean)
     else:
         se = math.inf
     return RhoEstimate(value=value, std_error=se, samples=samples, seed=seed, k=k, p=p)
@@ -315,7 +319,8 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     Weights prod p_j^{-2 alpha_j / k} are built multiplicatively from the
     factorization of each index, an independent code path from
     ``series.seminorm_2`` (which raises n to -2/k directly); the two agree
-    as a regression identity.
+    as a regression identity.  A sum of |a_n|^2 w_n past the float range is
+    rescaled as in ``seminorm_2``, on weights formed anew.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -327,10 +332,16 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     prime_vals **= -2.0 / k  # as pr ** (-2 / k): at -1.0 numpy's ** divides
     weights = _kernels.mult_extend(table.primes, prime_vals, n_max)[1:]
     re, im = d.coeffs.real, d.coeffs.imag
-    for lo in range(0, n_max, _kernels._EXTEND_BLOCK):  # |a_n|^2 w_n, in place
-        hi = lo + _kernels._EXTEND_BLOCK
-        weights[lo:hi] *= re[lo:hi] ** 2 + im[lo:hi] ** 2
-    return float(np.sqrt(np.sum(weights)))
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, n_max, _kernels._EXTEND_BLOCK):  # |a_n|^2 w_n, in place
+            hi = lo + _kernels._EXTEND_BLOCK
+            weights[lo:hi] *= re[lo:hi] ** 2 + im[lo:hi] ** 2
+        square_sum = float(np.sum(weights))
+        if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
+            return math.sqrt(square_sum)
+        weights = _kernels.mult_extend(table.primes, prime_vals, n_max)[1:]
+        scale, norm = _rescaled_l2_norm(np.hypot(re, im) * np.sqrt(weights))
+    return scale * norm
 
 
 def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTable:

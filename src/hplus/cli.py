@@ -33,6 +33,7 @@ from .series import (
     DirichletSeries,
     _atomic_write_json,
     _atomic_write_text,
+    _csv_text,
     _series_json_text,
     load_series,
     multiply,
@@ -43,12 +44,6 @@ from .series import (
     translate,
     with_truncation,
 )
-
-
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
 
 
 def _parse_int_list(flag: str, text: str) -> list[int] | range:

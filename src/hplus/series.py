@@ -215,7 +215,9 @@ def power(d: DirichletSeries, k: int, out_truncation: int) -> DirichletSeries:
     whenever support(d)^k fits below it; otherwise they are the truncated
     prefix of the formal power.  For k >= 2 the power is rung k of the
     ``_power_ladder`` of d's support, laid out densely at the end, bit for
-    bit the coefficients of k - 1 successive ``multiply`` calls.
+    bit the coefficients of k - 1 successive ``multiply`` calls; like them
+    it raises ``CoefficientOverflow`` wherever a rung it forms leaves the
+    float range, though a later rung would lose the overflow to truncation.
     """
     if k < 0:
         raise ValueError(f"power exponent must be >= 0, got {k}")
@@ -239,8 +241,8 @@ def _power_ladder(base, out_len: int):
     one is base * (the rung before), base the left operand.  Products run on
     the supports while both operands are supports with nnz_a * nnz_b <=
     out_len; from the first that is not, both are laid out densely and every
-    product goes through ``_kernels.dirichlet_convolve``.  A caller passes
-    each rung it reads through ``_in_float_range``.
+    product goes through ``_kernels.dirichlet_convolve``.  Each rung formed
+    goes through ``_in_float_range``, as each ``multiply`` result does.
     """
     ia, va = ib, vb = base
     yield ib, vb
@@ -254,14 +256,13 @@ def _power_ladder(base, out_len: int):
                 if ib is not None:
                     ib, vb = None, _kernels.from_support(ib, vb, out_len)
                 vb = _kernels.dirichlet_convolve(va, vb, out_len)
-        yield ib, vb
+        yield ib, _in_float_range(vb)
 
 
 def _power_rung(coeffs: np.ndarray, k: int, out_len: int):
-    """Rung k >= 1 of the ladder of the support of coeffs[:out_len], checked finite."""
+    """Rung k >= 1 of the ladder of the support of coeffs[:out_len]."""
     ladder = _power_ladder(_kernels.support(coeffs, out_len), out_len)
-    idx, vals = next(itertools.islice(ladder, k - 1, None))
-    return idx, _in_float_range(vals)
+    return next(itertools.islice(ladder, k - 1, None))
 
 
 def _in_float_range(coeffs: np.ndarray) -> np.ndarray:
@@ -534,6 +535,11 @@ def _atomic_write_text(path: str, texts: Iterable[str]) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _csv_text(header: str, rows: Iterable[str]) -> str:
+    """The header and the rows, one line each, with a final newline."""
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _atomic_write_json(path: str, obj: dict) -> None:

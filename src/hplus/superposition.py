@@ -25,7 +25,7 @@ from .numtheory import PrimeTable, chebyshev_theta, euler_product, prime_pi, sie
 from .series import (
     DirichletSeries,
     _atomic_write_text,
-    _in_float_range,
+    _csv_text,
     _power_ladder,
     _weighted_l2_roots,
     scale,
@@ -162,15 +162,14 @@ def _terms(d: DirichletSeries, coeffs: Sequence[complex]):
 
     D^0 is the unit and D^k for k >= 1 is rung k of the ``_power_ladder``
     of D's coefficient array: D itself, then one dense product D * D^{k-1}
-    per power, as ``multiply`` forms it.  D^k for k >= 2 and every a_k D^k
-    are checked once to stay in the float range.  D^1 is D itself, signed
+    per power, as ``multiply`` forms it; the ladder checks each power and
+    ``scale`` each a_k D^k to stay in the float range.  D^1 is D itself, signed
     zeros included: the sums of the terms start at +0.0, so no output holds -0.0.
     """
     unit = (None, DirichletSeries.monomial(1, 1.0, d.truncation).coeffs)
     powers = _power_ladder((None, d.coeffs), d.truncation)
-    for k, (a_k, (_, vals)) in enumerate(zip(coeffs, itertools.chain([unit], powers))):
-        d_k = DirichletSeries._of_finite(vals if k < 2 else _in_float_range(vals))
-        yield scale(a_k, d_k) if a_k != 0 else None
+    for a_k, (_, vals) in zip(coeffs, itertools.chain([unit], powers)):
+        yield scale(a_k, DirichletSeries._of_finite(vals)) if a_k != 0 else None
 
 
 def superpose_poly(d: DirichletSeries, b: Sequence[complex]) -> DirichletSeries:
@@ -249,7 +248,7 @@ def composition_criterion(d: DirichletSeries, m: int, k_max: int) -> GrowthRepor
     # D^1 = D and D^k = D * D^{k-1}, each weighed densely, as seminorm_2
     # weighs: a sum over a support can move the last ulp
     for k, (_, vals) in zip(ks, _power_ladder((None, d.coeffs), n_trunc)):
-        norms[k - 1] = _weighted_l2_roots(None, _in_float_range(vals), [m], 1)[0]
+        norms[k - 1] = _weighted_l2_roots(None, vals, [m], 1)[0]
     roots = norms ** (1.0 / ks)
     return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=norms, roots=roots)
 
@@ -285,7 +284,7 @@ def power_norm_chain_check(
             f"support {sup}^{k_top} exceeds working truncation {n_trunc}; power inexact"
         )
     rungs = zip(range(1, k_top + 1), _power_ladder((idx, vals), n_trunc))
-    lhs = {r: _weighted_l2_roots(ri, _in_float_range(rv), [m], 1)[0]
+    lhs = {r: _weighted_l2_roots(ri, rv, [m], 1)[0]
            for r, (ri, rv) in rungs if r in ks}
     c_m = seminorm_comparison_constant(m, 1, 2)
     base = _weighted_l2_roots(idx, vals, [4 * m], 1)[0]
@@ -299,6 +298,20 @@ def power_norm_chain_check(
 # ---------------------------------------------------------------------------
 # log-space witnesses
 # ---------------------------------------------------------------------------
+
+def _prime_counts(k_range: Sequence[int], k_min: int, exponent: float, table: PrimeTable | None):
+    """k_range sorted (each k an integer >= k_min), x_k = k^exponent, (pi(x_k), theta(x_k))
+    per k, and the table read: ``table`` if it reaches past every x_k, else a new sieve."""
+    ks = np.array(sorted(int(k) for k in k_range), dtype=np.int64)
+    if len(ks) == 0 or ks[0] < k_min:
+        raise ValueError(f"k_range must hold integers >= {k_min}")
+    xs = ks.astype(np.float64) ** exponent
+    limit = max(4, math.ceil(float(xs[-1])) + 1)
+    if table is None or table.limit < limit:
+        table = sieve(limit)
+    counts = [(prime_pi(x, table), chebyshev_theta(x, table)) for x in xs.tolist()]
+    return ks, xs, counts, table
+
 
 def zeta_growth_witness(
     m: int,
@@ -319,20 +332,10 @@ def zeta_growth_witness(
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    ks = np.array(sorted(int(k) for k in k_range), dtype=np.int64)
-    if len(ks) == 0 or ks[0] < 2:
-        raise ValueError("k_range must hold integers >= 2")
-    xs = ks.astype(np.float64) ** (1.0 + delta)
-    limit = max(4, math.ceil(float(xs[-1])) + 1)
-    if table is None or table.limit < limit:
-        table = sieve(limit)
+    ks, xs, counts, table = _prime_counts(k_range, 2, 1.0 + delta, table)
     sigma = 1.0 / (2.0 * m)
-    values = np.empty(len(ks), dtype=np.float64)
-    for i, k in enumerate(ks):
-        x = float(xs[i])
-        values[i] = (
-            2.0 * prime_pi(x, table) * math.log(k) - (1.0 + sigma) * chebyshev_theta(x, table)
-        ) / (2.0 * k)
+    values = np.array([(2.0 * pi_x * math.log(k) - (1.0 + sigma) * theta_x) / (2.0 * k)
+                       for k, (pi_x, theta_x) in zip(ks, counts)])
     omega = 2.0 * (1.0 - delta) / (1.0 + delta) - (1.0 + sigma) * (1.0 + delta)
     targets = omega * ks.astype(np.float64) ** delta / 2.0 if omega > 0 else None
     return LogWitnessTable(
@@ -375,21 +378,9 @@ def noncomposition_exponent(
         raise ValueError("eps and delta must be positive")
     if penalty_log is None:
         penalty_log = lambda k: float(k) ** c  # noqa: E731
-    ks = np.array(sorted(int(k) for k in k_range), dtype=np.int64)
-    if len(ks) == 0 or ks[0] < 1:
-        raise ValueError("k_range must hold integers >= 1")
-    xs = ks.astype(np.float64) ** c_prime
-    limit = max(4, math.ceil(float(xs[-1])) + 1)
-    if table is None or table.limit < limit:
-        table = sieve(limit)
-    values = np.empty(len(ks), dtype=np.float64)
-    for i, k in enumerate(ks):
-        x = float(xs[i])
-        values[i] = (
-            math.log(k) * prime_pi(x, table)
-            - penalty_log(int(k))
-            - chebyshev_theta(x, table) * (0.5 + eps)
-        )
+    ks, xs, counts, table = _prime_counts(k_range, 1, c_prime, table)
+    values = np.array([math.log(k) * pi_x - penalty_log(int(k)) - theta_x * (0.5 + eps)
+                       for k, (pi_x, theta_x) in zip(ks, counts)])
     omega = (1.0 - delta) / c_prime - (0.5 + eps) * (1.0 + delta)
     return ExponentTable(
         c=c,
@@ -406,8 +397,9 @@ def noncomposition_exponent(
 
 
 def write_growth_table(rows, path: str) -> None:
-    """Write the CSV k, value, target, margin (empty target when undefined) atomically."""
-    lines = ["k,value,target,margin"]
+    """Write the CSV k, value, target, margin (empty target and margin when
+    the target is None) atomically, through ``series._csv_text``."""
+    lines = []
     for k, value, target in rows:
         value = float(value)
         if target is None:
@@ -415,4 +407,4 @@ def write_growth_table(rows, path: str) -> None:
         else:
             target = float(target)
             lines.append(f"{int(k)},{value!r},{target!r},{value - target!r}")
-    _atomic_write_text(path, ["\n".join(lines) + "\n"])
+    _atomic_write_text(path, [_csv_text("k,value,target,margin", lines)])

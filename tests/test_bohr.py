@@ -406,6 +406,41 @@ def test_parseval_rho2_at_extreme_magnitudes(mag, k):
     assert abs(got - want) <= 1e-14 * want
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mag", [1e200, 1e-200])
+def test_rho_estimate_at_extreme_magnitudes(mag):
+    # |f|^2 overflows at 1e200 and underflows to 0 at 1e-200; |z_1| is
+    # constant on the torus, so the estimate is the Parseval value mag / 2
+    f = MultiPoly(1, [(1,)], [mag])
+    got = rho_estimate(f, 1, 2.0, 10, 0)
+    want = parseval_rho2(f, 1, sieve_for_n_primes(1))
+    assert abs(got.value - want) <= 1e-14 * want
+    assert got.std_error <= 1e-14 * want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e100, 1e160, 1e-200])
+def test_rho_estimate_scales_with_its_polynomial(c):
+    # c (z_1 + z_2): |f|^4 overflows at 1e100, |f|^2 at 1e160, and both
+    # underflow at 1e-200; the estimate and its error are c times those at 1
+    table = sieve_for_n_primes(2)
+    at_one = rho_estimate(MultiPoly(2, [(1, 0), (0, 1)], [1.0, 1.0]), 1, 2.0, 4000, 0, table)
+    f = MultiPoly(2, [(1, 0), (0, 1)], [c, c])
+    got = rho_estimate(f, 1, 2.0, 4000, 0, table)
+    assert got.value == pytest.approx(c * at_one.value, rel=1e-12)
+    assert got.std_error == pytest.approx(c * at_one.std_error, rel=1e-12)
+    assert abs(got.value - parseval_rho2(f, 1, table)) <= 3 * got.std_error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mag", [1e200, 1e-200])
+def test_weighted_h2_norm_at_extreme_magnitudes(mag, table_200):
+    # |a_n|^2 overflows at 1e200 and underflows to 0 at 1e-200
+    d = DirichletSeries(np.full(50, mag, dtype=np.complex128))
+    want = seminorm_2(d, 2)
+    assert abs(weighted_h2_norm(d, 2, table_200) - want) <= 1e-14 * want
+
+
 def random_rows_poly(rng, n_vars: int, n_terms: int) -> MultiPoly:
     # small exponents, a fifth of the rows with one exponent up to 10^5, and
     # rows cut to zero from a random column on

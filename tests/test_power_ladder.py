@@ -13,6 +13,7 @@ from hplus.errors import CoefficientOverflow, InexactPower
 from hplus.series import (
     DirichletSeries,
     _weighted_l2_roots,
+    multiply,
     power,
     seminorm_even,
     with_truncation,
@@ -157,6 +158,22 @@ def test_every_caller_raises_on_overflow_as_its_loop(name):
             loop()
         with pytest.raises(CoefficientOverflow):
             call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [[0, 1e200, 0, 0, 0], [0, 1e200, 1, 1, 1]],
+                         ids=["sparse", "dense"])
+def test_a_rung_past_the_float_range_raises_where_it_is_formed(coeffs):
+    # 10^200 2^{-s} at truncation 5: its square holds 10^400 4^{-s}, its cube
+    # lies past the truncation.  The multiply chain raises at the square, and
+    # so does every power formed on the ladder, though the last rung is zero.
+    d = DirichletSeries(np.array(coeffs, dtype=np.complex128))
+    with pytest.raises(CoefficientOverflow):
+        multiply(d, d)
+    with pytest.raises(CoefficientOverflow):
+        power(d, 3, 5)
+    with pytest.raises(CoefficientOverflow):
+        seminorm_even(d, 3, 1, 5)
 
 
 def _random_poly(rng, support):

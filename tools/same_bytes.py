@@ -77,6 +77,10 @@ COMMANDS = (
     "experiment superpose-exp --out-dir {out} --m-list 3,1,3",
     # 400 terms in 8 variables: the sort of the exponent rows and a long Parseval sum
     "experiment bohr-parseval --out-dir {out} --n-vars 8 --terms 400 --samples 2000 --trials 3",
+    # omega > 0: the witness rows carry targets and margins
+    "experiment ejemplo-growth --out-dir {out} --delta 0.05",
+    # k from 1: rows with x_k < 2, where pi = theta = 0
+    "experiment noncomposition --out-dir {out} --kmin 1 --kmax 30",
 )
 
 
