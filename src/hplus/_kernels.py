@@ -154,9 +154,9 @@ def _rank_dtype(count: int) -> type:
     return np.int32 if count < 2**31 else np.intp
 
 
-# Bytes the support-product plans may hold together, keys included.  The
-# plans of one sparse-algebra benchmark round (supports of 30 and 100 terms
-# and their powers up to 810 000 slots) are 7 and take 0.86 MB.
+# Bytes the support-product plans may hold together, keys included.  One
+# sparse-algebra benchmark round keeps 4 plans in 750 752 bytes: the 100-term
+# P^2 at 10^4 slots and the 30-term P^2, P^3 and P^4 at 810 000.
 _PLAN_BUDGET_BYTES = 2 << 20
 _plans: dict[tuple, tuple[tuple[np.ndarray, ...], int]] = {}  # key -> (plan, bytes)
 _plan_bytes = 0

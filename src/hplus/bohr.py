@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import TableTooSmall
-from .numtheory import MultiIndex, PrimeTable, sieve
-from .series import _SAFE_SQUARE_SUM_MIN, DirichletSeries, _rescaled_l2_norm
+from .numtheory import MultiIndex, PrimeTable, prime_pi, sieve
+from .series import _SAFE_SQUARE_SUM_MIN, DirichletSeries, _l2_root
 
 MC_PRNG_NAME = "philox"  # counter-based; partitioned streams stay reproducible
 _MC_CHUNK = 1 << 14
@@ -146,9 +146,11 @@ def lift(d: DirichletSeries, n_vars: int, table: PrimeTable) -> LiftResult:
         raise TableTooSmall(f"n = {int(n[beyond])} exceeds sieve limit {table.limit}")
     expo = np.zeros((len(n), n_vars), dtype=np.int8)  # n < 2^63: every exponent < 63
     kept = _divide_out(n, table.primes[:n_vars], expo) == 1
+    dropped = d.coeffs[idx[~kept]]
     dropped_sq = 0.0
-    for c in d.coeffs[idx[~kept]]:
-        dropped_sq += abs(c) ** 2
+    # hypot is abs(c); +=, not sum(), which compensates from Python 3.12 on
+    for m in np.hypot(dropped.real, dropped.imag).tolist():
+        dropped_sq += m**2
     poly = MultiPoly(n_vars, expo[kept], d.coeffs[idx[kept]])
     return LiftResult(poly, int(np.count_nonzero(~kept)), dropped_sq)
 
@@ -159,8 +161,7 @@ def _term_arrays(f: MultiPoly, k: int, table: PrimeTable):
     Terms come in lexicographic order of their exponents; ``rho_estimate``
     sums them in that order.
     """
-    if len(table.primes) < f.n_vars:
-        raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
+    table.nth_prime(f.n_vars)
     primes = table.primes[: f.n_vars].astype(np.float64)
     order = np.lexsort(f.exponents.T[::-1])  # column 0 the primary key
     coefs, expo = f.coeffs[order], f.exponents[order]
@@ -217,9 +218,11 @@ def rho_estimate(
     without a BLAS call, so the bits do not depend on the BLAS thread count.
     Chunks of ``_MC_CHUNK`` samples and the sub-blocks of ``_MC_BLOCK``
     samples inside them only group the stream, they do not reorder it.
-    |f| is at most B = sum |c_alpha| prod p_j^{-alpha_j/k} on the torus; when
-    B^p or B^{2p} leaves ``[series._SAFE_SQUARE_SUM_MIN, inf)``, f / B is
-    sampled and the estimate and its error are scaled back by B.
+    |f| is at most B = sum |c_alpha| prod p_j^{-alpha_j/k} on the torus, held
+    as top * spread (the largest term, and the sum of the terms over it) so
+    that it cannot overflow.  When B^p or B^{2p} leaves
+    ``[series._SAFE_SQUARE_SUM_MIN, inf)``, f / top / spread is sampled and
+    the estimate and its error x are scaled back as top * (spread * x).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -241,12 +244,14 @@ def rho_estimate(
     total_sq = 0.0
     done = 0
     scaled = coefs * rad
-    bound = float(np.sum(np.abs(scaled)))  # B, or 1 where B^p and B^{2p} are in range
+    moduli = np.abs(scaled)
+    top = float(moduli.max(initial=0.0))
+    spread = float(np.sum(moduli / top)) if top else 1.0
     with np.errstate(over="ignore", under="ignore"):
-        if bound == 0 or all(_SAFE_SQUARE_SUM_MIN <= np.float64(bound) ** e < math.inf
-                            for e in (p, 2 * p)):
-            bound = 1.0
-    scaled = (scaled / bound)[:, None]
+        if top == 0 or all(_SAFE_SQUARE_SUM_MIN <= np.float64(top * spread) ** e < math.inf
+                           for e in (p, 2 * p)):
+            top = spread = 1.0
+    scaled = (scaled / top / spread)[:, None]
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         theta = gen.uniform(0.0, 2.0 * np.pi, size=(m, f.n_vars))
@@ -273,11 +278,11 @@ def rho_estimate(
         total_sq += float(np.sum(stat * stat))
         done += m
     mean = total / samples
-    value = bound * mean ** (1.0 / p)
+    value = top * (spread * mean ** (1.0 / p))
     if samples > 1:
         var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
         se_mean = math.sqrt(var / samples)
-        se = bound * (se_mean / p * mean ** (1.0 / p - 1.0) if mean > 0 else se_mean)
+        se = top * (spread * (se_mean / p * mean ** (1.0 / p - 1.0) if mean > 0 else se_mean))
     else:
         se = math.inf
     return RhoEstimate(value=value, std_error=se, samples=samples, seed=seed, k=k, p=p)
@@ -286,20 +291,16 @@ def rho_estimate(
 def parseval_rho2(f: MultiPoly, k: int, table: PrimeTable) -> float:
     """Exact rho_{k,2} norm by weighted Parseval: sqrt(sum |c_alpha|^2 prod p_j^{-2 alpha_j/k}).
 
-    Terms are summed in row order; a sum past the float range is rescaled
-    as in ``series.seminorm_2``.  ``rho_estimate`` at p = 2 estimates it.
+    Terms are summed in row order and rooted by ``series._l2_root``, which
+    rescales a sum past the safe range.  ``rho_estimate`` at p = 2 estimates it.
     """
-    if len(table.primes) < f.n_vars:
-        raise TableTooSmall(f"need {f.n_vars} primes, table has {len(table.primes)}")
+    table.nth_prime(f.n_vars)
     primes = table.primes[: f.n_vars].astype(float)
     weights = np.prod(primes ** (-2.0 * f.exponents / k), axis=1)
     moduli = np.hypot(f.coeffs.real, f.coeffs.imag)  # the bits of abs(complex)
     with np.errstate(over="ignore", under="ignore"):
         square_sum = sum((moduli**2 * weights).tolist())
-        if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
-            return math.sqrt(square_sum)
-        scale, norm = _rescaled_l2_norm(moduli * np.sqrt(weights))
-    return scale * norm
+    return _l2_root(square_sum, lambda: moduli * np.sqrt(weights))
 
 
 def sieve_for_n_primes(n_primes: int) -> PrimeTable:
@@ -319,17 +320,14 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
     Weights prod p_j^{-2 alpha_j / k} are built multiplicatively from the
     factorization of each index, an independent code path from
     ``series.seminorm_2`` (which raises n to -2/k directly); the two agree
-    as a regression identity.  A sum of |a_n|^2 w_n past the float range is
-    rescaled as in ``seminorm_2``, on weights formed anew.
+    as a regression identity.  The sum of |a_n|^2 w_n is formed in the
+    weights' array, which is dropped before ``series._l2_root`` roots it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n_max = d.truncation
-    if n_max > table.limit:
-        raise TableTooSmall(f"truncation {n_max} exceeds sieve limit {table.limit}")
-    pr = table.primes[: np.searchsorted(table.primes, n_max, side="right")]
-    prime_vals = pr.astype(np.float64)
-    prime_vals **= -2.0 / k  # as pr ** (-2 / k): at -1.0 numpy's ** divides
+    prime_vals = table.primes[: prime_pi(n_max, table)].astype(np.float64)
+    prime_vals **= -2.0 / k  # as primes ** (-2 / k): at -1.0 numpy's ** divides
     weights = _kernels.mult_extend(table.primes, prime_vals, n_max)[1:]
     re, im = d.coeffs.real, d.coeffs.imag
     with np.errstate(over="ignore", under="ignore"):
@@ -337,11 +335,9 @@ def weighted_h2_norm(d: DirichletSeries, k: int, table: PrimeTable) -> float:
             hi = lo + _kernels._EXTEND_BLOCK
             weights[lo:hi] *= re[lo:hi] ** 2 + im[lo:hi] ** 2
         square_sum = float(np.sum(weights))
-        if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
-            return math.sqrt(square_sum)
-        weights = _kernels.mult_extend(table.primes, prime_vals, n_max)[1:]
-        scale, norm = _rescaled_l2_norm(np.hypot(re, im) * np.sqrt(weights))
-    return scale * norm
+    del weights  # before the fallback forms them anew
+    return _l2_root(square_sum, lambda: np.hypot(re, im)
+                    * np.sqrt(_kernels.mult_extend(table.primes, prime_vals, n_max)[1:]))
 
 
 def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTable:
@@ -359,10 +355,7 @@ def nonextension_partial_sums(n_max: int, table: PrimeTable) -> NonextensionTabl
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    if len(table.primes) < n_max:
-        raise TableTooSmall(
-            f"need the first {n_max} primes, table holds {len(table.primes)}"
-        )
+    table.nth_prime(n_max)
     # the powers of 10 below n_max, then n_max
     ladder = np.array([10**e for e in range(1, len(str(n_max - 1)))] + [n_max], dtype=np.int64)
 

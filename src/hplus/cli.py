@@ -498,8 +498,7 @@ def _exp_noncomposition(args, outdir: str) -> dict:
     main = superposition.noncomposition_exponent(
         args.cc, args.cprime, args.epsilon, delta, range(args.kmin, kmax + 1)
     )
-    ladder = sorted(set(list(range(args.kmin, kmax + 1, 10)) + [kmax]))
-    extended = sorted(set(ladder + [200, 300, 400, 500, 750, 1000]))
+    extended = sorted({*range(args.kmin, kmax + 1, 10), kmax, 200, 300, 400, 500, 750, 1000})
     factorial = superposition.noncomposition_exponent(
         args.cc,
         args.cprime,

@@ -79,10 +79,9 @@ class Character:
         return Character(self.prime_values ** int(e))
 
     def values_up_to(self, n_max: int, table: PrimeTable) -> np.ndarray:
-        """chi(n) for 0 <= n <= n_max (entry 0 is a placeholder)."""
-        if n_max > table.limit:
-            raise TableTooSmall(f"n_max {n_max} exceeds sieve limit {table.limit}")
-        needed = prime_pi(n_max, table) if n_max >= 2 else 0
+        """chi(n) for 0 <= n <= n_max (entry 0 is a placeholder), from the
+        values at the prime_pi(n_max) primes, which raises past the table."""
+        needed = prime_pi(n_max, table)
         if needed > len(self.prime_values):
             raise TableTooSmall(
                 f"character defines {len(self.prime_values)} prime values, "

@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -292,10 +292,8 @@ def _weighted_l2_roots(
     before the indices.  The squares are multiplied into each k's weights
     idx^{-2/k}: the last k raises the index array itself in place, an earlier
     k a fresh array that is dropped before the next.  So besides vals one k
-    holds two float64 arrays of its length and several k hold three.  When
-    the plain sum of squares underflows into the subnormal range or
-    overflows, the terms are rescaled by their largest modulus first, as in
-    ``math.hypot``, and the root is taken factor by factor.
+    holds two float64 arrays of its length and several k hold three.
+    ``_l2_root`` takes each root, from the moduli |v_i| idx_i^{-1/k} if need be.
     """
 
     def indices() -> np.ndarray:
@@ -319,23 +317,24 @@ def _weighted_l2_roots(
             w *= squares
             square_sum = float(np.sum(w))
             del w  # before the next k's weights are formed
-            if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
-                roots.append(math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q))
-            else:
-                scale, norm = _rescaled_l2_norm(np.abs(vals) * indices() ** (-1.0 / k))
-                roots.append(scale ** (1.0 / q) * norm ** (1.0 / q))
+            roots.append(_l2_root(square_sum, lambda: np.abs(vals) * indices() ** (-1.0 / k), q))
     return roots
 
 
-def _rescaled_l2_norm(terms: np.ndarray) -> tuple[float, float]:
-    """(scale, r) with ||terms||_2 = scale * r, scale the largest of the terms.
+def _l2_root(square_sum: float, moduli: Callable[[], np.ndarray], q: int = 1) -> float:
+    """square_sum^{1/(2q)}, square_sum the plain sum of the squares of moduli().
 
-    The terms are non-negative; r is 1 when scale is 0 or not finite.
+    Outside ``[_SAFE_SQUARE_SUM_MIN, inf)`` the sum has lost squares to the
+    subnormal range or overflowed, so moduli() is formed and rescaled by its
+    largest, as in ``math.hypot``, and the root is taken factor by factor.
     """
-    scale = float(terms.max()) if len(terms) else 0.0
-    if scale == 0.0 or not math.isfinite(scale):
-        return scale, 1.0
-    return scale, math.sqrt(float(np.sum((terms / scale) ** 2)))
+    if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
+        return math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q)
+    with np.errstate(over="ignore", under="ignore"):
+        terms = moduli()
+        scale = float(terms.max()) if len(terms) else 0.0
+        norm = math.sqrt(float(np.sum((terms / scale) ** 2))) if 0 < scale < math.inf else 1.0
+    return scale * norm if q == 1 else scale ** (1.0 / q) * norm ** (1.0 / q)
 
 
 # Below this sum, squares lost to the subnormal range could move the norm by

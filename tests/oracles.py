@@ -572,13 +572,7 @@ def compose_general_clongdouble(d, phi, out_truncation: int, n_cutoff: int | Non
 def seminorm_even_translated(d, q: int, k: int, out_truncation: int):
     """||D||_{2q,k} as ||translate(D, 1/k)^q||_{H^2}^{1/q}, one power per k."""
     from hplus import _kernels
-    from hplus.series import (
-        _SAFE_SQUARE_SUM_MIN,
-        SeminormValue,
-        _rescaled_l2_norm,
-        seminorm_2,
-        translate,
-    )
+    from hplus.series import _SAFE_SQUARE_SUM_MIN, SeminormValue, seminorm_2, translate
 
     if q == 1:
         return SeminormValue(seminorm_2(d, k), True)
@@ -588,8 +582,10 @@ def seminorm_even_translated(d, q: int, k: int, out_truncation: int):
         l2 = np.sum(vals.real**2 + vals.imag**2)
     if _SAFE_SQUARE_SUM_MIN <= l2 < math.inf:
         value = float(l2 ** (0.5 / q))
-    else:
-        scale, norm = _rescaled_l2_norm(np.abs(vals))
+    else:  # rescaled by the largest modulus, rooted factor by factor
+        terms = np.abs(vals)
+        scale = float(terms.max()) if len(terms) else 0.0
+        norm = math.sqrt(float(np.sum((terms / scale) ** 2))) if 0 < scale < math.inf else 1.0
         value = scale ** (1.0 / q) * norm ** (1.0 / q)
     return SeminormValue(value, d.support_max() ** q <= out_truncation)
 
@@ -714,7 +710,7 @@ def convolve_rows_unchunked(a, b, out_len: int) -> np.ndarray:
 def weighted_l2_roots_unfused(idx, vals, ks, q: int) -> list[float]:
     """(sum |v_i|^2 idx_i^{-2/k})^{1/(2q)} for each k, with the rescaled
     fallback of ``series._weighted_l2_roots``, every intermediate a fresh array."""
-    from hplus.series import _SAFE_SQUARE_SUM_MIN, _rescaled_l2_norm
+    from hplus.series import _SAFE_SQUARE_SUM_MIN
 
     if idx is None:
         n = np.arange(1, len(vals) + 1, dtype=np.float64)
@@ -727,8 +723,11 @@ def weighted_l2_roots_unfused(idx, vals, ks, q: int) -> list[float]:
             square_sum = float(np.sum(squares * n ** (-2.0 / k)))
             if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
                 roots.append(math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q))
-            else:
-                scale, norm = _rescaled_l2_norm(np.abs(vals) * n ** (-1.0 / k))
+            else:  # rescaled by the largest modulus, rooted factor by factor
+                terms = np.abs(vals) * n ** (-1.0 / k)
+                scale = float(terms.max()) if len(terms) else 0.0
+                norm = (math.sqrt(float(np.sum((terms / scale) ** 2)))
+                        if 0 < scale < math.inf else 1.0)
                 roots.append(scale ** (1.0 / q) * norm ** (1.0 / q))
     return roots
 

@@ -433,6 +433,16 @@ def test_rho_estimate_scales_with_its_polynomial(c):
 
 
 @pytest.mark.filterwarnings("error")
+def test_rho_estimate_when_its_bound_overflows():
+    # B = 1.5e308 * (1 + 1/2) passes the float range, the norm does not
+    f = MultiPoly(1, [(0,), (1,)], [1.5e308, 1.5e308])
+    got = rho_estimate(f, 1, 2.0, 4000, 0)
+    want = parseval_rho2(f, 1, sieve_for_n_primes(1))
+    assert math.isfinite(got.value) and math.isfinite(got.std_error)
+    assert abs(got.value - want) <= 3 * got.std_error
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mag", [1e200, 1e-200])
 def test_weighted_h2_norm_at_extreme_magnitudes(mag, table_200):
     # |a_n|^2 overflows at 1e200 and underflows to 0 at 1e-200

@@ -28,8 +28,12 @@ def test_command_list_covers_the_listed_calls():
     norms = [line for line in lines if line.startswith("norms ") and "dense-series" in line]
     assert sorted(line.split("--p ")[1].split()[0] for line in norms) == ["2", "4", "8"]
     assert sum(line.startswith("superpose poly ") for line in lines) == 1
+    for name in ("tiny", "huge"):  # the rescaled roots
+        assert f"norms --in {{in}}/{name}.json --p 2 --out {{out}}/norms.csv" in lines
+    assert ("superpose entire --function inv-factorial --kmax 4 --m 2 --in {in}/tiny.json"
+            " --out {out}/superposed.json --diagnostics {out}/tails.csv") in lines
     for name in ("exp-kk", "exp-kC", "inv-factorial"):
-        assert sum(line.startswith(f"superpose entire --function {name} ")
+        assert sum(line.startswith(f"superpose entire --function {name} --in {{in}}/signed.json ")
                    and "--diagnostics" in line for line in lines) == 1
     assert "experiment superpose-exp --out-dir {out} --m-list 3,1,3" in lines
     assert ("experiment bohr-parseval --out-dir {out} --n-vars 8 --terms 400"

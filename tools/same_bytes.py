@@ -6,8 +6,9 @@
 Run from anywhere inside a git checkout of hplus.  The tool extracts <rev>
 with ``git archive`` into a temporary directory, writes the inputs once
 (``perfbench/workloads.make_inputs`` of this checkout at seeds 1-3, plus
-three small files of its own: a series holding -0.0, a symbol with c0 = 0
-and a character whose values are -0 +- 1j), and runs every line of
+small files of its own: a series holding -0.0 and that series scaled by
+1e-200 and 1e200, a symbol with c0 = 0 and a character whose values are
+-0 +- 1j), and runs every line of
 ``COMMANDS`` as ``python -m hplus.cli`` in both trees, ``src`` of each on
 PYTHONPATH.  For each line it compares the exit codes, the standard output
 and every file the run wrote, byte for byte, and prints one line per
@@ -38,8 +39,8 @@ JOBS = 2  # concurrent hplus processes; each takes at most about 100 MB
 
 # One hplus command line per entry.  {in} is the inputs directory, holding
 # <workload>-<seed>/ from make_inputs and the tool's own signed.json,
-# symbol-c0.json and character-minus-zero.json; {out} is the line's own
-# output directory.
+# tiny.json, huge.json, symbol-c0.json and character-minus-zero.json; {out}
+# is the line's own output directory.
 COMMANDS = (
     # every experiment at its defaults (ejemplo-growth, superpose-exp,
     # nonextension and noncomposition are also the workloads' calls)
@@ -67,6 +68,10 @@ COMMANDS = (
       f" --out {{out}}/superposed.json --diagnostics {{out}}/tails.csv"
       for name in ("exp-kk", "exp-kC", "inv-factorial")),
     "superpose poly --coeffs 0;1;-0.5;0.25;0;2 --in {in}/signed.json --out {out}/superposed.json",
+    # sums of squares past the float range, rooted on rescaled moduli
+    *(f"norms --in {{in}}/{name}.json --p 2 --out {{out}}/norms.csv" for name in ("tiny", "huge")),
+    "superpose entire --function inv-factorial --kmax 4 --m 2 --in {in}/tiny.json"
+    " --out {out}/superposed.json --diagnostics {out}/tails.csv",
     "spectrum --in {in}/signed.json --lam 0.5,1 --out {out}/resolved.json",
     "compose --in {in}/signed.json --symbol {in}/symbol-c0.json --cutoff 300"
     " --out {out}/composed.json",
@@ -100,8 +105,8 @@ def extract_revision(rev: str, dest: str) -> None:
 
 
 def write_inputs(inputs: str) -> None:
-    """The workloads' inputs at SEEDS, and the tool's signed series, c0 = 0
-    symbol and -0 +- 1j character."""
+    """The workloads' inputs at SEEDS, and the tool's signed series, its
+    scalings by 1e-200 and 1e200, c0 = 0 symbol and -0 +- 1j character."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
@@ -112,9 +117,10 @@ def write_inputs(inputs: str) -> None:
     # every fifth real part and every third imaginary part
     rows = [[-0.0 if k % 5 == 0 else k / 7 - 1, -0.0 if k % 3 == 0 else (150 - k) / 37]
             for k in range(300)]
-    series = {"truncation": len(rows), "coeffs": rows}
-    with open(os.path.join(inputs, "signed.json"), "w") as f:
-        json.dump(series, f)
+    for name, scale in (("signed", 1.0), ("tiny", 1e-200), ("huge", 1e200)):
+        series = {"truncation": len(rows), "coeffs": [[re * scale, im * scale] for re, im in rows]}
+        with open(os.path.join(inputs, f"{name}.json"), "w") as f:
+            json.dump(series, f)
     varphi = {"truncation": 8, "coeffs": [[0.5, 0.25]] + [[0.1 / n, -0.0] for n in range(2, 9)]}
     with open(os.path.join(inputs, "symbol-c0.json"), "w") as f:
         json.dump({"c0": 0, "varphi": varphi}, f)
