@@ -22,15 +22,19 @@ instead of walking output slots.  ``dirichlet_convolve`` takes that path
 when nnz_a * nnz_b <= out_len and the split loops otherwise.  Both paths add
 the terms of each output coefficient in ascending divisor of the sparser
 operand, so they give the same bits.  A support product splits into a plan
-and its values: the plan (row lengths, inner offsets, merged indices) is a
-function of the two index arrays and out_len alone, so ``_support_plan``
-keeps it in a memo keyed by both arrays' dtype, length and bytes and
-out_len, within ``_PLAN_BUDGET_BYTES`` (least recently used dropped
-first).  Random polynomials of one support length share their indices, so
-their powers share plans.  The values are multiplied and added per call
-with the same expressions in the same order, so a kept plan gives the bits
-of a fresh one; a product whose coefficients cancel has a smaller support,
-and the next product on it a different key.
+and its values.  The plan (outer, inner, n, inv) names, for each index
+product, its outer and inner term and its place in the ascending merged
+indices n; it is a function of the two index arrays and out_len alone, so
+``_support_plan`` keeps it in a memo keyed by both arrays' dtype, length
+and bytes and out_len, within ``_PLAN_BUDGET_BYTES`` (least recently used
+dropped first).  Random polynomials of one support length share their
+indices, so their powers share plans.  Per call the values are gathered
+and multiplied ``_SUPPORT_BLOCK`` products at a time in three reused
+buffers small enough to come from the heap, and each block is added into
+the output with ``np.add.at``, in the same order with the same
+expressions: a kept plan gives the bits of a fresh one.  A product whose
+coefficients cancel has a smaller support, and the next product on it a
+different key.
 
 ``sieve_primes`` finds the primes, with one byte per odd number.
 ``mult_extend`` fills a completely multiplicative function from its values
@@ -122,41 +126,33 @@ def from_support(idx: np.ndarray, vals: np.ndarray, out_len: int) -> np.ndarray:
 
 
 # Largest ratio max(index) / products at which _merge_indices marks slots
-# instead of sorting: it bounds the mark and int32 rank tables (5 bytes a
-# slot) to 80 bytes per product, however large the indices.
+# instead of sorting: it bounds the boolean mark table to 16 bytes per
+# product, however large the indices.
 _MARK_SLOTS_PER_PRODUCT = 16
 
 
 def _merge_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, inv): the distinct values of idx ascending, and idx == n[inv].
 
-    Marks the values in a boolean table over 0..max(idx) and reads n off it
-    when max(idx) <= _MARK_SLOTS_PER_PRODUCT * len(idx); a rank table over
-    the same range then maps each marked value to its place in n (slots
-    that are not marked are never written or read).  Otherwise
-    ``np.unique(idx, return_inverse=True)``.  Both give the same (n, inv),
-    with inv in int32 when len(n) < 2^31.
+    n is read off a boolean table over 0..max(idx) that marks the values
+    when max(idx) <= _MARK_SLOTS_PER_PRODUCT * len(idx), and is
+    ``np.unique(idx)`` otherwise; either way inv is ``np.searchsorted(n,
+    idx)``, in intp, so no table of ranks over 0..max(idx) is built.
     """
     top = int(idx.max(initial=0))
     if top > _MARK_SLOTS_PER_PRODUCT * len(idx):
-        n, inv = np.unique(idx, return_inverse=True)
-        return n, inv.astype(_rank_dtype(len(n)), copy=False)
-    marks = np.zeros(top + 1, dtype=bool)
-    marks[idx] = True
-    n = np.flatnonzero(marks)
-    rank = np.empty(top + 1, dtype=_rank_dtype(len(n)))
-    rank[n] = np.arange(len(n))
-    return n, rank[idx]
-
-
-def _rank_dtype(count: int) -> type:
-    """int32 when every place in 0..count - 1 fits in it, else intp."""
-    return np.int32 if count < 2**31 else np.intp
+        n = np.unique(idx)
+    else:
+        marks = np.zeros(top + 1, dtype=bool)
+        marks[idx] = True
+        n = np.flatnonzero(marks)
+    return n, np.searchsorted(n, idx)
 
 
 # Bytes the support-product plans may hold together, keys included.  One
-# sparse-algebra benchmark round keeps 4 plans in 750 752 bytes: the 100-term
-# P^2 at 10^4 slots and the 30-term P^2, P^3 and P^4 at 810 000.
+# sparse-algebra benchmark round keeps 4 plans in 1 369 272 bytes, 16 a
+# product: the 100-term P^2 at 10^4 slots and the 30-term P^2, P^3 and P^4
+# at 810 000.
 _PLAN_BUDGET_BYTES = 2 << 20
 _plans: dict[tuple, tuple[tuple[np.ndarray, ...], int]] = {}  # key -> (plan, bytes)
 _plan_bytes = 0
@@ -166,15 +162,17 @@ _plans_lock = threading.Lock()
 def _support_plan(
     ia: np.ndarray, ib: np.ndarray, out_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index plan (tops, inner, n, inv) of the support product ia x ib at out_len.
+    """Index plan (outer, inner, n, inv) of the support product ia x ib at out_len.
 
-    Row i pairs the outer term i with the inner prefix ib[:tops[i]]; the
-    rows are laid end to end, so inner[j] counts j's place in its row, and
-    the products ia[i] * ib[inner] merge to the ascending n with inv.  The
-    plan depends on the indices alone, so it is kept in ``_plans`` under
-    both arrays' dtype, length and bytes and out_len, read-only, and the
-    least recently used plans are dropped once the plans would hold more
-    than _PLAN_BUDGET_BYTES.  A plan above that budget is not kept.
+    Row i pairs the outer term i with the inner prefix of ib whose products
+    stay <= out_len; the rows are laid end to end, so product j is
+    ia[outer[j]] * ib[inner[j]], and the products merge to the ascending n
+    with inv (``_merge_indices``).  outer and inner are int32 while the
+    products' places fit, inv is intp.  The plan depends on the indices
+    alone, so it is kept in ``_plans`` under both arrays' dtype, length and
+    bytes and out_len, read-only, and the least recently used plans are
+    dropped once the plans would hold more than _PLAN_BUDGET_BYTES.  A plan
+    above that budget is not kept.
     """
     global _plan_bytes
     key = (ia.dtype.str, len(ia), ia.tobytes(), ib.dtype.str, len(ib), ib.tobytes(), out_len)
@@ -185,10 +183,11 @@ def _support_plan(
             return kept[0]
     tops = np.searchsorted(ib, out_len // ia, side="right")
     ends = np.cumsum(tops)
-    place = _rank_dtype(int(ends[-1]))  # the products' places fit, so the offsets do
+    # int32 when the products' places fit, and so their rows and columns
+    place = np.int32 if ends[-1] < 2**31 else np.intp
+    outer = np.repeat(np.arange(len(ia), dtype=place), tops)
     inner = np.arange(ends[-1], dtype=place) - np.repeat((ends - tops).astype(place), tops)
-    n, inv = _merge_indices(np.repeat(ia, tops) * ib[inner])
-    plan = (tops.astype(_rank_dtype(len(ib) + 1)), inner, n, inv)
+    plan = (outer, inner, *_merge_indices(ia[outer] * ib[inner]))
     for arr in plan:
         arr.flags.writeable = False
     size = sum(arr.nbytes for arr in plan) + len(key[2]) + len(key[5])
@@ -209,6 +208,13 @@ def _clear_plans() -> None:
         _plan_bytes = 0
 
 
+# Products per block of convolve_support: each of its three complex buffers
+# (two gathers and their product) takes 64 KiB, below glibc's 128 KiB
+# initial mmap threshold, so they come from the heap whatever the process
+# freed before.
+_SUPPORT_BLOCK = 1 << 12
+
+
 def convolve_support(
     ia: np.ndarray, va: np.ndarray, ib: np.ndarray, vb: np.ndarray, out_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,23 +222,30 @@ def convolve_support(
 
     Each operand is a pair of ascending 1-based indices (all <= out_len) and
     nonzero values.  The sparser operand is the outer axis of the index
-    products; products landing above out_len are dropped and equal indices
-    merged with ``np.bincount``, which adds them in ascending index of the
-    outer operand.  Coefficients that cancel to zero are dropped.  The index
-    work comes from ``_support_plan``; only the values are multiplied and
-    added per call, the outer value the left factor as in the dense loop.
+    products; products landing above out_len are dropped.  The index work
+    comes from ``_support_plan``; per call the values are gathered and
+    multiplied, the outer value the left factor as in the dense loop,
+    _SUPPORT_BLOCK products at a time in three reused buffers, and each
+    block is added into its output coefficients with ``np.add.at``, which
+    adds the products of each coefficient from +0.0 in ascending index of
+    the outer operand.  Coefficients that cancel to zero are dropped.
     """
     if len(ib) < len(ia):
         ia, va, ib, vb = ib, vb, ia, va
     if len(ia) == 0:
         return ia, va
-    tops, inner, n, inv = _support_plan(ia, ib, out_len)
-    # take, not vb[inner]: the same gather, without casting the int32 inner
-    # to intp on every call
-    vals = np.repeat(va, tops) * vb.take(inner)
-    c = np.empty(len(n), dtype=np.complex128)
-    c.real = np.bincount(inv, weights=vals.real, minlength=len(n))
-    c.imag = np.bincount(inv, weights=vals.imag, minlength=len(n))
+    outer, inner, n, inv = _support_plan(ia, ib, out_len)
+    c = np.zeros(len(n), dtype=np.complex128)
+    ga, gb, prod = (np.empty(min(_SUPPORT_BLOCK, len(inv)), np.complex128) for _ in range(3))
+    for lo in range(0, len(inv), _SUPPORT_BLOCK):
+        hi = min(lo + _SUPPORT_BLOCK, len(inv))
+        # every index is in range, so "clip" clips none; it spares the
+        # copy of out that take makes under its default mode
+        x = va.take(outer[lo:hi], out=ga[: hi - lo], mode="clip")
+        y = vb.take(inner[lo:hi], out=gb[: hi - lo], mode="clip")
+        # not in place: numpy's complex multiply can round differently
+        # when out is one of its inputs
+        np.add.at(c, inv[lo:hi], np.multiply(x, y, out=prod[: hi - lo]))
     nz = c != 0
     return n[nz], c[nz]
 

@@ -365,7 +365,11 @@ def seminorm_even(
     out_truncation); otherwise it is a certified lower bound and ``exact``
     is False.  The sum runs over the rung's support while it is one, so no
     array of out_truncation slots is built for a sparse D.  For q = 1 D cut
-    at out_truncation is weighed, with the bits of its ``seminorm_2``.
+    at out_truncation is weighed, with the bits of its ``seminorm_2``.  When
+    the rung of a nonzero D comes out all zero, its products may have
+    underflowed, so it is formed again from D / 2^e, 2^e the power of two
+    just above D's largest real or imaginary part, and each root is
+    multiplied by 2^e; both scalings are exact.
     """
     single = isinstance(k, numbers.Integral)
     ks = [k] if single else list(k)
@@ -375,12 +379,19 @@ def seminorm_even(
         raise ValueError(f"k must be >= 1, got {k}")
     if out_truncation < 1:
         raise ValueError(f"out_truncation must be >= 1, got {out_truncation}")
+    cut, e = d.coeffs[:out_truncation], 0
     if q == 1:
-        idx, vals = None, d.coeffs[:out_truncation]
+        idx, vals = None, cut
     else:
-        idx, vals = _power_rung(d.coeffs, q, out_truncation)
+        idx, vals = _power_rung(cut, q, out_truncation)
+        top = 0.0 if np.any(vals) else float(np.max(np.abs(cut.view(np.float64)), initial=0.0))
+        if top > 0:  # the rung underflowed: form it from D / 2^e, its parts below 1
+            e = math.frexp(top)[1]
+            scaled = np.ldexp(cut.view(np.float64), -e).view(np.complex128)
+            idx, vals = _power_rung(scaled, q, out_truncation)
     exact = d.support_max() ** q <= out_truncation
-    values = [SeminormValue(v, exact) for v in _weighted_l2_roots(idx, vals, ks, q)]
+    # each root of D / 2^e times 2^e: both scalings are exact
+    values = [SeminormValue(math.ldexp(v, e), exact) for v in _weighted_l2_roots(idx, vals, ks, q)]
     return values[0] if single else values
 
 

@@ -144,7 +144,9 @@ def _random_support(rng, nnz, top):
 
 
 def test_convolve_support_bit_identical_to_row_oracle(rng, monkeypatch):
-    # each merge is recorded as marks (max index <= 16 x products) or unique
+    # blocks of 8 products, so that rows straddle block edges; each merge
+    # is recorded as marks (max index <= 16 x products) or unique
+    monkeypatch.setattr(_kernels, "_SUPPORT_BLOCK", 8)
     branches = []
     real = _kernels._merge_indices
 
@@ -158,6 +160,8 @@ def test_convolve_support_bit_identical_to_row_oracle(rng, monkeypatch):
         (5, ([5], [1.0 + 2.0j]), ([2, 3], [1.0, -1.0j])),  # every top 0: no products
         (40, ([1], [1.0]), ([1, 32], [1.0, 2.0])),  # max index 32 = 16 x 2 products
         (40, ([1], [1.0]), ([1, 33], [1.0, 2.0])),  # 33 > 16 x 2
+        (100, ([1, 2], [1.0, 2.0j]), ([1, 3, 5, 7], [1.0, -1.0, 0.5j, 3.0])),  # one block
+        (100, ([1, 2, 3], [1.0, 2.0j, -1.0]), ([1, 2, 3], [0.5, 1.0j, 2.0])),  # a block and one
     ]
     for _ in range(400):
         out_len = int(np.exp(rng.uniform(0.0, np.log(200_000))))
@@ -197,6 +201,29 @@ def _assert_matches_row_oracle(ia, va, ib, vb, out_len):
     assert got_n.dtype == want_n.dtype and np.array_equal(got_n, want_n)
     assert got_v.dtype == want_v.dtype and _same_bits(got_v, want_v)
     return got_n, got_v
+
+
+def test_support_product_holds_its_output_and_three_blocks(rng):
+    # the P^3 x P step of a 30-term P at 30^4 slots: 57 270 products into
+    # 8 679 coefficients, from a kept plan; the arrays of one slot per
+    # product that each call used to allocate took about 0.9 MB each
+    out_len = 30**4
+    ia, va = np.arange(1, 31), rng.normal(size=30) + 1j * rng.normal(size=30)
+    ib, vb = ia, va
+    for _ in range(2):
+        ib, vb = _kernels.convolve_support(ia, va, ib, vb, out_len)
+    _kernels.convolve_support(ia, va, ib, vb, out_len)
+    tracemalloc.start()
+    try:
+        n, v = _kernels.convolve_support(ia, va, ib, vb, out_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(n) == 8679
+    # the sums and their nonzero mask, the output, three complex buffers of
+    # 2^12 products and one block's int32 gather indices as intp
+    output = 2 * v.nbytes + len(v) + n.nbytes
+    assert peak <= output + 3 * 2**12 * 16 + 2**12 * 8 + 8 * 2**10
 
 
 def test_support_plan_hits_and_misses_match_row_oracle(rng, monkeypatch):

@@ -28,8 +28,11 @@ def test_command_list_covers_the_listed_calls():
     norms = [line for line in lines if line.startswith("norms ") and "dense-series" in line]
     assert sorted(line.split("--p ")[1].split()[0] for line in norms) == ["2", "4", "8"]
     assert sum(line.startswith("superpose poly ") for line in lines) == 1
-    for name in ("tiny", "huge"):  # the rescaled roots
+    for name in ("tiny", "huge"):  # the rescaled roots, and an underflowed power
         assert f"norms --in {{in}}/{name}.json --p 2 --out {{out}}/norms.csv" in lines
+        assert (f"norms --in {{in}}/{name}.json --p 4 --truncation 90000"
+                " --out {out}/norms.csv") in lines
+    assert set(same_bytes.EXITS) <= lines
     assert ("superpose entire --function inv-factorial --kmax 4 --m 2 --in {in}/tiny.json"
             " --out {out}/superposed.json --diagnostics {out}/tails.csv") in lines
     for name in ("exp-kk", "exp-kC", "inv-factorial"):

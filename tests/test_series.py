@@ -497,6 +497,28 @@ def test_seminorm_even_rescales_squares_out_of_range(scale):
     assert got.value == pytest.approx(scale * 241**0.25, rel=1e-14, abs=0)
 
 
+def test_seminorm_even_forms_an_underflowed_power_again(rng):
+    # every product of D^2 underflows to 0.0 at the scales below; D's parts
+    # lie in [-1, 1) with the largest in [0.5, 1), so D * 2^e scaled back
+    # is D itself and each root is the bits of D's times 2^e
+    c = rng.normal(size=30) + 1j * rng.normal(size=30)
+    c = np.ldexp(c.view(np.float64), -math.frexp(np.abs(c.view(np.float64)).max())[1])
+    d = series(c.view(np.complex128))
+    for q in (2, 3):
+        want = seminorm_even(d, q, [1, 2], 30**q)
+        for e in (-700, -1000):
+            tiny = series(np.ldexp(d.coeffs.view(np.float64), e).view(np.complex128))
+            got = seminorm_even(tiny, q, [1, 2], 30**q)
+            assert [v.value for v in got] == [math.ldexp(v.value, e) for v in want]
+            assert all(v.exact for v in got)
+    got = seminorm_even(scale(1e-200, d), 2, [1, 2], 900)
+    for v, w in zip(got, seminorm_even(d, 2, [1, 2], 900)):
+        assert v.exact and v.value == pytest.approx(1e-200 * w.value, rel=1e-14, abs=0)
+    # a power that is zero below the truncation, not by underflow, stays 0
+    cut = seminorm_even(DirichletSeries.monomial(5, 1e-200, 5), 2, 1, 24)
+    assert cut == (0.0, False)
+
+
 def test_seminorm_even_flags_support_overflow():
     d = DirichletSeries.monomial(5, 1.0, 5)
     tight = seminorm_even(d, 2, 1, 16)  # support of the square is 25 > 16
