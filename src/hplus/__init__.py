@@ -38,7 +38,6 @@ from .numtheory import (
     factorize,
     prime_pi,
     sieve,
-    smooth_numbers,
 )
 from .operators import (
     Character,

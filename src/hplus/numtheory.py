@@ -174,30 +174,6 @@ def chebyshev_theta(x: float, table: PrimeTable) -> float:
     return float(table._cum_log_primes[prime_pi(x, table)])
 
 
-def smooth_numbers(n_primes: int, limit: int, table: PrimeTable) -> np.ndarray:
-    """All n <= limit whose prime factors lie among the first n_primes primes.
-
-    Always contains 1 (the empty product); sorted ascending.
-    """
-    if n_primes < 1:
-        raise ValueError(f"n_primes must be >= 1, got {n_primes}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    out = [1]
-    for p in table.primes[: min(n_primes, len(table.primes))]:
-        p = int(p)
-        if p > limit:
-            break
-        extended = []
-        for v in out:
-            w = v * p
-            while w <= limit:
-                extended.append(w)
-                w *= p
-        out.extend(extended)
-    return np.array(sorted(out), dtype=np.int64)
-
-
 # exponent -> (sieve limit, -r_j, running products, running log sums), over
 # the primes up to the sieve limit; see the module docstring.
 _euler_prefixes: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}

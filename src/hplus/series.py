@@ -265,6 +265,17 @@ def _power_rung(coeffs: np.ndarray, k: int, out_len: int):
     return next(itertools.islice(ladder, k - 1, None))
 
 
+def _unit_scaled(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(coeffs / 2^e, e), e = min(0, exponent of the largest real or imaginary part).
+
+    A largest part below 1/2 lands in [1/2, 1); at or above 1/2, e = 0 and
+    coeffs is returned as it is.  Both the scaling and 2^e back are exact.
+    """
+    parts = coeffs.view(np.float64)
+    e = min(0, math.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1])
+    return (np.ldexp(parts, -e).view(np.complex128) if e else coeffs), e
+
+
 def _in_float_range(coeffs: np.ndarray) -> np.ndarray:
     """coeffs, computed from finite coefficients, if it stayed in the float range."""
     if not np.all(np.isfinite(coeffs.view(np.float64))):
@@ -283,9 +294,9 @@ def evaluate(d: DirichletSeries, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _weighted_l2_roots(
-    idx: np.ndarray | None, vals: np.ndarray, ks: Sequence[int], q: int
+    idx: np.ndarray | None, vals: np.ndarray, ks: Sequence[int], q: int, e: int = 0
 ) -> list[float]:
-    """(sum |v_i|^2 idx_i^{-2/k})^{1/(2q)} for each k of ks, over (1-based index, value) pairs.
+    """2^e (sum |v_i|^2 idx_i^{-2/k})^{1/(2q)} for each k of ks, over (1-based index, value) pairs.
 
     ``idx`` None stands for the full range 1..len(vals), which is never
     materialised as a gathered copy.  The squared moduli are formed once,
@@ -317,24 +328,28 @@ def _weighted_l2_roots(
             w *= squares
             square_sum = float(np.sum(w))
             del w  # before the next k's weights are formed
-            roots.append(_l2_root(square_sum, lambda: np.abs(vals) * indices() ** (-1.0 / k), q))
+            roots.append(_l2_root(square_sum, lambda: np.abs(vals) * indices() ** (-1.0 / k), q, e))
     return roots
 
 
-def _l2_root(square_sum: float, moduli: Callable[[], np.ndarray], q: int = 1) -> float:
-    """square_sum^{1/(2q)}, square_sum the plain sum of the squares of moduli().
+def _l2_root(square_sum: float, moduli: Callable[[], np.ndarray], q: int = 1, e: int = 0) -> float:
+    """2^e square_sum^{1/(2q)}, square_sum the plain sum of the squares of moduli().
 
-    Outside ``[_SAFE_SQUARE_SUM_MIN, inf)`` the sum has lost squares to the
-    subnormal range or overflowed, so moduli() is formed and rescaled by its
-    largest, as in ``math.hypot``, and the root is taken factor by factor.
+    The exact 2^{2qe} square_sum is rooted if it is in ``[_SAFE_SQUARE_SUM_MIN,
+    inf)``, else square_sum is rooted and the root multiplied by 2^e.  Outside
+    that range a sum has lost squares to the subnormal range or overflowed, so
+    moduli() is rescaled by its largest, as in ``math.hypot``, and rooted.
     """
+    unscaled = math.ldexp(square_sum, 2 * q * e)
+    if _SAFE_SQUARE_SUM_MIN <= unscaled < math.inf:
+        square_sum, e = unscaled, 0
     if _SAFE_SQUARE_SUM_MIN <= square_sum < math.inf:
-        return math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q)
+        return math.ldexp(math.sqrt(square_sum) if q == 1 else square_sum ** (0.5 / q), e)
     with np.errstate(over="ignore", under="ignore"):
         terms = moduli()
         scale = float(terms.max()) if len(terms) else 0.0
         norm = math.sqrt(float(np.sum((terms / scale) ** 2))) if 0 < scale < math.inf else 1.0
-    return scale * norm if q == 1 else scale ** (1.0 / q) * norm ** (1.0 / q)
+    return math.ldexp(scale * norm if q == 1 else scale ** (1.0 / q) * norm ** (1.0 / q), e)
 
 
 # Below this sum, squares lost to the subnormal range could move the norm by
@@ -365,11 +380,9 @@ def seminorm_even(
     out_truncation); otherwise it is a certified lower bound and ``exact``
     is False.  The sum runs over the rung's support while it is one, so no
     array of out_truncation slots is built for a sparse D.  For q = 1 D cut
-    at out_truncation is weighed, with the bits of its ``seminorm_2``.  When
-    the rung of a nonzero D comes out all zero, its products may have
-    underflowed, so it is formed again from D / 2^e, 2^e the power of two
-    just above D's largest real or imaginary part, and each root is
-    multiplied by 2^e; both scalings are exact.
+    at out_truncation is weighed, with the bits of its ``seminorm_2``.  For
+    q >= 2 the rung is that of ``_unit_scaled`` D / 2^e, and ``_l2_root``
+    scales each root back by 2^e: a D whose powers underflow keeps its norms.
     """
     single = isinstance(k, numbers.Integral)
     ks = [k] if single else list(k)
@@ -379,19 +392,12 @@ def seminorm_even(
         raise ValueError(f"k must be >= 1, got {k}")
     if out_truncation < 1:
         raise ValueError(f"out_truncation must be >= 1, got {out_truncation}")
-    cut, e = d.coeffs[:out_truncation], 0
-    if q == 1:
-        idx, vals = None, cut
-    else:
-        idx, vals = _power_rung(cut, q, out_truncation)
-        top = 0.0 if np.any(vals) else float(np.max(np.abs(cut.view(np.float64)), initial=0.0))
-        if top > 0:  # the rung underflowed: form it from D / 2^e, its parts below 1
-            e = math.frexp(top)[1]
-            scaled = np.ldexp(cut.view(np.float64), -e).view(np.complex128)
-            idx, vals = _power_rung(scaled, q, out_truncation)
+    idx, vals, e = None, d.coeffs[:out_truncation], 0
+    if q > 1:
+        vals, e = _unit_scaled(vals)
+        idx, vals = _power_rung(vals, q, out_truncation)
     exact = d.support_max() ** q <= out_truncation
-    # each root of D / 2^e times 2^e: both scalings are exact
-    values = [SeminormValue(math.ldexp(v, e), exact) for v in _weighted_l2_roots(idx, vals, ks, q)]
+    values = [SeminormValue(v, exact) for v in _weighted_l2_roots(idx, vals, ks, q, e)]
     return values[0] if single else values
 
 
@@ -425,6 +431,8 @@ def abscissa_estimates(d: DirichletSeries) -> AbscissaReport:
     if sup == 0:
         raise UndefinedAbscissa("abscissa estimates are undefined for the zero series")
     n_trunc = d.truncation
+    if n_trunc < 2:
+        raise UndefinedAbscissa(f"abscissa estimates need truncation >= 2, got {n_trunc}")
     if 2 * sup <= n_trunc:
         notes = (
             f"support ends at n={sup} <= truncation/2: treated as a Dirichlet "
@@ -436,7 +444,7 @@ def abscissa_estimates(d: DirichletSeries) -> AbscissaReport:
     if not checkpoints or checkpoints[-1] != n_trunc:
         checkpoints.append(n_trunc)
     if len(checkpoints) < 2:
-        checkpoints = [max(2, n_trunc // 2), n_trunc]
+        checkpoints = [max(min(2, n_trunc - 1), n_trunc // 2), n_trunc]
 
     abs_partial = np.cumsum(np.abs(d.coeffs))
     raw_partial = np.cumsum(d.coeffs)

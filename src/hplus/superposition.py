@@ -27,6 +27,7 @@ from .series import (
     _atomic_write_text,
     _csv_text,
     _power_ladder,
+    _unit_scaled,
     _weighted_l2_roots,
     scale,
     seminorm_2,
@@ -104,7 +105,8 @@ class ChainCheck:
     """Both sides of the power-norm chain inequality with its explicit constant.
 
     lhs = ||P^k||_{2,m} (exact), rhs = C_m * prod^k * ||P||_{2,4m}^k, where
-    prod runs over the primes with p_j^{-1/(4m)} >= sqrt(2/k).
+    prod runs over the primes with p_j^{-1/(4m)} >= sqrt(2/k).  slack = rhs / lhs
+    (inf where lhs = 0) stays finite where a side underflows as it stands.
     """
 
     lhs: float
@@ -113,10 +115,7 @@ class ChainCheck:
     prime_product: float
     j_cut: int
     base_norm: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs / self.lhs if self.lhs > 0 else math.inf
+    slack: float
 
 
 @dataclass(frozen=True)
@@ -235,22 +234,32 @@ def superpose_entire(
 # growth criteria
 # ---------------------------------------------------------------------------
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+
 def composition_criterion(d: DirichletSeries, m: int, k_max: int) -> GrowthReport:
     """Exact roots r_k = ||D^k||_{2,m}^{1/k} for k = 1..k_max at the series'
-    truncation; bounded r_k is the composition-type criterion."""
+    truncation; bounded r_k is the composition-type criterion.
+
+    The powers are those of ``_unit_scaled`` D / 2^e, each norm scaled back by
+    2^{ke}.  A norm below the normal range (it may read 0.0) has its scaled
+    norm rooted and the root multiplied by 2^e, so r_k stays finite.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     n_trunc = d.truncation
     ks = np.arange(1, k_max + 1)
+    scaled, e = _unit_scaled(d.coeffs)
     norms = np.empty(k_max, dtype=np.float64)
     # D^1 = D and D^k = D * D^{k-1}, each weighed densely, as seminorm_2
     # weighs: a sum over a support can move the last ulp
-    for k, (_, vals) in zip(ks, _power_ladder((None, d.coeffs), n_trunc)):
+    for k, (_, vals) in zip(ks, _power_ladder((None, scaled), n_trunc)):
         norms[k - 1] = _weighted_l2_roots(None, vals, [m], 1)[0]
-    roots = norms ** (1.0 / ks)
-    return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=norms, roots=roots)
+    unscaled = np.ldexp(norms, ks * e)
+    roots = np.where(unscaled >= _TINY, unscaled ** (1.0 / ks), np.ldexp(norms ** (1.0 / ks), e))
+    return GrowthReport(m=m, truncation=n_trunc, ks=ks, norms=unscaled, roots=roots)
 
 
 def power_norm_chain_check(
@@ -268,6 +277,8 @@ def power_norm_chain_check(
     any power is formed.  Every check has the bits of its single-k call.
     Both norms are summed over supports while the rungs are supports, so a
     P padded to the working truncation costs what its nonzero terms cost.
+    The ladder is that of ``_unit_scaled`` P / 2^e, its norms scaled back by
+    ``ldexp``; the slack is taken on the scaled sides where a side is not normal.
     """
     single = isinstance(k, numbers.Integral)
     ks = [k] if single else list(k)
@@ -283,15 +294,21 @@ def power_norm_chain_check(
         raise InexactPower(
             f"support {sup}^{k_top} exceeds working truncation {n_trunc}; power inexact"
         )
+    vals, e = _unit_scaled(vals)
     rungs = zip(range(1, k_top + 1), _power_ladder((idx, vals), n_trunc))
     lhs = {r: _weighted_l2_roots(ri, rv, [m], 1)[0]
            for r, (ri, rv) in rungs if r in ks}
     c_m = seminorm_comparison_constant(m, 1, 2)
     base = _weighted_l2_roots(idx, vals, [4 * m], 1)[0]
+    base_norm = math.ldexp(base, e)
     checks = []
     for kk in ks:
         j_cut, prod, _ = euler_product(4 * m, math.sqrt(2.0 / kk))
-        checks.append(ChainCheck(lhs[kk], c_m * prod**kk * base**kk, c_m, prod, j_cut, base))
+        sides = math.ldexp(lhs[kk], kk * e), c_m * prod**kk * base_norm**kk
+        # P / 2^e's sides both carry 2^{-e kk}, so their ratio is the slack too
+        den, num = sides if min(sides) >= _TINY else (lhs[kk], c_m * prod**kk * base**kk)
+        slack = num / den if den > 0 else math.inf
+        checks.append(ChainCheck(*sides, c_m, prod, j_cut, base_norm, slack))
     return checks[0] if single else checks
 
 

@@ -15,7 +15,6 @@ from hplus.numtheory import (
     factorize,
     prime_pi,
     sieve,
-    smooth_numbers,
 )
 
 from hplus.series import seminorm_comparison_constant
@@ -212,19 +211,6 @@ def test_theta_agrees_with_direct_sum(table_3k):
 def test_theta_over_x_approaches_one_monotonically(table_100k):
     ratios = [chebyshev_theta(10**e, table_100k) / 10**e for e in (3, 4, 5)]
     assert ratios[0] < ratios[1] < ratios[2] < 1.0
-
-
-# -- smooth numbers --------------------------------------------------------------
-
-def test_smooth_numbers_examples(table_200):
-    assert list(smooth_numbers(1, 10, table_200)) == [1, 2, 4, 8]
-    assert list(smooth_numbers(2, 10, table_200)) == [1, 2, 3, 4, 6, 8, 9]
-
-
-def test_smooth_numbers_all_when_enough_primes(table_200):
-    limit = 50
-    n_primes = prime_pi(limit, table_200)
-    assert list(smooth_numbers(n_primes, limit, table_200)) == list(range(1, limit + 1))
 
 
 def test_nth_prime(table_200):

@@ -59,6 +59,8 @@ def _inputs():
     return {
         "sparse": DirichletSeries(sparse),
         "dense": DirichletSeries(dense),
+        # largest part below 1/2: the weighers form the powers of dense * 2^-7 / 2^e
+        "dense-small": DirichletSeries(dense * 2**-7),
         "signed": DirichletSeries(signed),
         "signed-sparse": DirichletSeries(signed_sparse),
         "one-term": DirichletSeries.monomial(3, complex(-0.0, 2.0), 90),

@@ -32,6 +32,9 @@ def test_command_list_covers_the_listed_calls():
         assert f"norms --in {{in}}/{name}.json --p 2 --out {{out}}/norms.csv" in lines
         assert (f"norms --in {{in}}/{name}.json --p 4 --truncation 90000"
                 " --out {out}/norms.csv") in lines
+    for p in (4, 6):  # powers formed from a series whose largest part is below 1/2
+        assert (f"norms --in {{in}}/small.json --p {p} --truncation 90000"
+                " --out {out}/norms.csv") in lines
     assert set(same_bytes.EXITS) <= lines
     assert ("superpose entire --function inv-factorial --kmax 4 --m 2 --in {in}/tiny.json"
             " --out {out}/superposed.json --diagnostics {out}/tails.csv") in lines

@@ -32,7 +32,7 @@ from hplus.series import (
     translate,
     with_truncation,
 )
-from hplus.superposition import power_norm_chain_check
+from hplus.superposition import composition_criterion, power_norm_chain_check
 
 from oracles import (
     dirichlet_convolve_loop,
@@ -519,6 +519,25 @@ def test_seminorm_even_forms_an_underflowed_power_again(rng):
     assert cut == (0.0, False)
 
 
+def test_weighed_powers_are_homogeneous_below_the_float_range(rng):
+    # at D * 1e-200 every power D^k, k >= 2, underflows as it stands; the
+    # seminorms and roots of degree 1 read scale 1's times 1e-200, and the
+    # slack of degree 0 reads scale 1's, to 1e-13 relative
+    for _ in range(5):
+        d = series(rng.normal(size=30) + 1j * rng.normal(size=30))
+        tiny = scale(1e-200, d)
+        for q in (2, 3):
+            got, want = (seminorm_even(x, q, [1, 2, 5], 30**q) for x in (tiny, d))
+            assert [v.value for v in got] == pytest.approx(
+                [1e-200 * v.value for v in want], rel=1e-13, abs=0)
+        got, want = (composition_criterion(x, 1, 4).roots for x in (tiny, d))
+        assert np.all(got > 0) and got == pytest.approx(1e-200 * want, rel=1e-13, abs=0)
+        got, want = (power_norm_chain_check(x, 1, (2, 3), 27000) for x in (tiny, d))
+        for g, w in zip(got, want):
+            assert math.isfinite(g.slack) and g.slack == pytest.approx(w.slack, rel=1e-13)
+            assert g.base_norm == pytest.approx(1e-200 * w.base_norm, rel=1e-13, abs=0)
+
+
 def test_seminorm_even_flags_support_overflow():
     d = DirichletSeries.monomial(5, 1.0, 5)
     tight = seminorm_even(d, 2, 1, 16)  # support of the square is 25 > 16
@@ -687,6 +706,16 @@ def test_abscissa_monomial_sentinel():
     rep = abscissa_estimates(DirichletSeries.monomial(2, 1.0, 64))
     assert rep.sigma_a_estimate == -math.inf
     assert rep.sigma_c_estimate == -math.inf
+
+
+def test_abscissa_at_the_shortest_truncations():
+    # one coefficient gives no slope; two give the window 1..2, three 2..3
+    with pytest.raises(UndefinedAbscissa, match="truncation >= 2, got 1"):
+        abscissa_estimates(DirichletSeries.ones(1))
+    rep = abscissa_estimates(DirichletSeries.ones(2))
+    assert rep.sigma_a_estimate == rep.sigma_c_estimate == 1.0
+    assert "N'=1..2" in rep.notes
+    assert "N'=2..3" in abscissa_estimates(DirichletSeries.ones(3)).notes
 
 
 def test_abscissa_zero_series_raises():

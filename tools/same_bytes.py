@@ -7,7 +7,7 @@ Run from anywhere inside a git checkout of hplus.  The tool extracts <rev>
 with ``git archive`` into a temporary directory, writes the inputs once
 (``perfbench/workloads.make_inputs`` of this checkout at seeds 1-3, plus
 small files of its own: a series holding -0.0 and that series scaled by
-1e-200 and 1e200, a symbol with c0 = 0 and a character whose values are
+0.01, 1e-200 and 1e200, a symbol with c0 = 0 and a character whose values are
 -0 +- 1j), and runs every line of
 ``COMMANDS`` as ``python -m hplus.cli`` in both trees, ``src`` of each on
 PYTHONPATH.  For each line it compares the exit codes, the standard output
@@ -39,7 +39,7 @@ JOBS = 2  # concurrent hplus processes; each takes at most about 100 MB
 
 # One hplus command line per entry.  {in} is the inputs directory, holding
 # <workload>-<seed>/ from make_inputs and the tool's own signed.json,
-# tiny.json, huge.json, symbol-c0.json and character-minus-zero.json; {out}
+# small.json, tiny.json, huge.json, symbol-c0.json and character-minus-zero.json; {out}
 # is the line's own output directory.
 COMMANDS = (
     # every experiment at its defaults (ejemplo-growth, superpose-exp,
@@ -73,6 +73,9 @@ COMMANDS = (
     # a square that underflows in every product, and one that overflows
     *(f"norms --in {{in}}/{name}.json --p 4 --truncation 90000 --out {{out}}/norms.csv"
       for name in ("tiny", "huge")),
+    # largest part 0.417: powers formed from the series times 2, all in range
+    *(f"norms --in {{in}}/small.json --p {p} --truncation 90000 --out {{out}}/norms.csv"
+      for p in (4, 6)),
     "superpose entire --function inv-factorial --kmax 4 --m 2 --in {in}/tiny.json"
     " --out {out}/superposed.json --diagnostics {out}/tails.csv",
     "spectrum --in {in}/signed.json --lam 0.5,1 --out {out}/resolved.json",
@@ -114,7 +117,7 @@ def extract_revision(rev: str, dest: str) -> None:
 
 def write_inputs(inputs: str) -> None:
     """The workloads' inputs at SEEDS, and the tool's signed series, its
-    scalings by 1e-200 and 1e200, c0 = 0 symbol and -0 +- 1j character."""
+    scalings by 0.01, 1e-200 and 1e200, c0 = 0 symbol and -0 +- 1j character."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
@@ -125,7 +128,7 @@ def write_inputs(inputs: str) -> None:
     # every fifth real part and every third imaginary part
     rows = [[-0.0 if k % 5 == 0 else k / 7 - 1, -0.0 if k % 3 == 0 else (150 - k) / 37]
             for k in range(300)]
-    for name, scale in (("signed", 1.0), ("tiny", 1e-200), ("huge", 1e200)):
+    for name, scale in (("signed", 1.0), ("small", 0.01), ("tiny", 1e-200), ("huge", 1e200)):
         series = {"truncation": len(rows), "coeffs": [[re * scale, im * scale] for re, im in rows]}
         with open(os.path.join(inputs, f"{name}.json"), "w") as f:
             json.dump(series, f)
